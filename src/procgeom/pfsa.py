@@ -183,16 +183,14 @@ class ValidationReport:
 
 
 def validate(g: Pfsa) -> ValidationReport:
-    """Check all machine invariants; return a report instead of raising.
+    """Check the numeric machine invariants; return a report instead of raising.
 
-    Covers: total/closed transition map, finite strictly positive emission
-    rows summing to one, and agreement of the transition matrix with the
-    sum of the per-symbol event matrices.
+    Covers finite, strictly positive emission rows summing to one.  The
+    structural invariants (a total transition map into the state set) are
+    enforced by the :class:`Pfsa` constructor.
     """
     bad: list[str] = []
-    d, m = g._delta, g._morph
-    if d.min() < 0 or d.max() >= g.n_states:
-        bad.append("transition map leaves the state set")
+    m = g._morph
     for i, q in enumerate(g.states):
         row = m[i]
         if not np.all(np.isfinite(row)):
@@ -204,10 +202,6 @@ def validate(g: Pfsa) -> ValidationReport:
         s = row.sum()
         if abs(s - 1.0) > ROW_SUM_TOL:
             bad.append(f"state {q}: morph row sums to {s:.17g}, not 1")
-    if not bad:
-        _, pi, gamma = matrices(g)
-        if not np.array_equal(sum(gamma.values()), pi):
-            bad.append("sum of event matrices does not equal the transition matrix")
     return ValidationReport(tuple(bad))
 
 
@@ -244,10 +238,6 @@ def matrices(g: Pfsa):
 
 # ---------------------------------------------------------------------------
 # graph structure: strongly connected components, closed restrictions
-
-def _successor_lists(g: Pfsa) -> list[list[int]]:
-    return [sorted(set(g._delta[i].tolist())) for i in range(g.n_states)]
-
 
 def _tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
     """Strongly connected components, iteratively (no recursion limit)."""
@@ -297,19 +287,34 @@ def _tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
-def sink_sccs(g: Pfsa) -> list[list[int]]:
-    """Strongly connected components with no transition leaving them."""
-    succ = _successor_lists(g)
+def _sink_components(delta: np.ndarray) -> list[list[int]]:
+    """Sink components of the graph ``v -> delta[v, s]``, sorted."""
+    succ = [sorted(set(row)) for row in delta.tolist()]
     sccs = _tarjan_sccs(succ)
-    comp_of = np.empty(g.n_states, dtype=np.int64)
+    comp_of = np.empty(len(succ), dtype=np.int64)
     for ci, comp in enumerate(sccs):
         comp_of[comp] = ci
-    sinks = []
-    for ci, comp in enumerate(sccs):
-        if all(comp_of[w] == ci for v in comp for w in succ[v]):
-            sinks.append(comp)
+    sinks = [comp for ci, comp in enumerate(sccs)
+             if all(comp_of[w] == ci for v in comp for w in succ[v])]
     sinks.sort()
     return sinks
+
+
+def sink_sccs(g: Pfsa) -> list[list[int]]:
+    """Strongly connected components with no transition leaving them."""
+    return _sink_components(g._delta)
+
+
+def _reachable_sinks(delta: np.ndarray, sinks: list[list[int]], starts) -> list[list[int]]:
+    """The members of ``sinks`` reachable from ``starts`` along ``delta``."""
+    seen = np.zeros(delta.shape[0], dtype=bool)
+    frontier = np.unique(np.asarray(starts, dtype=np.int64))
+    seen[frontier] = True
+    while frontier.size:
+        frontier = np.unique(delta[frontier])
+        frontier = frontier[~seen[frontier]]
+        seen[frontier] = True
+    return [s for s in sinks if seen[s].any()]
 
 
 def _restrict(g: Pfsa, keep: list[int]) -> Pfsa:
@@ -463,57 +468,54 @@ def minimize(g: Pfsa, tol: float = 1e-9) -> Pfsa:
     """Merge states with matching rows and matching successor structure.
 
     Partition refinement: initial blocks group states whose emission rows
-    agree entrywise within ``tol``; blocks are then split by the block
-    signature of their successors until stable.  The quotient keeps one
-    state per block, named after its lexicographically smallest member,
-    with the row averaged over members (they agree within ``tol``).
+    agree entrywise within ``tol`` with the block's first member (first
+    fit, in state order); blocks are then split by the block signature of
+    their successors until stable.  The quotient keeps one state per block,
+    ordered by first member and named after its lexicographically smallest
+    member, with the row averaged over members (they agree within ``tol``).
 
     Expects a machine equal to its minimal closed restriction; the quotient
     then emits every word with the same probability as the input.
     """
     n, k = g.n_states, g.n_symbols
-    block_of = np.full(n, -1, dtype=np.int64)
-    reps: list[int] = []
-    for q in range(n):
-        for bi, rep in enumerate(reps):
-            if np.max(np.abs(g._morph[q] - g._morph[rep])) <= tol:
-                block_of[q] = bi
-                break
+    block_of = np.empty(n, dtype=np.int64)
+    rep_rows = np.empty((n, k))
+    n_blocks = 0
+    for q, row in enumerate(g._morph):
+        hits = np.flatnonzero(np.max(np.abs(rep_rows[:n_blocks] - row), axis=1) <= tol)
+        if hits.size:
+            block_of[q] = hits[0]
         else:
-            block_of[q] = len(reps)
-            reps.append(q)
+            rep_rows[n_blocks] = row
+            block_of[q] = n_blocks
+            n_blocks += 1
 
     while True:
-        signatures = {}
-        new_block_of = np.empty(n, dtype=np.int64)
-        for q in range(n):
-            sig = (block_of[q], *(block_of[g._delta[q, j]] for j in range(k)))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block_of[q] = signatures[sig]
-        if len(signatures) == len(set(block_of.tolist())):
-            block_of = new_block_of
+        signatures = np.column_stack([block_of, block_of[g._delta]])
+        _, refined = np.unique(signatures, axis=0, return_inverse=True)
+        refined = refined.reshape(n)
+        n_refined = int(refined.max()) + 1
+        if n_refined == n_blocks:
             break
-        block_of = new_block_of
+        block_of, n_blocks = refined, n_refined
 
-    n_blocks = len(set(block_of.tolist()))
-    members: list[list[int]] = [[] for _ in range(n_blocks)]
-    for q in range(n):
-        members[block_of[q]].append(q)
-    order = sorted(range(n_blocks), key=lambda b: members[b][0])
-    rename = {old: new for new, old in enumerate(order)}
+    # relabel blocks by first member
+    _, first = np.unique(block_of, return_index=True)
+    reps = np.sort(first)
+    label = np.empty(n_blocks, dtype=np.int64)
+    label[block_of[reps]] = np.arange(n_blocks)
+    block_of = label[block_of]
 
-    names = [min(g.states[q] for q in members[b]) for b in order]
-    d = np.empty((n_blocks, k), dtype=np.int64)
-    m = np.empty((n_blocks, k), dtype=np.float64)
-    for new, b in enumerate(order):
-        rep = members[b][0]
-        d[new] = [rename[block_of[g._delta[rep, j]]] for j in range(k)]
-        if len(members[b]) == 1:
-            m[new] = g._morph[rep]
-        else:
-            m[new] = g._morph[members[b], :].mean(axis=0)
-            m[new] /= m[new].sum()
+    names: list[str | None] = [None] * n_blocks
+    for q in sorted(range(n), key=g.states.__getitem__):
+        if names[block_of[q]] is None:
+            names[block_of[q]] = g.states[q]
+    d = block_of[g._delta[reps]]
+    m = g._morph[reps].copy()
+    sizes = np.bincount(block_of, minlength=n_blocks)
+    for b in np.flatnonzero(sizes > 1):
+        m[b] = g._morph[block_of == b, :].mean(axis=0)
+        m[b] /= m[b].sum()
     return Pfsa(g.alphabet, names, d, m)
 
 

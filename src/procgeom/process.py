@@ -30,8 +30,9 @@ import numpy as np
 from .errors import MultipleRecurrentClasses, ZeroNorm
 from .pfsa import (
     Pfsa,
+    _reachable_sinks,
     _restrict,
-    _tarjan_sccs,
+    _sink_components,
     belief_from_string,
     canonicalize,
     check_same_alphabet,
@@ -43,7 +44,7 @@ from .pfsa import (
     structurally_equal,
 )
 from .simplex import pscale, psum
-from .sync import joint_epsilon_synchronize
+from .sync import _pair_delta, joint_epsilon_synchronize, product_machine
 
 ZERO_NORM_TOL = 1e-12
 DEFAULT_MC_EPS = 1e-6
@@ -133,8 +134,6 @@ def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
     DepthExceeded
         If no jointly synchronizing string is found to pin the start.
     """
-    from .sync import joint_epsilon_synchronize, product_machine
-
     g, h = p.machine, q.machine
     check_same_alphabet(g, h)
     prod = product_machine(g, h, row_combiner=psum)
@@ -144,14 +143,7 @@ def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
         return as_process(prod, label=label)
     rg, rh, _ = joint_epsilon_synchronize(g, h, DEFAULT_MC_EPS)
     start = g.state_index(rg.state) * h.n_states + h.state_index(rh.state)
-    reach = {start}
-    todo = [start]
-    while todo:
-        for t in set(prod._delta[todo.pop()].tolist()):
-            if t not in reach:
-                reach.add(t)
-                todo.append(t)
-    reachable = [s for s in sinks if reach.intersection(s)]
+    reachable = _reachable_sinks(prod._delta, sinks, [start])
     if len(reachable) != 1:
         raise NotErgodic(
             f"{len(reachable)} closed components reachable from the synchronized start"
@@ -195,32 +187,18 @@ def fdd_distance(p: ProcessHandle, q: ProcessHandle, max_len: int = 5) -> float:
 # exact inner product via the uniformly driven pair chain
 
 def _pair_chain(g: Pfsa, h: Pfsa):
-    """Transition matrix, successor lists and sink components of the
+    """Transition matrix, transition table and sink components of the
     uniform-symbol pair chain.
 
     States are pairs (g-state, h-state); each symbol has weight 1/k and
     moves both components deterministically, so the chain depends only on
     the transition maps.
     """
-    ng, nh, k = g.n_states, h.n_states, g.n_symbols
-    n = ng * nh
-    succ: list[list[int]] = []
+    delta = _pair_delta(g, h)
+    n, k = delta.shape
     P = np.zeros((n, n))
-    for i in range(ng):
-        for j in range(nh):
-            idx = i * nh + j
-            targets = [int(g._delta[i, s]) * nh + int(h._delta[j, s]) for s in range(k)]
-            for t in targets:
-                P[idx, t] += 1.0 / k
-            succ.append(sorted(set(targets)))
-    sccs = _tarjan_sccs(succ)
-    comp_of = np.empty(n, dtype=np.int64)
-    for ci, comp in enumerate(sccs):
-        comp_of[comp] = ci
-    sinks = [comp for ci, comp in enumerate(sccs)
-             if all(comp_of[t] == ci for v in comp for t in succ[v])]
-    sinks.sort()
-    return P, succ, sinks
+    np.add.at(P, (np.repeat(np.arange(n), k), delta.ravel()), 1.0 / k)
+    return P, delta, _sink_components(delta)
 
 
 def _chain_stationary(P: np.ndarray, keep: list[int]) -> np.ndarray:
@@ -267,7 +245,7 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
     """
     g, h = p.machine, q.machine
     check_same_alphabet(g, h)
-    P, succ, sinks = _pair_chain(g, h)
+    P, delta, sinks = _pair_chain(g, h)
     if len(sinks) == 1:
         keep = sinks[0]
     else:
@@ -276,14 +254,7 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
         else:
             rg, rh, _ = joint_epsilon_synchronize(g, h, DEFAULT_MC_EPS)
             starts = [g.state_index(rg.state) * h.n_states + h.state_index(rh.state)]
-        reach = set(starts)
-        todo = list(starts)
-        while todo:
-            for t in succ[todo.pop()]:
-                if t not in reach:
-                    reach.add(t)
-                    todo.append(t)
-        reachable_sinks = [s for s in sinks if reach.intersection(s)]
+        reachable_sinks = _reachable_sinks(delta, sinks, starts)
         if len(reachable_sinks) != 1:
             raise MultipleRecurrentClasses(
                 f"{len(reachable_sinks)} recurrent classes reachable from the "

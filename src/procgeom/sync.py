@@ -48,6 +48,12 @@ class SyncResult:
     depth_searched: int
 
 
+def _pair_delta(g: Pfsa, h: Pfsa) -> np.ndarray:
+    """Transition table of the pair states: pair (i, j) is row ``i * nh + j``."""
+    nh = h.n_states
+    return (g._delta[:, None, :] * nh + h._delta[None, :, :]).reshape(-1, g.n_symbols)
+
+
 def product_machine(g: Pfsa, h: Pfsa, row_combiner=None) -> Pfsa:
     """Componentwise product machine on the shared alphabet.
 
@@ -58,21 +64,12 @@ def product_machine(g: Pfsa, h: Pfsa, row_combiner=None) -> Pfsa:
     """
     check_same_alphabet(g, h)
     k = g.n_symbols
-    names = []
-    delta = np.empty((g.n_states * h.n_states, k), dtype=np.int64)
-    morph = np.empty((g.n_states * h.n_states, k), dtype=np.float64)
-    uniform_row = np.full(k, 1.0 / k)
-    for i in range(g.n_states):
-        for j in range(h.n_states):
-            idx = i * h.n_states + j
-            names.append(f"({g.states[i]},{h.states[j]})")
-            for s in range(k):
-                delta[idx, s] = g._delta[i, s] * h.n_states + h._delta[j, s]
-            if row_combiner is None:
-                morph[idx] = uniform_row
-            else:
-                morph[idx] = row_combiner(g._morph[i], h._morph[j])
-    return Pfsa(g.alphabet, names, delta, morph)
+    names = [f"({a},{b})" for a in g.states for b in h.states]
+    if row_combiner is None:
+        morph = np.full((len(names), k), 1.0 / k)
+    else:
+        morph = [row_combiner(rg, rh) for rg in g._morph for rh in h._morph]
+    return Pfsa(g.alphabet, names, _pair_delta(g, h), morph)
 
 
 def _belief_key(beliefs) -> tuple:

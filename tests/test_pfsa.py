@@ -300,6 +300,68 @@ class TestMinimize:
         for w in all_words(2, 6):
             assert abs(word_probability(g, list(w)) - word_probability(h, list(w))) < 1e-10
 
+    def test_first_fit_at_the_tolerance_boundary(self):
+        # Every state moves to s3 on "0" and to s4 on "1", so rows alone decide.
+        # s1 is within tol of s3 and s4 of s1, but s4 is not within tol of s3:
+        # s4 opens a block.  s0 is within tol of both s3 and s4 and joins the
+        # first block; s2 joins s4's.
+        tol = 0.01
+        offsets = {"s3": 0.0, "s1": 0.6, "s4": 1.2, "s0": 0.3, "s2": 2.0}
+        rows = np.array([[0.5 + x * tol, 0.5 - x * tol] for x in offsets.values()])
+        g = Pfsa(["0", "1"], list(offsets), [[0, 2]] * 5, rows)
+        h = minimize(g, tol=tol)
+        assert h.states == ("s0", "s2")
+        np.testing.assert_array_equal(h._delta, [[0, 1], [0, 1]])
+        for b, members in enumerate(([0, 1, 3], [2, 4])):
+            mean = rows[members].mean(axis=0)
+            np.testing.assert_array_equal(h._morph[b], mean / mean.sum())
+
+    def test_matches_loop_reference_on_random_machines(self):
+        def reference(g, tol):
+            block_of, reps = [], []
+            for q in range(g.n_states):
+                for bi, rep in enumerate(reps):
+                    if np.max(np.abs(g._morph[q] - g._morph[rep])) <= tol:
+                        block_of.append(bi)
+                        break
+                else:
+                    block_of.append(len(reps))
+                    reps.append(q)
+            while True:
+                sigs = {}
+                new = [sigs.setdefault((block_of[q], *(block_of[t] for t in g._delta[q])), len(sigs))
+                       for q in range(g.n_states)]
+                done = len(sigs) == len(set(block_of))
+                block_of = new
+                if done:
+                    break
+            members = {}
+            for q, b in enumerate(block_of):
+                members.setdefault(b, []).append(q)
+            blocks = sorted(members.values())
+            rename = {block_of[ms[0]]: i for i, ms in enumerate(blocks)}
+            names = [min(g.states[q] for q in ms) for ms in blocks]
+            d = [[rename[block_of[t]] for t in g._delta[ms[0]]] for ms in blocks]
+            m = []
+            for ms in blocks:
+                row = g._morph[ms, :].mean(axis=0)
+                m.append(row / row.sum() if len(ms) > 1 else g._morph[ms[0]])
+            return Pfsa(g.alphabet, names, d, m)
+
+        # Blow up a random m-state machine: state q copies state f[q], with row
+        # jitter of 0, 0.6 or 1.2 tol, so merges are common and tol chains occur.
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 5, 12, 30):
+            for _ in range(4):
+                m = max(1, n // 4)
+                f = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])
+                d = [[rng.choice(np.flatnonzero(f == t)) for t in row]
+                     for row in rng.integers(0, m, (m, 2))[f]]
+                p = rng.integers(1, 6, m)[f] / 6.0 + rng.choice([0.0, 6e-10, 1.2e-9], n)
+                names = [f"q{i}" for i in rng.permutation(n)]
+                g = Pfsa(["0", "1"], names, d, np.column_stack([p, 1 - p]))
+                assert structurally_equal(minimize(g), reference(g, 1e-9))
+
 
 class TestCanonicalize:
     def test_reorders_by_reachability(self):

@@ -16,7 +16,7 @@ from procgeom import (
     as_process,
     validate,
 )
-from conftest import make_perm2, make_single
+from conftest import make_perm2, make_single, make_t3
 
 
 def exhaustive_best(g, max_len):
@@ -43,13 +43,17 @@ class TestProductMachine:
             for sym in prod.alphabet:
                 assert prod.next_state(q, sym) in diagonal
 
-    def test_product_with_single_state_mirrors_g2(self, g2):
-        prod = product_machine(g2, make_single())
-        assert prod.n_states == g2.n_states
+    @pytest.mark.parametrize("maker", [make_single, make_t3])
+    def test_pair_states_follow_both_machines(self, g2, maker):
+        h = maker()
+        prod = product_machine(g2, h)
+        assert prod.n_states == g2.n_states * h.n_states
         for i, q in enumerate(g2.states):
-            for sym in g2.alphabet:
-                expected = f"({g2.next_state(q, sym)},s)"
-                assert prod.next_state(f"({q},s)", sym) == expected
+            for j, r in enumerate(h.states):
+                assert prod.states[i * h.n_states + j] == f"({q},{r})"
+                for sym in g2.alphabet:
+                    expected = f"({g2.next_state(q, sym)},{h.next_state(r, sym)})"
+                    assert prod.next_state(f"({q},{r})", sym) == expected
 
     def test_row_combiner(self, g2):
         prod = product_machine(g2, make_single(), row_combiner=psum)
