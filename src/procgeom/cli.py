@@ -51,10 +51,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _load(path: str) -> Pfsa:
-    return read_pfsa(path)
-
-
 def _load_valid(path: str) -> Pfsa:
     return require_valid(read_pfsa(path))
 
@@ -84,7 +80,7 @@ def _parse_word(g: Pfsa, word: str) -> list[str]:
 # subcommand handlers
 
 def _cmd_validate(args) -> int:
-    report = validate(_load(args.model))
+    report = validate(read_pfsa(args.model))
     print(str(report))
     return 0 if report.valid else 1
 

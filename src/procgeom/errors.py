@@ -65,9 +65,10 @@ class DepthExceeded(ProcgeomError):
         self.best = best
 
 
-class MultipleRecurrentClasses(ProcgeomError):
-    """The uniformly driven pair chain has several recurrent classes, so the
-    exact inner product is path dependent."""
+class MultipleRecurrentClasses(NotErgodic):
+    """The uniformly driven pair chain has several recurrent classes
+    reachable from its start, so the exact inner product (and the sum) is
+    path dependent."""
 
 
 class ZeroNorm(ProcgeomError):

@@ -45,8 +45,9 @@ class ExperimentReport:
     """Results of one noise experiment.
 
     ``model_angles`` holds exact pairwise process angles (NaN where an
-    operand has zero norm); ``empirical_angles`` holds stream-level angles
-    with the self-angle diagnostics on the diagonal.  Both are symmetric.
+    operand has zero norm); ``zero_norm`` flags the models whose own angle
+    is NaN; ``empirical_angles`` holds stream-level angles with the
+    self-angle diagnostics on the diagonal.  Both matrices are symmetric.
     """
 
     config: ExperimentConfig
@@ -114,9 +115,6 @@ def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = 
     n = len(models)
 
     model_angles = np.full((n, n), np.nan)
-    zero_norm = []
-    for i, m in enumerate(models):
-        zero_norm.append(len(m.machine.states) == 1 and _is_uniform_row(m))
     for i in range(n):
         for j in range(i, n):
             try:
@@ -154,15 +152,10 @@ def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = 
     return ExperimentReport(
         config=config,
         labels=labels,
-        zero_norm=tuple(zero_norm),
+        zero_norm=tuple(bool(np.isnan(model_angles[i, i])) for i in range(n)),
         model_angles=model_angles,
         empirical_angles=empirical,
         stream_means=means,
         stream_stds=stds,
         models=models,
     )
-
-
-def _is_uniform_row(p: ProcessHandle) -> bool:
-    row = p.machine._morph[0]
-    return bool(np.allclose(row, 1.0 / len(row), atol=1e-12))

@@ -221,19 +221,18 @@ def matrices(g: Pfsa):
     (pi_tilde, pi, gamma)
         ``pi_tilde`` is (n_states, n_symbols); ``pi`` is
         (n_states, n_states) with rows summing to one; ``gamma`` maps each
-        symbol name to its (n_states, n_states) event matrix.  By
-        construction the event matrices sum to ``pi`` exactly.
+        symbol name to its (n_states, n_states) event matrix.  ``pi``
+        adds each row's entries in alphabet order, so the event matrices,
+        summed in that order, give ``pi`` exactly.
     """
-    n, k = g.n_states, g.n_symbols
+    n = g.n_states
     rows = np.arange(n)
     gamma = {}
-    pi = np.zeros((n, n))
     for j, sym in enumerate(g.alphabet):
         gm = np.zeros((n, n))
         gm[rows, g._delta[:, j]] = g._morph[:, j]
-        pi += gm
         gamma[sym] = _freeze(gm)
-    return _freeze(g._morph.copy()), _freeze(pi), gamma
+    return _freeze(g._morph.copy()), transition_matrix(g), gamma
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +304,8 @@ def sink_sccs(g: Pfsa) -> list[list[int]]:
     return _sink_components(g._delta)
 
 
-def _reachable_sinks(delta: np.ndarray, sinks: list[list[int]], starts) -> list[list[int]]:
-    """The members of ``sinks`` reachable from ``starts`` along ``delta``."""
+def _reachable(delta: np.ndarray, starts) -> np.ndarray:
+    """Mask of the states reachable from ``starts`` along ``delta`` (starts included)."""
     seen = np.zeros(delta.shape[0], dtype=bool)
     frontier = np.unique(np.asarray(starts, dtype=np.int64))
     seen[frontier] = True
@@ -314,15 +313,18 @@ def _reachable_sinks(delta: np.ndarray, sinks: list[list[int]], starts) -> list[
         frontier = np.unique(delta[frontier])
         frontier = frontier[~seen[frontier]]
         seen[frontier] = True
-    return [s for s in sinks if seen[s].any()]
+    return seen
 
 
-def _restrict(g: Pfsa, keep: list[int]) -> Pfsa:
-    """Restriction to a delta-closed state subset (inherited rows)."""
-    remap = {old: new for new, old in enumerate(keep)}
-    d = np.array([[remap[g._delta[i, j]] for j in range(g.n_symbols)] for i in keep])
-    m = g._morph[keep, :]
-    return Pfsa(g.alphabet, [g.states[i] for i in keep], d, m)
+def _restrict(g: Pfsa, keep) -> Pfsa:
+    """Restriction to a delta-closed state subset, in the order of ``keep``
+    (inherited rows).  A subset that is not closed leaves a -1 in the
+    transition table, which the constructor rejects."""
+    keep = np.asarray(keep, dtype=np.int64)
+    remap = np.full(g.n_states, -1, dtype=np.int64)
+    remap[keep] = np.arange(keep.size)
+    return Pfsa(g.alphabet, [g.states[i] for i in keep], remap[g._delta[keep]],
+                g._morph[keep, :])
 
 
 def closed_restrictions(g: Pfsa) -> list[Pfsa]:
@@ -332,18 +334,8 @@ def closed_restrictions(g: Pfsa) -> list[Pfsa]:
     enumeration unions closures until no new subset appears.  Output is
     sorted by size, then by state names.
     """
-    n = g.n_states
-    base = set()
-    for q in range(n):
-        seen = {q}
-        todo = [q]
-        while todo:
-            v = todo.pop()
-            for w in set(g._delta[v].tolist()):
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        base.add(frozenset(seen))
+    base = {frozenset(np.flatnonzero(_reachable(g._delta, [q])).tolist())
+            for q in range(g.n_states)}
     closed = set(base)
     frontier = list(base)
     while frontier:
@@ -379,16 +371,46 @@ def minimal_closed_restriction(g: Pfsa) -> Pfsa:
 # ---------------------------------------------------------------------------
 # stationary analysis and belief recursion
 
+def _chain_matrix(delta: np.ndarray, weights) -> np.ndarray:
+    """Dense transition matrix of the chain ``v -> delta[v, s]`` taken with
+    probability ``weights[v, s]`` (an array of delta's shape, or a scalar)."""
+    n = delta.shape[0]
+    out = np.zeros((n, n))
+    np.add.at(out, (np.arange(n)[:, None], delta), weights)
+    return out
+
+
 def transition_matrix(g: Pfsa) -> np.ndarray:
-    return matrices(g)[1]
+    return _freeze(_chain_matrix(g._delta, g._morph))
+
+
+def _stationary(delta: np.ndarray, weights, keep) -> np.ndarray:
+    """Stationary vector of the chain of :func:`_chain_matrix`, carried by
+    the closed component ``keep`` (zero elsewhere).
+
+    Solved directly as the consistent linear system ``p (P - I) = 0``,
+    ``sum(p) = 1`` on ``keep``.  The residual must come out below 1e-12
+    and every entry on ``keep`` positive.
+    """
+    P = _chain_matrix(delta, weights)
+    sub = P[np.ix_(keep, keep)]
+    m = len(keep)
+    a = np.vstack([sub.T - np.eye(m), np.ones((1, m))])
+    rhs = np.zeros(m + 1)
+    rhs[-1] = 1.0
+    sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+    out = np.zeros(P.shape[0])
+    out[keep] = sol
+    residual = max(float(np.abs(out @ P - out).max()), abs(float(out.sum()) - 1.0))
+    if residual > STATIONARY_RESIDUAL_TOL or np.any(sol <= 0.0):
+        raise InvalidPfsa(f"stationary solve failed (residual {residual:.3e})")
+    return out
 
 
 def stationary_distribution(g: Pfsa) -> np.ndarray:
     """Unique stationary state distribution (row vector fixed by the chain).
 
-    Solved directly as the consistent linear system ``p (Pi - I) = 0``,
-    ``sum(p) = 1`` on the single sink component; transient states get mass
-    zero.  The residual must come out below 1e-12.
+    Solved on the single sink component; transient states get mass zero.
 
     Raises
     ------
@@ -398,20 +420,7 @@ def stationary_distribution(g: Pfsa) -> np.ndarray:
     sinks = sink_sccs(g)
     if len(sinks) != 1:
         raise NotErgodic(f"{len(sinks)} sink components; stationary distribution not unique")
-    keep = sinks[0]
-    pi = transition_matrix(g)
-    sub = pi[np.ix_(keep, keep)]
-    k = len(keep)
-    a = np.vstack([sub.T - np.eye(k), np.ones((1, k))])
-    rhs = np.zeros(k + 1)
-    rhs[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    out = np.zeros(g.n_states)
-    out[keep] = sol
-    residual = max(float(np.abs(out @ pi - out).max()), abs(float(out.sum()) - 1.0))
-    if residual > STATIONARY_RESIDUAL_TOL or np.any(sol <= 0.0):
-        raise InvalidPfsa(f"stationary solve failed (residual {residual:.3e})")
-    return _freeze(out)
+    return _freeze(_stationary(g._delta, g._morph, sinks[0]))
 
 
 def belief_update(g: Pfsa, belief: np.ndarray, sigma) -> np.ndarray:
@@ -542,9 +551,7 @@ def canonicalize(g: Pfsa) -> Pfsa:
         if q not in seen:
             seen.add(q)
             order.append(q)
-    remap = {old: new for new, old in enumerate(order)}
-    d = np.array([[remap[g._delta[i, j]] for j in range(g.n_symbols)] for i in order])
-    return Pfsa(g.alphabet, [g.states[i] for i in order], d, g._morph[order, :])
+    return _restrict(g, order)
 
 
 # ---------------------------------------------------------------------------

@@ -30,16 +30,17 @@ import numpy as np
 from .errors import MultipleRecurrentClasses, ZeroNorm
 from .pfsa import (
     Pfsa,
-    _reachable_sinks,
+    _reachable,
     _restrict,
     _sink_components,
+    _stationary,
     belief_from_string,
+    belief_update,
     canonicalize,
     check_same_alphabet,
     minimal_closed_restriction,
     minimize,
     require_valid,
-    sink_sccs,
     stationary_distribution,
     structurally_equal,
 )
@@ -121,34 +122,24 @@ def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
 
     The sum tracks both operands along one shared symbol stream, so its
     states are pairs moved componentwise and its rows are the simplex sums
-    of the operand rows.  When the pair structure splits into several
-    closed components, the one reachable from the jointly synchronized
-    start is the one the construction actually inhabits; a joint
-    synchronization run pins it (mirroring :func:`inner_exact`).
+    of the operand rows.  It lives on the closed component of the pair
+    structure that :func:`inner_exact` averages over (see there for how
+    that component is picked).
 
     Raises
     ------
     AlphabetMismatch
-    NotErgodic
-        If several closed components remain reachable from the pinned start.
+    MultipleRecurrentClasses
+        A :class:`NotErgodic`: several closed components remain reachable
+        from the pinned start.
     DepthExceeded
         If no jointly synchronizing string is found to pin the start.
     """
     g, h = p.machine, q.machine
     check_same_alphabet(g, h)
+    _, keep = _pair_sink(g, h)
     prod = product_machine(g, h, row_combiner=psum)
-    label = f"({p.label}+{q.label})"
-    sinks = sink_sccs(prod)
-    if len(sinks) == 1:
-        return as_process(prod, label=label)
-    rg, rh, _ = joint_epsilon_synchronize(g, h, DEFAULT_MC_EPS)
-    start = g.state_index(rg.state) * h.n_states + h.state_index(rh.state)
-    reachable = _reachable_sinks(prod._delta, sinks, [start])
-    if len(reachable) != 1:
-        raise NotErgodic(
-            f"{len(reachable)} closed components reachable from the synchronized start"
-        )
-    return as_process(_restrict(prod, reachable[0]), label=label)
+    return as_process(_restrict(prod, keep), label=f"({p.label}+{q.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +156,9 @@ def _word_probabilities(g: Pfsa, max_len: int) -> dict[tuple[int, ...], float]:
             continue
         for j in range(g.n_symbols):
             pj = prob * float(belief @ g._morph[:, j])
-            w = np.zeros(g.n_states)
-            np.add.at(w, g._delta[:, j], belief * g._morph[:, j])
             nxt = word + (j,)
             out[nxt] = pj
-            stack.append((nxt, w / w.sum(), pj))
+            stack.append((nxt, belief_update(g, belief, j), pj))
     return out
 
 def fdd_distance(p: ProcessHandle, q: ProcessHandle, max_len: int = 5) -> float:
@@ -186,33 +175,39 @@ def fdd_distance(p: ProcessHandle, q: ProcessHandle, max_len: int = 5) -> float:
 # ---------------------------------------------------------------------------
 # exact inner product via the uniformly driven pair chain
 
-def _pair_chain(g: Pfsa, h: Pfsa):
-    """Transition matrix, transition table and sink components of the
-    uniform-symbol pair chain.
+def _pair_sink(g: Pfsa, h: Pfsa):
+    """Transition table of the pair states and the closed component the
+    uniformly driven walk settles in.
 
-    States are pairs (g-state, h-state); each symbol has weight 1/k and
-    moves both components deterministically, so the chain depends only on
-    the transition maps.
+    With one sink component that is the component.  Otherwise the walk
+    begins at the jointly synchronized start: a process paired with itself
+    starts on the diagonal, which is closed, so no search is needed; any
+    other pair runs a joint synchronization to pin the start.
+
+    Raises
+    ------
+    MultipleRecurrentClasses
+        If several sink components are reachable from the start.
+    DepthExceeded
+        If the joint synchronization fails.
     """
     delta = _pair_delta(g, h)
-    n, k = delta.shape
-    P = np.zeros((n, n))
-    np.add.at(P, (np.repeat(np.arange(n), k), delta.ravel()), 1.0 / k)
-    return P, delta, _sink_components(delta)
-
-
-def _chain_stationary(P: np.ndarray, keep: list[int]) -> np.ndarray:
-    sub = P[np.ix_(keep, keep)]
-    m = len(keep)
-    a = np.vstack([sub.T - np.eye(m), np.ones((1, m))])
-    rhs = np.zeros(m + 1)
-    rhs[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    out = np.zeros(P.shape[0])
-    out[keep] = sol
-    if np.abs(out @ P - out).max() > 1e-12 or np.any(sol <= 0.0):
-        raise MultipleRecurrentClasses("restricted pair chain is not a single recurrent class")
-    return out
+    sinks = _sink_components(delta)
+    if len(sinks) == 1:
+        return delta, sinks[0]
+    if g is h or structurally_equal(g, h):
+        starts = [i * h.n_states + i for i in range(g.n_states)]
+    else:
+        rg, rh, _ = joint_epsilon_synchronize(g, h, DEFAULT_MC_EPS)
+        starts = [g.state_index(rg.state) * h.n_states + h.state_index(rh.state)]
+    seen = _reachable(delta, starts)
+    reachable = [s for s in sinks if seen[s].any()]
+    if len(reachable) != 1:
+        raise MultipleRecurrentClasses(
+            f"{len(reachable)} recurrent classes reachable from the "
+            "synchronized start; the walk average is path dependent"
+        )
+    return delta, reachable[0]
 
 
 def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
@@ -227,7 +222,8 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
     there).  A process paired with itself starts on the diagonal, which is
     closed, so no search is needed; otherwise a joint synchronization run
     pins the start.  The value is ambiguous only if several sinks remain
-    reachable from it.
+    reachable from it.  :func:`sum_processes` picks its component by the
+    same rule.
 
     The closed form evaluates the walk limit under the synchronized-state
     idealization; it is exact whenever some word merges all states (the
@@ -237,31 +233,17 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
 
     Raises
     ------
+    AlphabetMismatch
     MultipleRecurrentClasses
-        If several recurrent classes are reachable from the synchronized
-        start, making the walk average path dependent.
+        A :class:`NotErgodic`: several recurrent classes are reachable from
+        the synchronized start, making the walk average path dependent.
     DepthExceeded
         If the disambiguating joint synchronization fails.
     """
     g, h = p.machine, q.machine
     check_same_alphabet(g, h)
-    P, delta, sinks = _pair_chain(g, h)
-    if len(sinks) == 1:
-        keep = sinks[0]
-    else:
-        if g is h or structurally_equal(g, h):
-            starts = [i * h.n_states + i for i in range(g.n_states)]
-        else:
-            rg, rh, _ = joint_epsilon_synchronize(g, h, DEFAULT_MC_EPS)
-            starts = [g.state_index(rg.state) * h.n_states + h.state_index(rh.state)]
-        reachable_sinks = _reachable_sinks(delta, sinks, starts)
-        if len(reachable_sinks) != 1:
-            raise MultipleRecurrentClasses(
-                f"{len(reachable_sinks)} recurrent classes reachable from the "
-                "synchronized start; the walk average is path dependent"
-            )
-        keep = reachable_sinks[0]
-    rho = _chain_stationary(P, keep)
+    delta, keep = _pair_sink(g, h)
+    rho = _stationary(delta, 1.0 / g.n_symbols, keep)
     lg = np.diff(np.log(g._morph), axis=1)
     lh = np.diff(np.log(h._morph), axis=1)
     pairwise = lg @ lh.T

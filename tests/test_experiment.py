@@ -35,6 +35,16 @@ class TestNoiseExperiment:
         assert not rep.zero_norm[i["1G"]]
         assert np.isnan(rep.model_angles[i["0G"], i["1G"]])
 
+    def test_near_uniform_single_state_is_not_zero_norm(self):
+        # a one-state base scaled by 1e-6 is within 1e-5 of uniform, but its
+        # norm is about 4e-7, far above the 1e-12 cut: its angle is defined
+        from procgeom import Pfsa
+
+        base = Pfsa(["0", "1"], ["s"], [[0, 0]], [[0.6, 0.4]])
+        rep = run_noise_experiment(base, small_config(scales=(1.0, 1e-6, 0.0), stream_length=2_000))
+        assert rep.zero_norm == (False, False, True)
+        assert rep.model_angles[0, 1] == 0.0
+
     def test_matrices_symmetric(self, g2):
         rep = run_noise_experiment(g2, small_config())
         def sym(m):

@@ -263,6 +263,13 @@ class TestMinimalClosedRestriction:
         with pytest.raises(NotErgodic):
             minimal_closed_restriction(make_two_sinks())
 
+    def test_restriction_to_open_subset_rejected(self):
+        # feed3's state c moves to a and b, so {c} is not closed
+        from procgeom.pfsa import _restrict
+
+        with pytest.raises(InvalidPfsa):
+            _restrict(make_feed3(), [2])
+
     def test_restriction_has_full_mass(self):
         g = make_feed3()
         mass = stationary_distribution(g)[[0, 1]].sum()

@@ -123,6 +123,18 @@ class TestSum:
         assert fdd_distance(total, scale_process(2.0, T), 5) < 1e-12
         assert fdd_distance(total, sum_processes(S, T), 5) < 1e-12
 
+    def test_self_sum_on_split_pair_structure_needs_no_sync(self, t3, monkeypatch):
+        # a process summed with itself lives on the diagonal of its split
+        # pair structure, the same rule inner_exact uses, so no search runs
+        import procgeom.process as process
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("joint synchronization ran")
+
+        monkeypatch.setattr(process, "joint_epsilon_synchronize", no_search)
+        T = as_process(t3, "T")
+        assert fdd_distance(sum_processes(T, T), scale_process(2.0, T), 5) < 1e-12
+
     def test_split_pair_inverse_tracks_offset_class(self, t3):
         # with no merging word, a machine and its inverse synchronize onto
         # different states, so the tracked sum follows an offset class and
@@ -291,3 +303,27 @@ class TestNormAndAngle:
     def test_mc_angle_zero_norm_rejected(self, G):
         with pytest.raises(ZeroNorm):
             angle(G, zero_process(G.alphabet), mode="mc", walk_length=200, repeats=3, seed=0)
+
+
+def test_start_reaching_two_pair_sinks_is_not_ergodic(monkeypatch):
+    # the pair structure of this shared transition map has two sink
+    # components, and a start pinned at (s0, s1) reaches both of them
+    import procgeom.process as process
+    from procgeom import MultipleRecurrentClasses, NotErgodic, Pfsa, SyncResult
+
+    delta = [[1, 2], [3, 1], [0, 2], [2, 1]]
+    states = ["s0", "s1", "s2", "s3"]
+    g = as_process(Pfsa(["0", "1"], states, delta,
+                        [[0.6, 0.4], [0.3, 0.7], [0.55, 0.45], [0.8, 0.2]]), "g")
+    h = as_process(Pfsa(["0", "1"], states, delta,
+                        [[0.35, 0.65], [0.7, 0.3], [0.2, 0.8], [0.45, 0.55]]), "h")
+    assert g.machine.states == h.machine.states == tuple(states)
+
+    def pinned(a, b, eps, max_depth=None):
+        return SyncResult((), 1.0, "s0", 0), SyncResult((), 1.0, "s1", 0), ()
+
+    monkeypatch.setattr(process, "joint_epsilon_synchronize", pinned)
+    for op in (inner_exact, sum_processes):
+        with pytest.raises(NotErgodic) as err:
+            op(g, h)
+        assert isinstance(err.value, MultipleRecurrentClasses)
