@@ -36,7 +36,7 @@ def _check_names(names, kind: str) -> tuple[str, ...]:
     if len(set(out)) != len(out):
         raise InvalidPfsa(f"duplicate {kind} names")
     for n in out:
-        if not n or any(c.isspace() for c in n):
+        if not n or n.split() != [n]:
             raise InvalidPfsa(f"{kind} name {n!r} is empty or contains whitespace")
     return out
 
@@ -626,7 +626,7 @@ def parse_pfsa(text: str) -> Pfsa:
         if not line.startswith("state ") or not line.endswith(":"):
             raise PfsaFormatError(f"line {i + 1}: expected 'state <name>:', got {line!r}")
         name = line[len("state "):-1]
-        if not name or any(c.isspace() for c in name):
+        if not name or name.split() != [name]:
             raise PfsaFormatError(f"line {i + 1}: bad state name {name!r}")
         if name in trans:
             raise PfsaFormatError(f"line {i + 1}: duplicate state {name!r}")

@@ -49,7 +49,6 @@ from .sync import _pair_delta, joint_epsilon_synchronize, product_machine
 
 ZERO_NORM_TOL = 1e-12
 DEFAULT_MC_EPS = 1e-6
-RENORM_EVERY = 16
 
 
 @dataclass(frozen=True)
@@ -257,35 +256,33 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
 def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seed_seq) -> np.ndarray:
     """Per-walk means of the log-inner terms for several (g, h) pairs at once.
 
-    One row per (pair, repeat).  Beliefs evolve by the full recursion; the
-    per-step term needs only log-ratios of ``belief @ morph``, which are
-    normalization free, so beliefs are renormalized on a fixed cadence.
-    Symbol draws come from per-walk spawned generators, making the result
+    One row per (pair, repeat).  Beliefs, emission rows and transition
+    targets are held in arrays shaped ``(2, rows, ...)``: side 0 walks g,
+    side 1 walks h, and machines smaller than the largest are padded with
+    states that carry no mass.  Transitions are deterministic, so the full
+    recursion is a scatter along ``delta``: with the targets of each of the
+    ``2 * rows`` rows offset by ``row * qmax``, one ``np.bincount`` moves
+    every belief of both sides, and each row is divided by its sum at every
+    step, so no belief underflows.  Both sides of a row read the same
+    symbol, drawn from that walk's spawned generator, making the result
     reproducible regardless of batching.
     """
     n_pairs = len(pairs)
     rows = n_pairs * repeats
     k = pairs[0][0].n_symbols
-    qmax = max(max(g.n_states, h.n_states) for g, h in pairs)
+    qmax = max(m.n_states for pair in pairs for m in pair)
 
-    def padded(machine_side):
-        gam = np.zeros((rows, k, qmax, qmax))
-        pit = np.zeros((rows, qmax, k))
-        bel = np.zeros((rows, qmax))
-        for pi_, (pair, start) in enumerate(zip(pairs, starts)):
-            m = pair[machine_side]
+    dest = np.zeros((2, rows, k, qmax), dtype=np.int64)
+    emit = np.zeros((2, rows, k, qmax))
+    b = np.zeros((2, rows, qmax))
+    for pi_, (pair, start) in enumerate(zip(pairs, starts)):
+        block = slice(pi_ * repeats, (pi_ + 1) * repeats)
+        for side, m in enumerate(pair):
             nq = m.n_states
-            gm = np.zeros((k, qmax, qmax))
-            for s in range(k):
-                gm[s, np.arange(nq), m._delta[:, s]] = m._morph[:, s]
-            block = slice(pi_ * repeats, (pi_ + 1) * repeats)
-            gam[block] = gm
-            pit[block, :nq, :] = m._morph
-            bel[block, :nq] = start[machine_side]
-        return gam, pit, bel
-
-    gam_g, pit_g, b_g = padded(0)
-    gam_h, pit_h, b_h = padded(1)
+            dest[side, block, :, :nq] = m._delta.T
+            emit[side, block, :, :nq] = m._morph.T
+            b[side, block, :nq] = start[side]
+    dest += np.arange(2 * rows).reshape(2, rows, 1, 1) * qmax
 
     symbols = np.empty((walk_length, rows), dtype=np.int64)
     for pi_, pair_seq in enumerate(seed_seq.spawn(n_pairs)):
@@ -296,32 +293,36 @@ def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seed_seq)
     ridx = np.arange(rows)
     acc = np.zeros(rows)
     for t in range(walk_length):
-        fg = np.log(np.einsum("rq,rqs->rs", b_g, pit_g))
-        fh = np.log(np.einsum("rq,rqs->rs", b_h, pit_h))
-        acc += np.einsum("rs,rs->r", np.diff(fg, axis=1), np.diff(fh, axis=1))
+        d = np.diff(np.log(np.einsum("xrq,xrsq->xrs", b, emit)), axis=2)
+        acc += np.einsum("rs,rs->r", d[0], d[1])
         s = symbols[t]
-        b_g = np.einsum("rq,rqp->rp", b_g, gam_g[ridx, s])
-        b_h = np.einsum("rq,rqp->rp", b_h, gam_h[ridx, s])
-        if t % RENORM_EVERY == RENORM_EVERY - 1:
-            b_g /= b_g.sum(axis=1, keepdims=True)
-            b_h /= b_h.sum(axis=1, keepdims=True)
+        b = np.bincount(dest[:, ridx, s].ravel(), (b * emit[:, ridx, s]).ravel(),
+                        minlength=b.size).reshape(b.shape)
+        b /= b.sum(axis=2, keepdims=True)
     return (acc / walk_length).reshape(n_pairs, repeats)
 
 
-def _synced_starts(p: ProcessHandle, q: ProcessHandle, eps: float, max_depth):
-    _, _, string = joint_epsilon_synchronize(p.machine, q.machine, eps, max_depth)
-    return (
-        belief_from_string(p.machine, string),
-        belief_from_string(q.machine, string),
-    )
+def _mc_estimates(pairs, eps, walk_length, repeats, seed, max_depth) -> list[InnerEstimate]:
+    """Monte Carlo estimates of ``<p, q>`` for each ``(p, q)`` in ``pairs``.
 
-
-def _estimate_from_walks(means: np.ndarray, walk_length: int) -> InnerEstimate:
-    repeats = means.size
-    value = float(means.mean())
-    se = float(means.std(ddof=1) / math.sqrt(repeats)) if repeats > 1 else float("inf")
-    return InnerEstimate(value=value, std_error=se, mode="monte-carlo",
-                         walks=repeats, walk_length=walk_length)
+    Each pair's beliefs start at its own jointly synchronizing string; all
+    pairs walk in one batch, with per-pair seeds spawned from ``seed``.
+    """
+    check_same_alphabet(pairs[0][0].machine, pairs[0][1].machine)
+    if walk_length < 1 or repeats < 2:
+        raise ValueError("need walk_length >= 1 and repeats >= 2")
+    starts = []
+    for p, q in pairs:
+        _, _, string = joint_epsilon_synchronize(p.machine, q.machine, eps, max_depth)
+        starts.append((belief_from_string(p.machine, string),
+                       belief_from_string(q.machine, string)))
+    means = _batched_pair_walks([(p.machine, q.machine) for p, q in pairs], starts,
+                                walk_length, repeats, np.random.SeedSequence(seed))
+    return [
+        InnerEstimate(value=float(m.mean()), std_error=float(m.std(ddof=1) / math.sqrt(repeats)),
+                      mode="monte-carlo", walks=repeats, walk_length=walk_length)
+        for m in means
+    ]
 
 
 def inner_mc(
@@ -338,22 +339,18 @@ def inner_mc(
     A jointly synchronizing string pins both beliefs, then ``repeats``
     independent walks of ``walk_length`` uniform symbols average the
     log-ratio inner product of the two next-symbol distributions, carried
-    through the full belief recursion.  The estimate and its standard
-    error come from the per-walk means, reduced in a fixed order.
+    through the full belief recursion.  Both beliefs of a walk sit in one
+    array, move together along ``delta`` and are renormalized at every
+    step, so long walks on sharply peaked rows stay finite.  The estimate
+    and its standard error come from the per-walk means, reduced in a
+    fixed order.
 
     Raises
     ------
     DepthExceeded
         Propagated from the synchronization search.
     """
-    check_same_alphabet(p.machine, q.machine)
-    if walk_length < 1 or repeats < 2:
-        raise ValueError("need walk_length >= 1 and repeats >= 2")
-    starts = _synced_starts(p, q, eps, max_depth)
-    means = _batched_pair_walks(
-        [(p.machine, q.machine)], [starts], walk_length, repeats, np.random.SeedSequence(seed)
-    )
-    return _estimate_from_walks(means[0], walk_length)
+    return _mc_estimates([(p, q)], eps, walk_length, repeats, seed, max_depth)[0]
 
 
 def inner(p: ProcessHandle, q: ProcessHandle, mode: str = "exact", **mc_options) -> InnerEstimate:
@@ -392,17 +389,7 @@ def angle_mc_estimate(
     three standard errors to the cosine, where the sampling distribution is
     regular.  The angle itself is ``arccos`` of the clamped cosine.
     """
-    check_same_alphabet(p.machine, q.machine)
-    if walk_length < 1 or repeats < 2:
-        raise ValueError("need walk_length >= 1 and repeats >= 2")
-    pairs = [(p.machine, q.machine), (p.machine, p.machine), (q.machine, q.machine)]
-    starts = [
-        _synced_starts(p, q, eps, max_depth),
-        _synced_starts(p, p, eps, max_depth),
-        _synced_starts(q, q, eps, max_depth),
-    ]
-    means = _batched_pair_walks(pairs, starts, walk_length, repeats, np.random.SeedSequence(seed))
-    ip, n1, n2 = (_estimate_from_walks(m, walk_length) for m in means)
+    ip, n1, n2 = _mc_estimates([(p, q), (p, p), (q, q)], eps, walk_length, repeats, seed, max_depth)
     if n1.value <= ZERO_NORM_TOL**2 or n2.value <= ZERO_NORM_TOL**2:
         raise ZeroNorm("angle undefined against a zero-norm process")
     denom = math.sqrt(n1.value * n2.value)

@@ -257,3 +257,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc_info:
             main(["generate", g2_path, "--length", "5"])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["angle", "{m}", "{m}", "--mode", "mc", "--repeats", "1"],
+        ["angle", "{m}", "{m}", "--mode", "mc", "--walk-length", "0"],
+        ["sync", "{m}", "--eps", "0"],
+        ["generate", "{m}", "--length", "-1", "-o", "{tmp}/s.txt"],
+    ])
+    def test_bad_numeric_option_exits_two(self, capsys, g2_path, tmp_path, argv):
+        code, out, err = run(capsys, *(a.format(m=g2_path, tmp=tmp_path) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

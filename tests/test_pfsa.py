@@ -72,6 +72,13 @@ class TestConstruction:
         with pytest.raises(InvalidPfsa):
             Pfsa(["0", "1"], ["A"], {"A": {"0": "A"}}, {"A": [0.5, 0.5]})
 
+    @pytest.mark.parametrize("name", ["", "a b", "a\t", " x"])
+    def test_empty_or_whitespace_names_rejected(self, name):
+        with pytest.raises(InvalidPfsa):
+            Pfsa(["0", "1"], [name], [[0, 0]], [[0.5, 0.5]])
+        with pytest.raises(InvalidPfsa):
+            Pfsa([name, "1"], ["A"], [[0, 0]], [[0.5, 0.5]])
+
 
 class TestValidate:
     def test_g2_valid(self, g2):
@@ -454,6 +461,11 @@ class TestTextFormat:
     def test_unknown_target_state(self):
         text = "pfsa v1\nalphabet: 0 1\nstate A:\n  0 -> A 0.5\n  1 -> Z 0.5\n"
         with pytest.raises(PfsaFormatError):
+            parse_pfsa(text)
+
+    def test_state_name_with_whitespace(self):
+        text = "pfsa v1\nalphabet: 0 1\nstate a b:\n  0 -> a 0.5\n  1 -> a 0.5\n"
+        with pytest.raises(PfsaFormatError, match="bad state name"):
             parse_pfsa(text)
 
     def test_duplicate_state(self):

@@ -9,6 +9,7 @@ from procgeom import (
     angle,
     angle_mc_estimate,
     as_process,
+    belief_update,
     fdd_distance,
     inner,
     inner_exact,
@@ -22,6 +23,7 @@ from procgeom import (
     validate,
     zero_process,
 )
+from procgeom.process import _batched_pair_walks
 
 
 @pytest.fixture
@@ -266,6 +268,37 @@ class TestInnerMc:
         assert inner(G, M).value == inner_exact(G, M).value
         mc = inner(G, M, mode="mc", walk_length=500, repeats=4, seed=2)
         assert mc.mode == "monte-carlo"
+
+    @pytest.mark.parametrize("fixture", ["g2", "t3"])
+    def test_sharply_peaked_rows_stay_finite(self, request, fixture):
+        # at alpha = 60 the rows are nearly deterministic, so a belief left
+        # unnormalized for a few steps underflows to zero
+        p = scale_process(60.0, as_process(request.getfixturevalue(fixture)))
+        est = inner_mc(p, p)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+        if fixture == "g2":
+            assert abs(est.value - inner_exact(p, p).value) <= 4.0 * est.std_error
+
+    def test_batched_kernel_matches_per_walk_loop(self, g2, t3):
+        # g2 is padded to the 3 states of t3; both pairs share one batch
+        pairs = [(g2, t3), (t3, t3)]
+        starts = [
+            (np.array([0.3, 0.7]), np.array([0.5, 0.3, 0.2])),
+            (np.array([0.1, 0.6, 0.3]), np.array([0.2, 0.2, 0.6])),
+        ]
+        walk_length, repeats = 200, 3
+        means = _batched_pair_walks(pairs, starts, walk_length, repeats, np.random.SeedSequence(7))
+        assert means.shape == (2, repeats)
+        pair_seqs = np.random.SeedSequence(7).spawn(len(pairs))
+        for pi, ((g, h), (bg, bh)) in enumerate(zip(pairs, starts)):
+            for r, walk_seq in enumerate(pair_seqs[pi].spawn(repeats)):
+                symbols = np.random.default_rng(walk_seq).integers(0, 2, size=walk_length)
+                b_g, b_h, total = bg, bh, 0.0
+                for s in symbols:
+                    total += float(np.diff(np.log(b_g @ g._morph)) @ np.diff(np.log(b_h @ h._morph)))
+                    b_g = belief_update(g, b_g, int(s))
+                    b_h = belief_update(h, b_h, int(s))
+                assert means[pi, r] == pytest.approx(total / walk_length, rel=1e-12)
 
 
 class TestNormAndAngle:
