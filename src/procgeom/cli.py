@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -243,7 +244,9 @@ def _cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="procgeom",
         description="Geometry of stationary ergodic finite-valued processes.",

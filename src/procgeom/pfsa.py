@@ -190,18 +190,20 @@ def validate(g: Pfsa) -> ValidationReport:
     enforced by the :class:`Pfsa` constructor.
     """
     bad: list[str] = []
-    m = g._morph
-    for i, q in enumerate(g.states):
-        row = m[i]
-        if not np.all(np.isfinite(row)):
+    m = np.ascontiguousarray(g._morph)  # C order, so rows sum the same way whatever the input layout
+    finite = np.isfinite(m).all(axis=1)
+    nonpos = m <= 0.0
+    sums = m.sum(axis=1)
+    off = np.abs(sums - 1.0) > ROW_SUM_TOL
+    for i in np.flatnonzero(~finite | nonpos.any(axis=1) | off).tolist():
+        q = g.states[i]
+        if not finite[i]:
             bad.append(f"state {q}: morph row has non-finite entries")
             continue
-        nonpos = np.nonzero(row <= 0.0)[0]
-        for j in nonpos:
-            bad.append(f"state {q}: morph entry for symbol {g.alphabet[j]!r} is {row[j]:g} (must be > 0)")
-        s = row.sum()
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            bad.append(f"state {q}: morph row sums to {s:.17g}, not 1")
+        for j in np.flatnonzero(nonpos[i]).tolist():
+            bad.append(f"state {q}: morph entry for symbol {g.alphabet[j]!r} is {m[i, j]:g} (must be > 0)")
+        if off[i]:
+            bad.append(f"state {q}: morph row sums to {sums[i]:.17g}, not 1")
     return ValidationReport(tuple(bad))
 
 
@@ -567,22 +569,16 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
     if length < 0:
         raise ValueError("length must be >= 0")
     rng = np.random.default_rng(seed)
-    pi0 = stationary_distribution(g)
-    out = np.empty(length, dtype=np.int64)
-    if length == 0:
-        return _freeze(out)
-    q = int(rng.choice(g.n_states, p=pi0))
-    u = rng.random(length)
-    cum_rows = [row.tolist() for row in np.cumsum(g._morph, axis=1)]
-    delta_rows = [row.tolist() for row in g._delta]
-    last = g.n_symbols - 1
-    for t in range(length):
-        s = bisect_right(cum_rows[q], float(u[t]))
-        if s > last:
-            s = last
-        out[t] = s
+    q = int(rng.choice(g.n_states, p=stationary_distribution(g)))
+    # Without its last sum a row bisects to at most k - 1, even if its sums round below one.
+    cum_rows = np.cumsum(g._morph, axis=1)[:, :-1].tolist()
+    delta_rows = g._delta.tolist()
+    out = []
+    for x in memoryview(rng.random(length)):
+        s = bisect_right(cum_rows[q], x)
+        out.append(s)
         q = delta_rows[q][s]
-    return _freeze(out)
+    return _freeze(np.array(out, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -176,12 +176,15 @@ def fdd_distance(p: ProcessHandle, q: ProcessHandle, max_len: int = 5) -> float:
 
 def _pair_sink(g: Pfsa, h: Pfsa):
     """Transition table of the pair states and the closed component the
-    uniformly driven walk settles in.
+    uniformly driven walk settles in, by the first rule that applies:
 
-    With one sink component that is the component.  Otherwise the walk
-    begins at the jointly synchronized start: a process paired with itself
-    starts on the diagonal, which is closed, so no search is needed; any
-    other pair runs a joint synchronization to pin the start.
+    1. A process paired with itself: the diagonal, with no component
+       search.  Operands are in normal form, so strongly connected, which
+       makes the diagonal a closed component: the single sink if the
+       process synchronizes, where the synchronized walk begins if not.
+    2. One sink component: that component.
+    3. Otherwise a joint synchronization pins the start, and the component
+       is the one sink reachable from it.
 
     Raises
     ------
@@ -191,15 +194,13 @@ def _pair_sink(g: Pfsa, h: Pfsa):
         If the joint synchronization fails.
     """
     delta = _pair_delta(g, h)
+    if g is h or structurally_equal(g, h):
+        return delta, [i * h.n_states + i for i in range(g.n_states)]
     sinks = _sink_components(delta)
     if len(sinks) == 1:
         return delta, sinks[0]
-    if g is h or structurally_equal(g, h):
-        starts = [i * h.n_states + i for i in range(g.n_states)]
-    else:
-        rg, rh, _ = joint_epsilon_synchronize(g, h, DEFAULT_MC_EPS)
-        starts = [g.state_index(rg.state) * h.n_states + h.state_index(rh.state)]
-    seen = _reachable(delta, starts)
+    rg, rh, _ = joint_epsilon_synchronize(g, h, DEFAULT_MC_EPS)
+    seen = _reachable(delta, [g.state_index(rg.state) * h.n_states + h.state_index(rh.state)])
     reachable = [s for s in sinks if seen[s].any()]
     if len(reachable) != 1:
         raise MultipleRecurrentClasses(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from procgeom import format_pfsa, parse_pfsa, read_stream
-from procgeom.cli import main
+from procgeom.cli import build_parser, main
 from conftest import make_feed3, make_redundant_g2, make_two_sinks
 
 
@@ -245,6 +245,27 @@ class TestExperiment:
             assert (outdir / name).exists()
         assert "seed=2" in (outdir / "model_angles.csv").read_text()
         assert "pairwise angles" in out
+
+
+class TestParser:
+    def test_built_once_and_reused_across_commands(self, capsys, g2_path, tmp_path):
+        assert build_parser() is build_parser()
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        code, out, _ = run(capsys, "generate", g2_path, "--length", "200", "--seed", "9", "-o", str(a))
+        assert code == 0 and "seed=9" in out
+        code, out, _ = run(capsys, "wordprob", g2_path, "01")
+        assert code == 0 and float(out.strip()) == pytest.approx(0.12, abs=1e-13)
+        with pytest.raises(SystemExit):
+            main(["generate", g2_path, "--length", "5"])
+        capsys.readouterr()
+        # options of one call do not leak into the next: the seed is back at its default
+        code, out, _ = run(capsys, "generate", g2_path, "--length", "200", "-o", str(b))
+        assert code == 0 and "seed=42" in out
+        code, out, _ = run(capsys, "stationary", g2_path)
+        assert code == 0
+        np.testing.assert_allclose([float(t) for t in out.splitlines()[1].split()], [0.6, 0.4], atol=1e-13)
+        run(capsys, "generate", g2_path, "--length", "200", "--seed", "9", "-o", str(b))
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestUsageErrors:

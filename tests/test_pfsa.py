@@ -1,5 +1,6 @@
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from procgeom import (
     word_probability,
     write_pfsa,
 )
+from procgeom.pfsa import ROW_SUM_TOL
 from conftest import (
     make_feed3,
     make_g2,
+    make_m2,
     make_redundant_g2,
     make_single,
     make_t3,
@@ -99,6 +102,53 @@ class TestValidate:
     def test_non_finite_flagged(self):
         g = Pfsa(["0", "1"], ["A"], [[0, 0]], [[np.nan, 1.0]])
         assert not validate(g).valid
+
+    @staticmethod
+    def validate_by_rows(g):
+        """Reference: the per-row loop, one state at a time."""
+        bad = []
+        for i, q in enumerate(g.states):
+            row = g._morph[i]
+            if not np.all(np.isfinite(row)):
+                bad.append(f"state {q}: morph row has non-finite entries")
+                continue
+            for j in np.nonzero(row <= 0.0)[0]:
+                bad.append(f"state {q}: morph entry for symbol {g.alphabet[j]!r} is {row[j]:g} (must be > 0)")
+            s = row.sum()
+            if abs(s - 1.0) > ROW_SUM_TOL:
+                bad.append(f"state {q}: morph row sums to {s:.17g}, not 1")
+        return tuple(bad)
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, 0.5], [np.nan, 1.0], [0.2, 0.8]],
+        [[np.inf, 0.0], [0.25, 0.75]],
+        [[0.0, 1.0], [-0.5, 1.5], [0.4, 0.5]],
+        [[-0.1, 0.0], [1.0, 1.0], [0.3, 0.7]],
+        [[0.0, -1e-300], [np.nan, np.inf], [0.1, 0.9 + 1e-9]],
+        [[0.1] * 10, [0.2] * 10, [0.05] * 9 + [-0.3]],
+    ], ids=["nan-row", "inf", "zero-negative", "several-in-one-row", "mixed", "ten-symbols"])
+    def test_report_matches_per_row_loop(self, rows):
+        k = len(rows[0])
+        g = Pfsa([str(j) for j in range(k)], [f"s{i}" for i in range(len(rows))],
+                 np.zeros((len(rows), k), dtype=np.int64), rows)
+        report = validate(g)
+        assert report.violations == self.validate_by_rows(g)
+        assert report.valid == (not report.violations)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_report_matches_per_row_loop_on_random_rows(self, order):
+        # rows of 12 entries summing well away from one: their printed sums
+        # depend on the order of the additions, so any change of order shows;
+        # a Fortran-ordered morph matrix keeps its layout in the constructor
+        rng = np.random.default_rng(5)
+        m = rng.dirichlet([1.0] * 12, 40) * rng.uniform(0.5, 3.0, (40, 1))
+        m[rng.random(m.shape) < 0.05] *= -1.0
+        m[3, 4], m[17, 0], m[29, 11] = np.nan, np.inf, 0.0
+        m[5] /= m[5].sum()
+        g = Pfsa([f"a{j}" for j in range(12)], [f"s{i}" for i in range(40)],
+                 np.zeros((40, 12), dtype=np.int64), np.asarray(m, order=order))
+        assert g._morph.flags.f_contiguous == (order == "F")
+        assert validate(g).violations == self.validate_by_rows(g)
 
 
 class TestMatrices:
@@ -423,6 +473,74 @@ class TestGenerate:
     def test_not_ergodic(self):
         with pytest.raises(NotErgodic):
             generate_sequence(make_two_sinks(), 10, 0)
+
+    @staticmethod
+    def sample_by_index(g, length, seed):
+        """Reference: the indexed loop with a clip to the last symbol."""
+        rng = np.random.default_rng(seed)
+        pi0 = stationary_distribution(g)
+        out = np.empty(length, dtype=np.int64)
+        if length == 0:
+            return out
+        q = int(rng.choice(g.n_states, p=pi0))
+        u = rng.random(length)
+        cum_rows = [row.tolist() for row in np.cumsum(g._morph, axis=1)]
+        delta_rows = [row.tolist() for row in g._delta]
+        last = g.n_symbols - 1
+        for t in range(length):
+            s = bisect_right(cum_rows[q], float(u[t]))
+            if s > last:
+                s = last
+            out[t] = s
+            q = delta_rows[q][s]
+        return out
+
+    @staticmethod
+    def random_machine(n, k, seed):
+        # symbol 0 walks a cycle through every state, so the machine is ergodic
+        rng = np.random.default_rng(seed)
+        delta = rng.integers(0, n, (n, k))
+        delta[:, 0] = np.roll(np.arange(n), -1)
+        rows = np.maximum(rng.dirichlet([2.0] * k, n), 1e-3)
+        return Pfsa([str(j) for j in range(k)], [f"s{i}" for i in range(n)],
+                    delta, rows / rows.sum(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("make", [make_g2, make_m2, make_t3, make_u3, make_single],
+                             ids=["g2", "m2", "t3", "u3", "single"])
+    @pytest.mark.parametrize("length", [0, 1, 10_000])
+    def test_fixtures_match_reference_loop(self, make, length):
+        g = make()
+        for seed in (0, 1, 42):
+            out = generate_sequence(g, length, seed)
+            assert out.dtype == np.int64 and not out.flags.writeable
+            assert np.array_equal(out, self.sample_by_index(g, length, seed))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_random_machines_match_reference_loop(self, k):
+        for seed in (1, 2, 3):
+            g = self.random_machine(7, k, seed)
+            for length in (0, 1, 10_000):
+                assert np.array_equal(generate_sequence(g, length, seed),
+                                      self.sample_by_index(g, length, seed))
+
+    def test_draw_above_a_sum_rounding_below_one_emits_last_symbol(self):
+        # ten rows of 0.1 add up to 1 - 2**-53; a draw in [that sum, 1) lies
+        # past every threshold and must still emit the last symbol
+        g = make_single(tuple("abcdefghij"), [0.1] * 10)
+        top = float(np.cumsum(g._morph[0])[-1])
+        assert top < 1.0
+        draws = np.array([0.0, 0.05, top, 0.95, np.nextafter(1.0, 0.0), 0.5])
+
+        class Stub(np.random.Generator):
+            def choice(self, a, p=None):
+                return 0
+
+            def random(self, size=None):
+                return draws[:size].copy()
+
+        out = generate_sequence(g, draws.size, Stub(np.random.PCG64(0)))
+        assert out.tolist() == [0, 0, 9, 9, 9, 5]
+        assert np.array_equal(out, self.sample_by_index(g, draws.size, Stub(np.random.PCG64(0))))
 
 
 class TestTextFormat:

@@ -11,6 +11,7 @@ from procgeom import (
     as_process,
     belief_update,
     fdd_distance,
+    format_pfsa,
     inner,
     inner_exact,
     inner_mc,
@@ -231,6 +232,33 @@ class TestInnerExact:
 
     def test_symmetry(self, G, M):
         assert inner_exact(G, M).value == pytest.approx(inner_exact(M, G).value, abs=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["g2", "t3"])
+    def test_self_pair_needs_no_component_search(self, request, monkeypatch, fixture):
+        # a process paired with itself settles on the diagonal, which the
+        # component search also finds: the single sink of g2, and one of
+        # the three offset classes of t3, the one the self walk starts on
+        import procgeom.process as process
+        from procgeom.pfsa import _sink_components
+        from procgeom.sync import _pair_delta
+
+        P = as_process(request.getfixturevalue(fixture), "P")
+        g = P.machine
+        n = g.n_states
+        sinks = _sink_components(_pair_delta(g, g))
+        assert [i * n + i for i in range(n)] in sinks
+        assert len(sinks) == (1 if fixture == "g2" else 3)
+        value = inner_exact(P, P).value
+        total = format_pfsa(sum_processes(P, P).machine)
+
+        def no_search(delta):
+            raise AssertionError("component search ran")
+
+        monkeypatch.setattr(process, "_sink_components", no_search)
+        assert inner_exact(P, P).value == value
+        assert format_pfsa(sum_processes(P, P).machine) == total
+        if fixture == "g2":
+            assert value == pytest.approx(exact_g2_self_inner(), abs=1e-12)
 
 
 class TestInnerMc:
