@@ -59,6 +59,12 @@ class Pfsa:
         (n_states, n_symbols).  Rows are stored as given; numeric
         invariants (positivity, row sums) are checked by :func:`validate`,
         not here.
+
+    Raises
+    ------
+    InvalidPfsa
+        For any malformed structure: bad names, a wrong or ragged shape,
+        unknown states or symbols, or a non-integer transition target.
     """
 
     __slots__ = ("alphabet", "states", "_delta", "_morph", "_sym_index", "_state_index")
@@ -74,34 +80,38 @@ class Pfsa:
         self._state_index = {q: i for i, q in enumerate(self.states)}
         n, k = len(self.states), len(self.alphabet)
 
+        # Dict inputs become lists in state and alphabet order, so a short
+        # row fails the shape check instead of being broadcast.
         if isinstance(delta, dict):
-            d = np.empty((n, k), dtype=np.int64)
+            if set(delta) != set(self.states):
+                raise InvalidPfsa("transition map states differ from the state set")
             for q, row in delta.items():
-                for s, target in row.items():
-                    d[self._state_index[q], self._sym_index[s]] = self._state_index[target]
                 if set(row) != set(self.alphabet):
                     raise InvalidPfsa(f"state {q!r}: transition map is not total")
-            if set(delta) != set(self.states):
-                raise InvalidPfsa("transition map missing states")
-        else:
-            d = np.array(delta, dtype=np.int64)
+            try:
+                delta = [[self._state_index[delta[q][s]] for s in self.alphabet]
+                         for q in self.states]
+            except (KeyError, TypeError) as err:
+                raise InvalidPfsa(f"delta targets an unknown state: {err}") from None
+        if isinstance(morph, dict):
+            if set(morph) != set(self.states):
+                raise InvalidPfsa("morph map states differ from the state set")
+            morph = [morph[q] for q in self.states]
+        try:
+            d = np.array(delta, dtype=np.float64)
+            m = np.array(morph, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise InvalidPfsa(f"delta or morph is not a numeric table: {err}") from None
         if d.shape != (n, k):
             raise InvalidPfsa(f"delta shape {d.shape} != ({n}, {k})")
+        if not np.all(d == np.floor(d)):
+            raise InvalidPfsa("delta holds a non-integer state index")
         if d.min() < 0 or d.max() >= n:
             raise InvalidPfsa("delta targets an unknown state")
-
-        if isinstance(morph, dict):
-            m = np.empty((n, k), dtype=np.float64)
-            for q, row in morph.items():
-                m[self._state_index[q], :] = np.asarray(row, dtype=np.float64)
-            if set(morph) != set(self.states):
-                raise InvalidPfsa("morph map missing states")
-        else:
-            m = np.array(morph, dtype=np.float64)
         if m.shape != (n, k):
             raise InvalidPfsa(f"morph shape {m.shape} != ({n}, {k})")
 
-        self._delta = _freeze(d)
+        self._delta = _freeze(d.astype(np.int64))
         self._morph = _freeze(m)
 
     @property
@@ -318,14 +328,20 @@ def _reachable(delta: np.ndarray, starts) -> np.ndarray:
     return seen
 
 
+def _renumber(delta: np.ndarray, keep) -> np.ndarray:
+    """Rows ``keep`` of ``delta`` with every target renumbered to its
+    position in ``keep``; a target outside ``keep`` becomes -1."""
+    keep = np.asarray(keep, dtype=np.int64)
+    remap = np.full(delta.shape[0], -1, dtype=np.int64)
+    remap[keep] = np.arange(keep.size)
+    return remap[delta[keep]]
+
+
 def _restrict(g: Pfsa, keep) -> Pfsa:
     """Restriction to a delta-closed state subset, in the order of ``keep``
     (inherited rows).  A subset that is not closed leaves a -1 in the
     transition table, which the constructor rejects."""
-    keep = np.asarray(keep, dtype=np.int64)
-    remap = np.full(g.n_states, -1, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    return Pfsa(g.alphabet, [g.states[i] for i in keep], remap[g._delta[keep]],
+    return Pfsa(g.alphabet, [g.states[i] for i in keep], _renumber(g._delta, keep),
                 g._morph[keep, :])
 
 
@@ -390,22 +406,24 @@ def _stationary(delta: np.ndarray, weights, keep) -> np.ndarray:
     """Stationary vector of the chain of :func:`_chain_matrix`, carried by
     the closed component ``keep`` (zero elsewhere).
 
-    Solved directly as the consistent linear system ``p (P - I) = 0``,
-    ``sum(p) = 1`` on ``keep``.  The residual must come out below 1e-12
-    and every entry on ``keep`` positive.
+    Only the ``keep`` block of the chain matrix is built: ``keep`` is
+    closed, so its rows renumbered by :func:`_renumber` form a chain of
+    their own, and no matrix over the other states is allocated.  Solved
+    directly as the consistent linear system ``p (P - I) = 0``,
+    ``sum(p) = 1`` on that block.  The residual, taken on the block, must
+    come out below 1e-12 and every entry on ``keep`` positive.
     """
-    P = _chain_matrix(delta, weights)
-    sub = P[np.ix_(keep, keep)]
+    sub = _chain_matrix(_renumber(delta, keep), np.broadcast_to(weights, delta.shape)[keep])
     m = len(keep)
     a = np.vstack([sub.T - np.eye(m), np.ones((1, m))])
     rhs = np.zeros(m + 1)
     rhs[-1] = 1.0
     sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    out = np.zeros(P.shape[0])
-    out[keep] = sol
-    residual = max(float(np.abs(out @ P - out).max()), abs(float(out.sum()) - 1.0))
+    residual = max(float(np.abs(sol @ sub - sol).max()), abs(float(sol.sum()) - 1.0))
     if residual > STATIONARY_RESIDUAL_TOL or np.any(sol <= 0.0):
         raise InvalidPfsa(f"stationary solve failed (residual {residual:.3e})")
+    out = np.zeros(delta.shape[0])
+    out[keep] = sol
     return out
 
 

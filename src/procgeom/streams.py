@@ -127,10 +127,7 @@ class DerivativeTable:
     probs: np.ndarray
 
     def _context_index(self, context) -> int:
-        if isinstance(context, str):
-            context = tuple(context)
-        else:
-            context = tuple(context)
+        context = tuple(context)
         if len(context) != self.depth:
             raise KeyError(f"context length {len(context)} != depth {self.depth}")
         lookup = {s: i for i, s in enumerate(self.alphabet)}

@@ -18,18 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthExceeded, ProcgeomError
-from .pfsa import (
-    Pfsa,
-    belief_from_string,
-    belief_update,
-    check_same_alphabet,
-    stationary_distribution,
-)
+from .errors import DepthExceeded
+from .pfsa import Pfsa, belief_update, check_same_alphabet, stationary_distribution
 
 FRONTIER_CAP = 10**6
 BELIEF_QUANTUM = 1e-12
-REPLAY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,9 +30,10 @@ class SyncResult:
     """Certificate from a synchronization search.
 
     ``string`` holds symbol names; ``achieved`` is the peak belief
-    component after the string (verified by an independent replay of the
-    belief recursion); ``state`` is the state carrying the peak;
-    ``depth_searched`` is the longest string length the search examined.
+    component after the string (the search's own belief, equal to
+    :func:`~procgeom.pfsa.belief_from_string` of the string); ``state`` is
+    the state carrying the peak; ``depth_searched`` is the longest string
+    length the search examined.
     """
 
     string: tuple[str, ...]
@@ -60,7 +54,7 @@ def product_machine(g: Pfsa, h: Pfsa, row_combiner=None) -> Pfsa:
     States are all pairs (g-state, h-state); a symbol moves both components
     by their own transition maps.  Emission rows come from
     ``row_combiner(row_g, row_h)``; without a combiner every product state
-    emits uniformly, which is all the synchronization search needs.
+    emits uniformly.
     """
     check_same_alphabet(g, h)
     k = g.n_symbols
@@ -72,31 +66,38 @@ def product_machine(g: Pfsa, h: Pfsa, row_combiner=None) -> Pfsa:
     return Pfsa(g.alphabet, names, _pair_delta(g, h), morph)
 
 
-def _belief_key(beliefs) -> tuple:
-    parts = []
-    for b in beliefs:
-        parts.extend(int(x) for x in np.round(b / BELIEF_QUANTUM))
-    return tuple(parts)
+def _belief_key(beliefs) -> bytes:
+    return np.round(np.concatenate(beliefs) / BELIEF_QUANTUM).tobytes()
 
 
-def _replayed_result(machine: Pfsa, string_idx: tuple[int, ...], depth: int) -> SyncResult:
-    b = belief_from_string(machine, np.array(string_idx, dtype=np.int64))
-    peak = int(np.argmax(b))
-    return SyncResult(
-        string=tuple(machine.alphabet[j] for j in string_idx),
-        achieved=float(b[peak]),
-        state=machine.states[peak],
-        depth_searched=depth,
-    )
+def _certificates(machines, string_idx, beliefs, depth: int):
+    """One :class:`SyncResult` per machine, read off the beliefs after
+    ``string_idx``, and the string as symbol names."""
+    string = tuple(machines[0].alphabet[j] for j in string_idx)
+    results = []
+    for m, b in zip(machines, beliefs):
+        peak = int(np.argmax(b))
+        results.append(SyncResult(string, float(b[peak]), m.states[peak], depth))
+    return tuple(results), string
 
 
-def _frontier_search(machines, eps: float, max_depth: int):
+def _frontier_search(machines, eps: float, max_depth: int | None):
     """Best-first search over strings, ranked by the worst belief peak.
 
-    Beliefs quantized to 1e-12 deduplicate revisited frontier entries (the
-    future depends on the beliefs alone).  Ties in score break toward the
-    lexicographically smallest string in alphabet order.
+    The machines share one alphabet; ``max_depth`` defaults to 64 times
+    the largest state count.  Beliefs quantized to 1e-12 deduplicate
+    revisited frontier entries (the future depends on the beliefs alone).
+    Ties in score break toward the lexicographically smallest string in
+    alphabet order.  Certificates are read off the beliefs each entry
+    carries, folded by :func:`belief_update` from the stationary start.
     """
+    machines = tuple(machines)
+    if not machines:
+        raise ValueError("need at least one machine")
+    for m in machines[1:]:
+        check_same_alphabet(machines[0], m)
+    if max_depth is None:
+        max_depth = 64 * max(m.n_states for m in machines)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if max_depth < 1:
@@ -111,6 +112,7 @@ def _frontier_search(machines, eps: float, max_depth: int):
     visited = {_belief_key(start)}
     best_score = -np.inf
     best_string: tuple[int, ...] = ()
+    best_beliefs = start
     depth_seen = 0
 
     while heap:
@@ -120,12 +122,9 @@ def _frontier_search(machines, eps: float, max_depth: int):
         if current > best_score:
             best_score = current
             best_string = string_idx
+            best_beliefs = beliefs
         if current >= 1.0 - eps:
-            results = tuple(_replayed_result(m, string_idx, depth_seen) for m in machines)
-            for r, b in zip(results, beliefs):
-                if abs(r.achieved - float(b.max())) > REPLAY_TOL:
-                    raise ProcgeomError("search bookkeeping diverged from belief replay")
-            return results, string_idx
+            return _certificates(machines, string_idx, beliefs, depth_seen)
         if len(string_idx) >= max_depth:
             continue
         for j in range(k):
@@ -138,16 +137,12 @@ def _frontier_search(machines, eps: float, max_depth: int):
         if len(heap) > FRONTIER_CAP:
             heap = heapq.nsmallest(FRONTIER_CAP // 2, heap)
 
-    results = tuple(_replayed_result(m, best_string, depth_seen) for m in machines)
+    results, string = _certificates(machines, best_string, best_beliefs, depth_seen)
     raise DepthExceeded(
         f"no string within depth {max_depth} reaches belief {1.0 - eps:.17g} "
-        f"(best {best_score:.17g} at {''.join(machines[0].alphabet[j] for j in best_string)!r})",
+        f"(best {best_score:.17g} at {''.join(string)!r})",
         best=results if len(results) > 1 else results[0],
     )
-
-
-def default_max_depth(*machines: Pfsa) -> int:
-    return 64 * max(m.n_states for m in machines)
 
 
 def epsilon_synchronize(g: Pfsa, eps: float, max_depth: int | None = None) -> SyncResult:
@@ -159,10 +154,7 @@ def epsilon_synchronize(g: Pfsa, eps: float, max_depth: int | None = None) -> Sy
         If no such string exists within ``max_depth`` (default
         ``64 * n_states``); the best certificate found rides on the error.
     """
-    if max_depth is None:
-        max_depth = default_max_depth(g)
-    results, _ = _frontier_search((g,), eps, max_depth)
-    return results[0]
+    return _frontier_search((g,), eps, max_depth)[0][0]
 
 
 def joint_epsilon_synchronize(
@@ -173,23 +165,12 @@ def joint_epsilon_synchronize(
     Both machines read the same symbols, so the search walks the pair of
     belief recursions directly rather than a product construction.
     """
-    check_same_alphabet(g, h)
-    if max_depth is None:
-        max_depth = default_max_depth(g, h)
-    (rg, rh), string_idx = _frontier_search((g, h), eps, max_depth)
-    return rg, rh, tuple(g.alphabet[j] for j in string_idx)
+    (rg, rh), string = _frontier_search((g, h), eps, max_depth)
+    return rg, rh, string
 
 
 def joint_epsilon_synchronize_many(
     machines, eps: float, max_depth: int | None = None
 ) -> tuple[tuple[SyncResult, ...], tuple[str, ...]]:
     """Joint synchronization of any finite family over one alphabet."""
-    machines = tuple(machines)
-    if not machines:
-        raise ValueError("need at least one machine")
-    for m in machines[1:]:
-        check_same_alphabet(machines[0], m)
-    if max_depth is None:
-        max_depth = default_max_depth(*machines)
-    results, string_idx = _frontier_search(machines, eps, max_depth)
-    return results, tuple(machines[0].alphabet[j] for j in string_idx)
+    return _frontier_search(machines, eps, max_depth)

@@ -82,6 +82,26 @@ class TestConstruction:
         with pytest.raises(InvalidPfsa):
             Pfsa([name, "1"], ["A"], [[0, 0]], [[0.5, 0.5]])
 
+    GOOD_DELTA = {"A": {"a": "A", "b": "B", "c": "A"}, "B": {"a": "B", "b": "A", "c": "B"}}
+    GOOD_MORPH = {"A": [0.5, 0.3, 0.2], "B": [0.2, 0.3, 0.5]}
+
+    @pytest.mark.parametrize("delta, morph", [
+        pytest.param({**GOOD_DELTA, "A": {"a": "A", "b": "B", "d": "A"}}, GOOD_MORPH,
+                     id="unknown-symbol-in-delta"),
+        pytest.param({**GOOD_DELTA, "A": {"a": "A", "b": "Z", "c": "A"}}, GOOD_MORPH,
+                     id="unknown-target-state"),
+        pytest.param({**GOOD_DELTA, "Z": GOOD_DELTA["A"]}, GOOD_MORPH, id="unknown-delta-state"),
+        pytest.param(GOOD_DELTA, {**GOOD_MORPH, "Z": [0.2, 0.3, 0.5]}, id="unknown-morph-state"),
+        pytest.param(GOOD_DELTA, {**GOOD_MORPH, "B": [1 / 3]}, id="one-entry-morph-row"),
+        pytest.param([[0, 1.7, 0], [1, 0, 1]], GOOD_MORPH, id="float-delta"),
+        pytest.param([[0, 1, 0], [1, 0]], GOOD_MORPH, id="ragged-delta"),
+        pytest.param(GOOD_DELTA, [[0.5, 0.3, 0.2], [0.5, 0.5]], id="ragged-morph"),
+    ])
+    def test_malformed_input_raises_invalid_pfsa(self, delta, morph):
+        assert Pfsa(["a", "b", "c"], ["A", "B"], self.GOOD_DELTA, self.GOOD_MORPH)
+        with pytest.raises(InvalidPfsa):
+            Pfsa(["a", "b", "c"], ["A", "B"], delta, morph)
+
 
 class TestValidate:
     def test_g2_valid(self, g2):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from procgeom import (
     AlphabetMismatch,
+    Pfsa,
     ZeroNorm,
     angle,
     angle_mc_estimate,
@@ -229,6 +231,32 @@ class TestInnerExact:
         bad2 = ProcessHandle(machine=perm(["r", "s"]), label="perm2")
         with pytest.raises(DepthExceeded):
             inner_exact(bad1, bad2)
+
+    def test_self_norm_solves_only_the_diagonal_block(self):
+        # random machine (n = 50, seed 1, floored dirichlet rows): 41 states after normal form
+        rng = np.random.default_rng(1)
+        delta = rng.integers(0, 50, (50, 2))
+        rows = np.maximum(rng.dirichlet([2.0, 2.0], 50), 1e-3)
+        p = as_process(Pfsa(["0", "1"], [f"s{i}" for i in range(50)], delta,
+                            rows / rows.sum(axis=1, keepdims=True)), "p")
+        g = p.machine
+        assert g.n_states == 41
+        tracemalloc.start()
+        try:
+            value = inner_exact(p, p).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense matrix over all 41**2 pair states alone takes 22.6 MB
+        assert peak < 1e6
+        # <g, g> = sum_i pi_u(i) |lg_i|^2, pi_u stationary under uniform driving
+        chain = np.zeros((g.n_states, g.n_states))
+        np.add.at(chain, (np.arange(g.n_states)[:, None], g._delta), 0.5)
+        w, v = np.linalg.eig(chain.T)
+        pi_u = np.real(v[:, np.argmin(np.abs(w - 1.0))])
+        pi_u /= pi_u.sum()
+        lg = np.diff(np.log(g._morph), axis=1)
+        assert value == pytest.approx(float(pi_u @ (lg * lg).sum(axis=1)), rel=1e-12)
 
     def test_symmetry(self, G, M):
         assert inner_exact(G, M).value == pytest.approx(inner_exact(M, G).value, abs=1e-12)

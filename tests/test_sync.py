@@ -16,7 +16,7 @@ from procgeom import (
     as_process,
     validate,
 )
-from conftest import make_perm2, make_single, make_t3
+from conftest import make_g2, make_m2, make_perm2, make_single, make_t3, make_u3
 
 
 def exhaustive_best(g, max_len):
@@ -28,6 +28,49 @@ def exhaustive_best(g, max_len):
             if peak > best[0]:
                 best = (peak, w)
     return best
+
+
+def assert_replays(machine, res, string):
+    """The certificate equals an independent fold of the belief recursion, bit for bit."""
+    replay = belief_from_string(machine, string)
+    peak = int(np.argmax(replay))
+    assert res.string == tuple(string)
+    assert res.achieved == float(replay[peak])
+    assert res.state == machine.states[peak]
+
+
+def tenth_g2():
+    return scale_process(0.1, as_process(make_g2(), "G")).machine
+
+
+class TestCertificatesReplay:
+    @pytest.mark.parametrize("make", [make_g2, make_m2, make_t3, make_u3, tenth_g2],
+                             ids=["g2", "m2", "t3", "u3", "tenth-g2"])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
+    def test_single_and_joint_certificates(self, make, eps):
+        g = make()
+        res = epsilon_synchronize(g, eps)
+        assert_replays(g, res, res.string)
+        partner = make_u3() if g.n_symbols == 3 else make_m2()
+        results, string = joint_epsilon_synchronize_many((g, partner), eps)
+        for machine, r in zip((g, partner), results):
+            assert_replays(machine, r, string)
+
+    def test_depth_exceeded_best(self):
+        perm2 = make_perm2()
+        with pytest.raises(DepthExceeded) as exc_info:
+            epsilon_synchronize(perm2, 0.01, max_depth=6)
+        best = exc_info.value.best
+        assert_replays(perm2, best, best.string)
+        # perm2's belief never moves, so its best string stays empty; t3 with
+        # g2 runs out of depth on a non-empty best string
+        for pair, eps, depth, best_len in (((make_g2(), perm2), 0.01, 6, 0),
+                                           ((make_t3(), make_g2()), 1e-6, 2, 2)):
+            with pytest.raises(DepthExceeded) as exc_info:
+                joint_epsilon_synchronize(*pair, eps, max_depth=depth)
+            for machine, r in zip(pair, exc_info.value.best):
+                assert_replays(machine, r, r.string)
+                assert len(r.string) == best_len
 
 
 class TestProductMachine:
