@@ -109,10 +109,14 @@ def scale_process(alpha: float, p: ProcessHandle) -> ProcessHandle:
 
     ``alpha = 0`` collapses to the zero process, ``alpha = -1`` gives the
     additive inverse.
+
+    Raises
+    ------
+    Overflow
+        If a powered entry leaves double precision.
     """
     g = p.machine
-    rows = np.vstack([pscale(alpha, g._morph[i]) for i in range(g.n_states)])
-    scaled = Pfsa(g.alphabet, g.states, g._delta.copy(), rows)
+    scaled = Pfsa(g.alphabet, g.states, g._delta.copy(), pscale(alpha, g._morph))
     return as_process(scaled, label=f"{alpha:g}*{p.label}")
 
 
@@ -230,6 +234,12 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
     belief then collapses completely and stays collapsed).  Machines that
     only synchronize approximately keep a wandering belief residue, which
     the Monte Carlo route measures and this formula ignores.
+
+    The stationary vector is solved on the chosen component only.  Above
+    128 pair states it comes from a certified power iteration in memory
+    linear in the component size, so pair chains of tens of thousands of
+    states fit; smaller components, and chains mixing too slowly to
+    certify, are solved densely (see :func:`procgeom.pfsa._stationary`).
 
     Raises
     ------

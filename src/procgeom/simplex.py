@@ -115,7 +115,8 @@ def pscale(alpha: float, a: ProbVec) -> ProbVec:
     """Scalar product: elementwise powering by ``alpha``, then normalization.
 
     ``pscale(0, a)`` is the uniform vector; ``pscale(-1, a)`` the group
-    inverse of ``a``.
+    inverse of ``a``.  A 2-D ``a`` is a stack of probability vectors, one
+    per row, each scaled as it would be alone.
 
     Raises
     ------
@@ -127,12 +128,13 @@ def pscale(alpha: float, a: ProbVec) -> ProbVec:
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
     with np.errstate(over="ignore"):
-        w = np.power(a, alpha)
+        # C order, so every row sums the same way whatever the input layout
+        w = np.power(np.ascontiguousarray(a), alpha)
     if not np.all(np.isfinite(w)):
         raise Overflow(f"entry**{alpha} overflowed double precision")
-    total = w.sum()
-    result = w / total if total != 0.0 else w
-    if total == 0.0 or np.any(result == 0.0):
+    total = w.sum(axis=-1, keepdims=True)
+    result = w / np.where(total == 0.0, 1.0, total)
+    if np.any(result == 0.0):
         raise Overflow(f"entry**{alpha} underflowed to zero at working precision")
     return _freeze(result)
 

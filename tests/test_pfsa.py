@@ -28,7 +28,7 @@ from procgeom import (
     word_probability,
     write_pfsa,
 )
-from procgeom.pfsa import ROW_SUM_TOL
+from procgeom.pfsa import ROW_SUM_TOL, _sink_components, _tarjan_sccs
 from conftest import (
     make_feed3,
     make_g2,
@@ -325,6 +325,38 @@ class TestClosedRestrictions:
                         expected.append(set(g.states[i] for i in sub))
             got = [set(h.states) for h in closed_restrictions(g)]
             assert sorted(map(sorted, got)) == sorted(map(sorted, expected))
+
+
+def sink_components_loop(delta):
+    """Per-edge reference: a component is a sink if every edge stays in it."""
+    succ = [sorted(set(row)) for row in delta.tolist()]
+    sccs = _tarjan_sccs(succ)
+    comp_of = np.empty(len(succ), dtype=np.int64)
+    for ci, comp in enumerate(sccs):
+        comp_of[comp] = ci
+    sinks = [comp for ci, comp in enumerate(sccs)
+             if all(comp_of[w] == ci for v in comp for w in succ[v])]
+    sinks.sort()
+    return sinks
+
+
+class TestSinkComponents:
+    def test_matches_per_edge_loop_on_random_graphs(self):
+        rng = np.random.default_rng(11)
+        counts = []
+        for _ in range(200):
+            n, k = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+            # a few closed blocks, each mapping into itself, plus states mapping anywhere
+            block = rng.integers(0, int(rng.integers(1, 6)), n)
+            transient = rng.random(n) < 0.3
+            delta = rng.integers(0, n, (n, k))
+            for v in np.flatnonzero(~transient):
+                members = np.flatnonzero((block == block[v]) & ~transient)
+                delta[v] = rng.choice(members, k)
+            expected = sink_components_loop(delta)
+            assert _sink_components(delta) == expected
+            counts.append(len(expected))
+        assert max(counts) >= 4 and counts.count(1) < len(counts) // 2
 
 
 class TestMinimalClosedRestriction:

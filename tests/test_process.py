@@ -416,3 +416,87 @@ def test_start_reaching_two_pair_sinks_is_not_ergodic(monkeypatch):
         with pytest.raises(NotErgodic) as err:
             op(g, h)
         assert isinstance(err.value, MultipleRecurrentClasses)
+
+
+def random_process(n, seed):
+    # the random test machines: delta uniform, rows dirichlet([2, 2]) floored at 1e-3
+    rng = np.random.default_rng(seed)
+    delta = rng.integers(0, n, (n, 2))
+    rows = np.maximum(rng.dirichlet([2.0, 2.0], n), 1e-3)
+    return as_process(Pfsa(["0", "1"], [f"s{i}" for i in range(n)], delta,
+                           rows / rows.sum(axis=1, keepdims=True)), f"r{n}-{seed}")
+
+
+def slow_cycle_process(n=200):
+    # symbol 0 steps round a cycle, symbol 1 steps back and stops at 0, so
+    # the uniformly driven diagonal chain mixes in about n**2 steps
+    delta = [[(i + 1) % n, max(i - 1, 0)] for i in range(n)]
+    r = np.linspace(0.2, 0.8, n)
+    return as_process(Pfsa(["0", "1"], [f"s{i:03d}" for i in range(n)], delta,
+                           np.column_stack([r, 1.0 - r])), "slow")
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLargePairChains:
+    @pytest.fixture
+    def count_dense(self, monkeypatch):
+        import procgeom.pfsa as pfsa
+
+        calls = []
+        dense = pfsa._dense_stationary
+
+        def counted(sub):
+            calls.append(sub.shape[0])
+            return dense(sub)
+
+        monkeypatch.setattr(pfsa, "_dense_stationary", counted)
+        return calls
+
+    def test_cross_pair_matches_a_dense_solve_of_its_sink(self, count_dense):
+        import procgeom.process as process
+
+        p, q = random_process(50, 1), random_process(50, 2)
+        g, h = p.machine, q.machine
+        assert (g.n_states, h.n_states) == (41, 40)
+        value, peak = traced_peak(inner_exact, p, q)
+        assert count_dense == []
+        # one dense 1,256-state block alone takes 12.6 MB
+        assert peak < 3e6
+
+        delta, keep = process._pair_sink(g, h)
+        m = len(keep)
+        assert m == 1256
+        remap = np.full(delta.shape[0], -1)
+        remap[keep] = np.arange(m)
+        chain = np.zeros((m, m))
+        np.add.at(chain, (np.arange(m)[:, None], remap[delta[keep]]), 0.5)
+        a = chain.T - np.eye(m)
+        a[-1] = 1.0
+        rhs = np.zeros(m)
+        rhs[-1] = 1.0
+        rho = np.linalg.solve(a, rhs)
+        pairwise = np.diff(np.log(g._morph), axis=1) @ np.diff(np.log(h._morph), axis=1).T
+        assert value.value == pytest.approx(float(rho @ pairwise.ravel()[keep]), rel=1e-12)
+
+    def test_cross_pair_of_4563_sink_states_stays_small(self, count_dense):
+        p, q = random_process(100, 1), random_process(100, 2)
+        assert (p.machine.n_states, q.machine.n_states) == (83, 76)
+        _, peak = traced_peak(inner_exact, p, q)
+        assert count_dense == []
+        # one dense 4,563-state block alone takes 166 MB
+        assert peak < 10e6
+
+    def test_uncertified_iteration_falls_back_to_the_dense_solve(self, count_dense):
+        p = slow_cycle_process()
+        assert p.machine.n_states == 200
+        # the dense solve's value, bit for bit
+        assert repr(inner_exact(p, p).value) == "0.5737703913841145"
+        assert count_dense == [200]

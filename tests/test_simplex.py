@@ -110,6 +110,23 @@ class TestPscale:
         with pytest.raises(ValueError):
             pscale(np.nan, make_pvec([0.5, 0.5]))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rows_scale_bit_for_bit_as_alone(self, order):
+        # k >= 8 rows sum pairwise; a column-by-column sum of an F-ordered
+        # stack would differ in the last bits
+        rng = np.random.default_rng(3)
+        for k in (2, 3, 8, 13, 69):
+            rows = np.asarray(rng.dirichlet([1.0] * k, 30), order=order)
+            for alpha in (-3.7, -1.0, 0.1, 2.5):
+                alone = np.vstack([pscale(alpha, np.array(row)) for row in rows])
+                assert np.array_equal(pscale(alpha, rows), alone)
+
+    @pytest.mark.parametrize("alpha, message", [(-1e4, "overflowed"), (1e4, "underflowed")])
+    def test_one_bad_row_fails_the_stack(self, alpha, message):
+        rows = np.array([[0.5, 0.5], [0.99, 0.01], [0.5, 0.5]])
+        with pytest.raises(Overflow, match=f"entry\\*\\*{alpha} {message}"):
+            pscale(alpha, rows)
+
 
 class TestLogInner:
     def test_uniform_annihilates(self):
