@@ -1,9 +1,9 @@
 """procgeom: Hilbert-space geometry for stationary ergodic finite-valued processes.
 
 Simplex algebra on strictly positive probability vectors, probabilistic
-finite-state automata as process encoders, epsilon-synchronization, the
-vector space and inner product of strictly positive processes, and
-empirical angle estimation from raw symbol streams.
+finite-state automata as process encoders, epsilon-synchronization and
+reset words, the vector space and inner product of strictly positive
+processes, and empirical angle estimation from raw symbol streams.
 """
 
 from .errors import (
@@ -101,6 +101,7 @@ from .sync import (
     joint_epsilon_synchronize,
     joint_epsilon_synchronize_many,
     product_machine,
+    reset_word,
 )
 
 __version__ = "0.1.0"

@@ -16,8 +16,10 @@ log-ratio inner products of their next-symbol distributions along a
 shared, uniformly random symbol stream, started after a jointly
 synchronizing string.  ``inner_exact`` evaluates that limit in closed form
 through the stationary distribution of the uniformly driven pair chain;
-``inner_mc`` estimates it by seeded random walks through the full belief
-recursion.
+``inner_mc`` estimates it by seeded random walks.  When both operands have
+a reset word, the state after it is known exactly and stays known, so the
+walks follow integer pair states; otherwise they carry the full belief
+recursion from an epsilon-synchronized start.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .pfsa import (
     structurally_equal,
 )
 from .simplex import pscale, psum
-from .sync import _pair_delta, joint_epsilon_synchronize, product_machine
+from .sync import _pair_delta, joint_epsilon_synchronize, product_machine, reset_word
 
 ZERO_NORM_TOL = 1e-12
 DEFAULT_MC_EPS = 1e-6
@@ -264,7 +266,59 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
 # ---------------------------------------------------------------------------
 # Monte Carlo inner product
 
-def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seed_seq) -> np.ndarray:
+def _walk_symbols(seeds, n_pairs: int, walk_length: int, repeats: int, k: int) -> np.ndarray:
+    """Uniform symbols of every walk, shaped ``(walk_length, n_pairs * repeats)``.
+
+    Column ``pi * repeats + r`` is walk ``r`` of pair ``pi``, drawn from
+    ``seeds.spawn(n_pairs)[pi].spawn(repeats)[r]``.  ``seeds`` may instead
+    be the list of the pairs' own spawned sequences, so that a pair reads
+    the same symbols whichever pairs share its batch.
+    """
+    if isinstance(seeds, np.random.SeedSequence):
+        seeds = seeds.spawn(n_pairs)
+    symbols = np.empty((walk_length, n_pairs * repeats), dtype=np.int64)
+    for pi_, pair_seq in enumerate(seeds):
+        for r, walk_seq in enumerate(pair_seq.spawn(repeats)):
+            rng = np.random.default_rng(walk_seq)
+            symbols[:, pi_ * repeats + r] = rng.integers(0, k, size=walk_length)
+    return symbols
+
+
+def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> np.ndarray:
+    """Per-walk means of the log-inner terms for pairs starting at known states.
+
+    ``starts`` holds one ``(g-state, h-state)`` index pair per pair.  A
+    point-mass belief stays a point mass under deterministic transitions,
+    so each walk is an integer walk over the pair states of all pairs,
+    numbered one after another: ``x = pair_delta[x, s]``, adding
+    ``term[x] = lg_i . lh_j`` at every step in time order.  Symbols come
+    from :func:`_walk_symbols` as in :func:`_batched_pair_walks`, and from
+    the same one-hot start the two kernels agree bit for bit: the belief
+    kernel's next-symbol row of a point mass is the state's own row, and
+    its renormalization gives exactly 1.0 again.
+    """
+    n_pairs = len(pairs)
+    k = pairs[0][0].n_symbols
+    tables, terms, x = [], [], []
+    offset = 0
+    for (g, h), (i, j) in zip(pairs, starts):
+        lg = np.diff(np.log(g._morph), axis=1)
+        lh = np.diff(np.log(h._morph), axis=1)
+        terms.append(np.einsum("rs,rs->r", np.repeat(lg, h.n_states, axis=0),
+                               np.tile(lh, (g.n_states, 1))))
+        tables.append(_pair_delta(g, h) + offset)
+        x.append(np.full(repeats, offset + i * h.n_states + j))
+        offset += g.n_states * h.n_states
+    table, term, x = np.concatenate(tables), np.concatenate(terms), np.concatenate(x)
+
+    acc = np.zeros(n_pairs * repeats)
+    for s in _walk_symbols(seeds, n_pairs, walk_length, repeats, k):
+        acc += term[x]
+        x = table[x, s]
+    return (acc / walk_length).reshape(n_pairs, repeats)
+
+
+def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> np.ndarray:
     """Per-walk means of the log-inner terms for several (g, h) pairs at once.
 
     One row per (pair, repeat).  Beliefs, emission rows and transition
@@ -275,8 +329,9 @@ def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seed_seq)
     ``2 * rows`` rows offset by ``row * qmax``, one ``np.bincount`` moves
     every belief of both sides, and each row is divided by its sum at every
     step, so no belief underflows.  Both sides of a row read the same
-    symbol, drawn from that walk's spawned generator, making the result
-    reproducible regardless of batching.
+    symbol, drawn from that walk's spawned generator by
+    :func:`_walk_symbols`, making the result reproducible regardless of
+    batching.
     """
     n_pairs = len(pairs)
     rows = n_pairs * repeats
@@ -295,12 +350,7 @@ def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seed_seq)
             b[side, block, :nq] = start[side]
     dest += np.arange(2 * rows).reshape(2, rows, 1, 1) * qmax
 
-    symbols = np.empty((walk_length, rows), dtype=np.int64)
-    for pi_, pair_seq in enumerate(seed_seq.spawn(n_pairs)):
-        for r, walk_seq in enumerate(pair_seq.spawn(repeats)):
-            rng = np.random.default_rng(walk_seq)
-            symbols[:, pi_ * repeats + r] = rng.integers(0, k, size=walk_length)
-
+    symbols = _walk_symbols(seeds, n_pairs, walk_length, repeats, k)
     ridx = np.arange(rows)
     acc = np.zeros(rows)
     for t in range(walk_length):
@@ -316,19 +366,39 @@ def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seed_seq)
 def _mc_estimates(pairs, eps, walk_length, repeats, seed, max_depth) -> list[InnerEstimate]:
     """Monte Carlo estimates of ``<p, q>`` for each ``(p, q)`` in ``pairs``.
 
-    Each pair's beliefs start at its own jointly synchronizing string; all
-    pairs walk in one batch, with per-pair seeds spawned from ``seed``.
+    The kernel is chosen per pair.  A pair with a :func:`reset_word` starts
+    at the pair state the word leads to, known exactly, and walks integer
+    pair states (:func:`_pair_state_walks`).  Any other pair starts at the
+    beliefs after its own jointly epsilon-synchronizing string and walks
+    the full belief recursion (:func:`_batched_pair_walks`).  Pair ``i``
+    reads the symbols of the ``i``-th sequence spawned from ``seed``, so
+    each estimate depends only on its pair and that sequence.
     """
     check_same_alphabet(pairs[0][0].machine, pairs[0][1].machine)
     if walk_length < 1 or repeats < 2:
         raise ValueError("need walk_length >= 1 and repeats >= 2")
-    starts = []
-    for p, q in pairs:
-        _, _, string = joint_epsilon_synchronize(p.machine, q.machine, eps, max_depth)
-        starts.append((belief_from_string(p.machine, string),
-                       belief_from_string(q.machine, string)))
-    means = _batched_pair_walks([(p.machine, q.machine) for p, q in pairs], starts,
-                                walk_length, repeats, np.random.SeedSequence(seed))
+    point, belief = [], []
+    for i, (p, q) in enumerate(pairs):
+        g, h = p.machine, q.machine
+        word = reset_word(g, h)
+        if word is not None:
+            gi = hj = 0  # any start: the word leads every state to the same pair
+            for s in g.to_indices(word):
+                gi, hj = int(g._delta[gi, s]), int(h._delta[hj, s])
+            point.append((i, (gi, hj)))
+        else:
+            _, _, string = joint_epsilon_synchronize(g, h, eps, max_depth)
+            belief.append((i, (belief_from_string(g, string), belief_from_string(h, string))))
+    pair_seqs = np.random.SeedSequence(seed).spawn(len(pairs))
+    means = [None] * len(pairs)
+    for kernel, batch in ((_pair_state_walks, point), (_batched_pair_walks, belief)):
+        if batch:
+            index = [i for i, _ in batch]
+            out = kernel([(pairs[i][0].machine, pairs[i][1].machine) for i in index],
+                         [start for _, start in batch], walk_length, repeats,
+                         [pair_seqs[i] for i in index])
+            for i, m in zip(index, out):
+                means[i] = m
     return [
         InnerEstimate(value=float(m.mean()), std_error=float(m.std(ddof=1) / math.sqrt(repeats)),
                       mode="monte-carlo", walks=repeats, walk_length=walk_length)
@@ -347,19 +417,24 @@ def inner_mc(
 ) -> InnerEstimate:
     """Monte Carlo inner product along uniformly random symbol walks.
 
-    A jointly synchronizing string pins both beliefs, then ``repeats``
-    independent walks of ``walk_length`` uniform symbols average the
-    log-ratio inner product of the two next-symbol distributions, carried
-    through the full belief recursion.  Both beliefs of a walk sit in one
-    array, move together along ``delta`` and are renormalized at every
-    step, so long walks on sharply peaked rows stay finite.  The estimate
-    and its standard error come from the per-walk means, reduced in a
-    fixed order.
+    ``repeats`` independent walks of ``walk_length`` uniform symbols
+    average the log-ratio inner product of the two next-symbol
+    distributions.  When both machines have a reset word (found by
+    :func:`~procgeom.sync.reset_word`), the walks start at the pair state
+    it leads to and follow integer pair states: the belief after the word
+    is a point mass and deterministic transitions keep it one, so this is
+    the belief recursion itself, not an approximation.  Otherwise a jointly
+    epsilon-synchronizing string (to ``1 - eps``, within ``max_depth``)
+    pins both beliefs, which then move together along ``delta`` and are
+    renormalized at every step, so long walks on sharply peaked rows stay
+    finite.  The estimate and its standard error come from the per-walk
+    means, reduced in a fixed order.
 
     Raises
     ------
     DepthExceeded
-        Propagated from the synchronization search.
+        Propagated from the synchronization search, which runs only for
+        operands without a reset word.
     """
     return _mc_estimates([(p, q)], eps, walk_length, repeats, seed, max_depth)[0]
 
@@ -395,10 +470,17 @@ def angle_mc_estimate(
 ) -> AngleEstimate:
     """Monte Carlo angle with a cosine-level standard error.
 
-    Estimates ``<p,q>``, ``<p,p>`` and ``<q,q>`` in one batched run (with
-    independently spawned sub-seeds), forms the cosine, and propagates the
-    three standard errors to the cosine, where the sampling distribution is
-    regular.  The angle itself is ``arccos`` of the clamped cosine.
+    Estimates ``<p,q>``, ``<p,p>`` and ``<q,q>`` as :func:`inner_mc` does,
+    each pair with its own kernel and independently spawned sub-seed, forms
+    the cosine, and propagates the three standard errors to the cosine,
+    where the sampling distribution is regular.  The angle itself is
+    ``arccos`` of the clamped cosine.
+
+    Raises
+    ------
+    DepthExceeded
+        Propagated from the synchronization search, which runs only for
+        pairs without a reset word.
     """
     ip, n1, n2 = _mc_estimates([(p, q), (p, p), (q, q)], eps, walk_length, repeats, seed, max_depth)
     if n1.value <= ZERO_NORM_TOL**2 or n2.value <= ZERO_NORM_TOL**2:

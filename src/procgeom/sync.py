@@ -9,6 +9,12 @@ best certificate found) when the budget runs out.
 
 Joint synchronization drives several machines with the same string and
 ranks frontier entries by the worst of the per-machine belief peaks.
+
+A reset word is the exact case: a word that sends every state of a machine
+to one state, so the belief after it is a point mass whatever the start.
+:func:`reset_word` finds one for several machines at once, or proves that
+none exists, by greedy pairwise merging over each machine's pair graph.
+No belief is folded and no depth budget is needed.
 """
 
 from __future__ import annotations
@@ -46,6 +52,86 @@ def _pair_delta(g: Pfsa, h: Pfsa) -> np.ndarray:
     """Transition table of the pair states: pair (i, j) is row ``i * nh + j``."""
     nh = h.n_states
     return (g._delta[:, None, :] * nh + h._delta[None, :, :]).reshape(-1, g.n_symbols)
+
+
+def _merge_table(g: Pfsa):
+    """Shortest merging words of every state pair of ``g``, or None.
+
+    Backward breadth-first search from the diagonal of the pair graph:
+    pair (i, j) is column ``i * n + j`` of the transposed pair table
+    ``pdT`` (``pdT[s]`` holds every pair's successor on symbol ``s``), and
+    is ``dist`` symbols from the diagonal; ``first`` holds the smallest
+    symbol that starts a shortest merging word (-1 on the diagonal).  None
+    means some pair never merges, so no word merges all states.
+    """
+    n = g.n_states
+    pdT = np.ascontiguousarray(_pair_delta(g, g).T)
+    dist = np.full(n * n, -1, dtype=np.int64)
+    first = np.full(n * n, -1, dtype=np.int64)
+    level = np.zeros(n * n, dtype=bool)
+    level[:: n + 1] = True
+    dist[level] = depth = 0
+    while level.any():
+        hit = level[pdT]
+        level = hit.any(axis=0) & (dist < 0)
+        depth += 1
+        first[level] = hit[:, level].argmax(axis=0)
+        dist[level] = depth
+    if (dist < 0).any():
+        return None
+    return pdT, dist, first
+
+
+def reset_word(*machines: Pfsa) -> tuple[str, ...] | None:
+    """A word sending every state of each machine to a single state, or None.
+
+    After the word each machine's state is known exactly, whatever the
+    state before it, so the belief of :func:`~procgeom.pfsa.belief_from_string`
+    is a point mass.  None means some machine has a state pair that no
+    word merges (it is not synchronizing).
+
+    Eppstein's greedy merging (D. Eppstein, "Reset sequences for monotonic
+    automata", SIAM J. Comput. 1990), one machine after another: while the
+    image of the machine's states under the word so far has two states,
+    append a shortest merging word of its closest pair.  A machine merged
+    by an earlier machine's word stays merged, because transitions are
+    deterministic, and needs no table of its own.  The word need not be
+    the shortest.
+
+    Raises
+    ------
+    AlphabetMismatch
+        If the machines do not share one alphabet.
+    """
+    if not machines:
+        raise ValueError("need at least one machine")
+    for m in machines[1:]:
+        check_same_alphabet(machines[0], m)
+    word: list[int] = []
+    for g in machines:
+        n = g.n_states
+        image = np.arange(n)
+        for s in word:
+            image = g._delta[image, s]
+        image = np.unique(image)
+        if image.size == 1:
+            continue
+        table = _merge_table(g)
+        if table is None:
+            return None
+        pdT, dist, first = table
+        while image.size > 1:
+            d = dist[image[:, None] * n + image]
+            np.fill_diagonal(d, n * n)
+            a, b = divmod(int(np.argmin(d)), image.size)
+            pair = int(image[a]) * n + int(image[b])
+            while dist[pair] > 0:
+                s = int(first[pair])
+                word.append(s)
+                image = g._delta[image, s]
+                pair = int(pdT[s, pair])
+            image = np.unique(image)
+    return tuple(machines[0].alphabet[s] for s in word)
 
 
 def product_machine(g: Pfsa, h: Pfsa, row_combiner=None) -> Pfsa:

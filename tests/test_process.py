@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,8 @@ from procgeom import (
     validate,
     zero_process,
 )
-from procgeom.process import _batched_pair_walks
+from procgeom.process import _batched_pair_walks, _pair_state_walks
+from conftest import make_t3
 
 
 @pytest.fixture
@@ -357,6 +359,89 @@ class TestInnerMc:
                 assert means[pi, r] == pytest.approx(total / walk_length, rel=1e-12)
 
 
+    def test_pair_state_kernel_matches_belief_kernel_from_point_masses(self, g2, m2, u3):
+        # the integer walk over pair states is the belief recursion of a
+        # point mass, bit for bit
+        p, q = random_process(50, 1).machine, random_process(50, 2).machine
+        assert (p.n_states, q.n_states) == (41, 40)
+        for pairs, starts in (([(g2, m2), (p, q), (q, g2)], [(1, 0), (17, 39), (5, 1)]),
+                              ([(u3, u3)], [(2, 1)])):
+            walk_length, repeats = 300, 3
+            beliefs = [(np.eye(g.n_states)[i], np.eye(h.n_states)[j])
+                       for (g, h), (i, j) in zip(pairs, starts)]
+            walks = _pair_state_walks(pairs, starts, walk_length, repeats, np.random.SeedSequence(7))
+            means = _batched_pair_walks(pairs, beliefs, walk_length, repeats, np.random.SeedSequence(7))
+            assert walks.shape == (len(pairs), repeats)
+            assert walks.tobytes() == means.tobytes()
+
+    def test_synchronizing_operands_need_no_epsilon_search(self, G, M, u3, monkeypatch):
+        import procgeom.process as process
+        import procgeom.sync as sync
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("epsilon search ran")
+
+        monkeypatch.setattr(sync, "_frontier_search", no_search)
+        monkeypatch.setattr(sync, "joint_epsilon_synchronize", no_search)
+        monkeypatch.setattr(process, "joint_epsilon_synchronize", no_search)
+        U = as_process(u3, "U")
+        for p, q in ((G, M), (G, G), (U, U), (U, scale_process(-0.5, U))):
+            est = inner_mc(p, q, walk_length=2000, repeats=8, seed=4)
+            assert abs(est.value - inner_exact(p, q).value) <= 4.0 * est.std_error
+        for p, q in ((G, M), (U, scale_process(2.0, U))):
+            est = angle_mc_estimate(p, q, walk_length=2000, repeats=8, seed=6)
+            assert math.isfinite(est.cos) and est.cos_std_error > 0.0
+
+    def test_reset_pairs_start_at_the_point_mass_after_the_word(self):
+        from procgeom import belief_from_string, reset_word
+
+        p, q = random_process(50, 1), random_process(50, 2)
+        g, h = p.machine, q.machine
+        word = reset_word(g, h)
+        start = (int(np.argmax(belief_from_string(g, word))),
+                 int(np.argmax(belief_from_string(h, word))))
+        assert start != (0, 0)
+        means = _pair_state_walks([(g, h)], [start], 500, 4, np.random.SeedSequence(3).spawn(1))
+        est = inner_mc(p, q, walk_length=500, repeats=4, seed=3)
+        assert est.value == float(means[0].mean())
+
+    def test_pairs_without_a_reset_word_keep_the_belief_route(self, G):
+        # t3 has no reset word, so these walk the belief recursion from the
+        # epsilon-synchronized start; the values are those of the belief-only
+        # implementation.  In the angle, <G, G> walks integer pair states from
+        # state A, where the epsilon search's string "0" also left a point mass.
+        T = as_process(make_t3(), "T")
+        assert repr(inner_mc(T, T, walk_length=3000, repeats=6, seed=11)) == (
+            "InnerEstimate(value=0.6480835330930492, std_error=0.01506296067338405, "
+            "mode='monte-carlo', walks=6, walk_length=3000)")
+        assert repr(angle_mc_estimate(G, T, walk_length=3000, repeats=6, seed=13)) == (
+            "AngleEstimate(angle=1.595690229441552, cos=-0.02489133157456945, "
+            "cos_std_error=0.004970995870880318, inner=InnerEstimate(value=-0.023493946686386602, "
+            "std_error=0.00469029223288618, mode='monte-carlo', walks=6, walk_length=3000), "
+            "norm_sq_a=InnerEstimate(value=1.3193277939930135, std_error=0.003393558517707658, "
+            "mode='monte-carlo', walks=6, walk_length=3000), "
+            "norm_sq_b=InnerEstimate(value=0.6752475016193192, std_error=0.006903968325793979, "
+            "mode='monte-carlo', walks=6, walk_length=3000))")
+
+    def test_cerny_self_angle_at_cli_defaults(self):
+        # Cerny machine, n = 8: symbol 0 rotates, symbol 1 merges state 0
+        # into state 1; its shortest reset word has (n - 1)**2 = 49 symbols,
+        # and with these rows a joint epsilon search to 1 - 1e-6 over its
+        # beliefs runs for more than 10 s
+        n = 8
+        delta = [[(i + 1) % n, i] for i in range(n)]
+        delta[0][1] = 1
+        rng = np.random.default_rng(np.random.SeedSequence([1, 4, 0, 1]))
+        rows = np.maximum(rng.dirichlet([2.0, 2.0], n), 1e-3)
+        P = as_process(Pfsa(["0", "1"], [f"s{i}" for i in range(n)], delta,
+                            rows / rows.sum(axis=1, keepdims=True)), "cerny")
+        assert P.machine.n_states == n
+        start = time.perf_counter()
+        est = angle_mc_estimate(P, P, walk_length=100_000, repeats=20, seed=42)
+        assert time.perf_counter() - start < 1.0
+        assert abs(est.cos - 1.0) <= 3.0 * est.cos_std_error
+
+
 class TestNormAndAngle:
     def test_norm_scales_linearly(self, G):
         base = process_norm(G)
@@ -494,9 +579,40 @@ class TestLargePairChains:
         # one dense 4,563-state block alone takes 166 MB
         assert peak < 10e6
 
+    def test_certifying_after_a_checkpoint_keeps_the_iterate(self, count_dense):
+        # this 265-state sink certifies at step 283, after the residual's
+        # first projection to the step cap at step 250
+        import procgeom.process as process
+
+        p, q = random_process(24, 1), random_process(24, 2)
+        assert len(process._pair_sink(p.machine, q.machine)[1]) == 265
+        inner_exact(p, q)
+        assert count_dense == []
+
     def test_uncertified_iteration_falls_back_to_the_dense_solve(self, count_dense):
         p = slow_cycle_process()
         assert p.machine.n_states == 200
         # the dense solve's value, bit for bit
         assert repr(inner_exact(p, p).value) == "0.5737703913841145"
         assert count_dense == [200]
+
+    def test_slow_iteration_leaves_early(self, monkeypatch):
+        # the slow cycle's residual falls like 1/t, so at the rate of its
+        # last window it cannot reach the bound within the step cap
+        import procgeom.pfsa as pfsa
+        from procgeom.sync import _pair_delta
+
+        g = slow_cycle_process().machine
+        delta = _pair_delta(g, g)
+        keep = [i * g.n_states + i for i in range(g.n_states)]
+        block = pfsa._renumber(delta, keep)
+        steps = []
+        bincount = np.bincount
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        assert pfsa._power_iterate(block, np.full(block.shape, 0.5)) is None
+        assert 0 < len(steps) <= 2000

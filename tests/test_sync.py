@@ -12,11 +12,14 @@ from procgeom import (
     joint_epsilon_synchronize_many,
     product_machine,
     psum,
+    reset_word,
     scale_process,
     as_process,
     validate,
+    Pfsa,
 )
-from conftest import make_g2, make_m2, make_perm2, make_single, make_t3, make_u3
+from conftest import (make_feed3, make_g2, make_m2, make_perm2, make_single, make_t3,
+                      make_u3)
 
 
 def exhaustive_best(g, max_len):
@@ -201,3 +204,56 @@ class TestJointSynchronize:
         best = exc_info.value.best
         assert len(best) == 2
         assert best[1].achieved == pytest.approx(0.5)
+
+
+def random_machine(n=50, seed=1):
+    """A random test machine in normal form (n = 50, seed 1: 41 states)."""
+    rng = np.random.default_rng(seed)
+    delta = rng.integers(0, n, (n, 2))
+    rows = np.maximum(rng.dirichlet([2.0, 2.0], n), 1e-3)
+    g = Pfsa(["0", "1"], [f"s{i}" for i in range(n)], delta, rows / rows.sum(axis=1, keepdims=True))
+    return as_process(g).machine
+
+
+def assert_point_mass(machine, word):
+    """Replaying the word from the stationary belief leaves exactly one state."""
+    b = belief_from_string(machine, word)
+    assert np.count_nonzero(b) == 1 and b.max() == 1.0
+
+
+class TestResetWord:
+    @pytest.mark.parametrize("make", [make_g2, make_m2, make_u3, make_single, random_machine],
+                             ids=["g2", "m2", "u3", "single", "r50"])
+    def test_word_leaves_a_point_mass(self, make):
+        g = make()
+        word = reset_word(g)
+        assert word is not None
+        assert all(s in g.alphabet for s in word)
+        assert_point_mass(g, word)
+
+    @pytest.mark.parametrize("make", [make_t3, make_feed3, make_perm2], ids=["t3", "feed3", "perm2"])
+    def test_none_without_a_merging_word(self, make):
+        assert reset_word(make()) is None
+
+    def test_one_word_merges_every_machine(self):
+        machines = (random_machine(50, 1), random_machine(50, 2), make_g2(), make_m2())
+        word = reset_word(*machines)
+        for g in machines:
+            assert_point_mass(g, word)
+        assert reset_word(make_g2(), make_t3()) is None
+
+    def test_single_states_need_no_symbol(self):
+        assert reset_word(make_single()) == ()
+        assert reset_word(make_single(), make_single(row=[0.3, 0.7])) == ()
+
+    def test_merges_each_pair_by_a_shortest_word(self, u3, g2):
+        # 'a' sends every state of u3 to x; g2 merges on either symbol, the
+        # smaller one first
+        assert reset_word(u3) == ("a",)
+        assert reset_word(g2) == ("0",)
+
+    def test_rejects_bad_input(self, g2, u3):
+        with pytest.raises(AlphabetMismatch):
+            reset_word(g2, u3)
+        with pytest.raises(ValueError):
+            reset_word()
