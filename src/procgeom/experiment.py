@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroNorm
+from .errors import DepthExceeded, NotErgodic, ZeroNorm
 from .pfsa import Pfsa
 from .process import ProcessHandle, angle, as_process, scale_process
 from .streams import estimate_derivatives, stream_from_model, stream_stats, table_angle
@@ -44,10 +44,15 @@ class ExperimentConfig:
 class ExperimentReport:
     """Results of one noise experiment.
 
-    ``model_angles`` holds exact pairwise process angles (NaN where an
-    operand has zero norm); ``zero_norm`` flags the models whose own angle
-    is NaN; ``empirical_angles`` holds stream-level angles with the
-    self-angle diagnostics on the diagonal.  Both matrices are symmetric.
+    ``model_angles`` holds exact pairwise process angles, NaN where the
+    angle is undefined; ``undefined`` maps each such pair ``(i, j)``,
+    ``i <= j``, to the reason: "zero norm" when an operand has zero norm,
+    or the error that left the pair without a defined exact angle (no
+    jointly synchronizing start found within the depth budget, or several
+    recurrent classes reachable from it).  ``zero_norm`` flags the models
+    whose own norm is zero; ``empirical_angles`` holds stream-level angles
+    with the self-angle diagnostics on the diagonal.  Both matrices are
+    symmetric.
     """
 
     config: ExperimentConfig
@@ -58,6 +63,7 @@ class ExperimentReport:
     stream_means: np.ndarray   # (n_models, 2)
     stream_stds: np.ndarray    # (n_models, 2)
     models: tuple[ProcessHandle, ...] = field(repr=False)
+    undefined: dict[tuple[int, int], str] = field(default_factory=dict)
 
     def _matrix_csv(self, matrix: np.ndarray, what: str) -> str:
         lines = [f"# {what}; angles in radians; {self.config.echo()}"]
@@ -101,7 +107,7 @@ class ExperimentReport:
             for j in range(i + 1, n):
                 ex = self.model_angles[i, j]
                 em = self.empirical_angles[i, j]
-                ex_txt = "undefined (zero norm)" if np.isnan(ex) else f"{ex:.6f}"
+                ex_txt = f"undefined ({self.undefined[i, j]})" if np.isnan(ex) else f"{ex:.6f}"
                 em_txt = "n/a" if np.isnan(em) else f"{em:.6f}"
                 out.append(f"  {self.labels[i]} vs {self.labels[j]}: {ex_txt} | {em_txt}")
         return "\n".join(out) + "\n"
@@ -115,12 +121,15 @@ def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = 
     n = len(models)
 
     model_angles = np.full((n, n), np.nan)
+    undefined = {}
     for i in range(n):
         for j in range(i, n):
             try:
                 model_angles[i, j] = model_angles[j, i] = angle(models[i], models[j])
             except ZeroNorm:
-                pass
+                undefined[i, j] = "zero norm"
+            except (DepthExceeded, NotErgodic) as err:
+                undefined[i, j] = f"{type(err).__name__}: {err}"
 
     seeds = np.random.SeedSequence(config.seed).spawn(n)
     streams = [
@@ -152,10 +161,11 @@ def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = 
     return ExperimentReport(
         config=config,
         labels=labels,
-        zero_norm=tuple(bool(np.isnan(model_angles[i, i])) for i in range(n)),
+        zero_norm=tuple(undefined.get((i, i)) == "zero norm" for i in range(n)),
         model_angles=model_angles,
         empirical_angles=empirical,
         stream_means=means,
         stream_stds=stds,
         models=models,
+        undefined=undefined,
     )

@@ -34,6 +34,7 @@ _POWER_MIN_STATES = 128  # larger blocks are tried by power iteration first
 _POWER_STEP_CAP = 10_000
 _POWER_CHECK_STEPS = 250  # steps between projections of the residual to the cap
 _POWER_RESIDUAL_EPS = 4 * np.finfo(np.float64).eps
+_JUMP_TABLE_ENTRIES = 1 << 16  # cap on the sampler's block-jump table
 
 
 def _check_names(names, kind: str) -> tuple[str, ...]:
@@ -649,20 +650,91 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
     The initial state is drawn from the stationary distribution, then the
     chain emits from the current row and follows the transition map.
     Deterministic for a fixed seed.
+
+    The draws are one ``rng.choice`` for the start state, then one
+    ``rng.random(length)``.  From state ``q`` a draw ``u`` emits the symbol
+    ``bisect_right(cum[q], u)``, where ``cum[q]`` is the running sum of
+    ``q``'s row without its last entry, so a draw above a sum that rounds
+    below one still emits the last symbol.  Small machines tabulate that
+    loop (the "Four Russians" idea of Arlazarov, Dinic, Kronrod and
+    Faradzev, 1970), so that Python takes one step per ``m`` symbols; the
+    output equals the per-symbol loop element for element:
+
+    * The distinct thresholds ``cuts`` of all rows split [0, 1) into
+      ``L = cuts.size + 1`` letters; draw ``u`` is letter
+      ``a = searchsorted(cuts, u, "right")``.  Every ``cum[q, j]`` is a
+      cut, so ``cum[q, j] <= u`` exactly when ``cum[q, j] <= cuts[a - 1]``:
+      the letter fixes every state's symbol ``sym[q, a]`` by the same float
+      comparisons the loop makes, and its successor
+      ``step[q, a] = delta[q, sym[q, a]]``.
+    * ``jump[q, code]`` is the state after the ``m`` letters of ``code``
+      (base ``L``, first letter most significant), built from ``step`` by
+      ``m - 1`` gathers.  ``m`` is the longest block whose table has at
+      most ``_JUMP_TABLE_ENTRIES`` entries (``n * L ** m``).
+    * The loop walks the block codes, recording each block's start state;
+      ``m`` vectorised gathers of ``sym`` and ``step`` then fill in the
+      symbols of every block at once.  A tail of fewer than ``m`` symbols
+      takes the one-step tables symbol by symbol.
+
+    When no block of two letters fits the cap (from about 40 states on
+    two symbols), the loop bisects every symbol as written above: the
+    one-step tables hold ``n * L`` entries with ``L`` up to
+    ``n * (k - 1) + 1``, and a step through them costs more than a
+    bisection of the state's own row.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     rng = np.random.default_rng(seed)
     q = int(rng.choice(g.n_states, p=stationary_distribution(g)))
-    # Without its last sum a row bisects to at most k - 1, even if its sums round below one.
-    cum_rows = np.cumsum(g._morph, axis=1)[:, :-1].tolist()
-    delta_rows = g._delta.tolist()
-    out = []
-    for x in memoryview(rng.random(length)):
-        s = bisect_right(cum_rows[q], x)
-        out.append(s)
-        q = delta_rows[q][s]
-    return _freeze(np.array(out, dtype=np.int64))
+    n = g.n_states
+    cum = np.cumsum(g._morph, axis=1)[:, :-1]
+    cuts = np.unique(cum)
+    letters = cuts.size + 1
+    m = 1
+    while n * letters ** (m + 1) <= _JUMP_TABLE_ENTRIES:
+        m += 1
+    if m == 1:
+        cum_rows, delta_rows = cum.tolist(), g._delta.tolist()
+        out = []
+        for x in memoryview(rng.random(length)):
+            s = bisect_right(cum_rows[q], x)
+            out.append(s)
+            q = delta_rows[q][s]
+        return _freeze(np.array(out, dtype=np.int64))
+
+    # sym[q, a] counts the thresholds of row q at or below cuts[a - 1]
+    rank = np.searchsorted(cuts, cum) + 1 + letters * np.arange(n)[:, None]
+    sym = np.bincount(rank.ravel(), minlength=n * letters).reshape(n, letters).cumsum(axis=1)
+    step = g._delta[np.arange(n)[:, None], sym]
+    jump = step
+    for _ in range(m - 1):
+        jump = np.take(step, jump, axis=0).reshape(n, -1)
+
+    # letters of the draws, each overwritten by its symbol once it is read
+    out = np.searchsorted(cuts, rng.random(length), side="right")
+    blocks = length // m
+    by_block = out[:blocks * m].reshape(blocks, m)
+    codes = by_block[:, 0].copy()
+    for i in range(1, m):
+        codes *= letters
+        codes += by_block[:, i]
+    jump_rows = jump.tolist()
+    starts = []
+    for code in memoryview(codes):
+        starts.append(q)
+        q = jump_rows[q][code]
+
+    sym_flat, step_flat = sym.ravel(), (step * letters).ravel()
+    at = np.array(starts, dtype=np.int64) * letters  # row offsets into the flat tables
+    for i in range(m):
+        index = at + by_block[:, i]
+        by_block[:, i] = sym_flat[index]
+        at = step_flat[index]
+    for t in range(blocks * m, length):
+        a = out[t]
+        out[t] = sym[q, a]
+        q = step[q, a]
+    return _freeze(out)
 
 
 # ---------------------------------------------------------------------------

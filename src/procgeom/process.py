@@ -47,10 +47,11 @@ from .pfsa import (
     structurally_equal,
 )
 from .simplex import pscale, psum
-from .sync import _pair_delta, joint_epsilon_synchronize, product_machine, reset_word
+from .sync import _pair_delta, _reset_word, joint_epsilon_synchronize, product_machine
 
 ZERO_NORM_TOL = 1e-12
 DEFAULT_MC_EPS = 1e-6
+_WALK_BLOCK_STEPS = 4096  # walk steps whose symbols are drawn at once
 
 
 @dataclass(frozen=True)
@@ -266,22 +267,27 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
 # ---------------------------------------------------------------------------
 # Monte Carlo inner product
 
-def _walk_symbols(seeds, n_pairs: int, walk_length: int, repeats: int, k: int) -> np.ndarray:
-    """Uniform symbols of every walk, shaped ``(walk_length, n_pairs * repeats)``.
+def _walk_symbols(seeds, n_pairs: int, walk_length: int, repeats: int, k: int):
+    """Uniform symbols of every walk, one row of ``n_pairs * repeats`` per step.
 
     Column ``pi * repeats + r`` is walk ``r`` of pair ``pi``, drawn from
     ``seeds.spawn(n_pairs)[pi].spawn(repeats)[r]``.  ``seeds`` may instead
     be the list of the pairs' own spawned sequences, so that a pair reads
-    the same symbols whichever pairs share its batch.
+    the same symbols whichever pairs share its batch.  Rows are drawn
+    ``_WALK_BLOCK_STEPS`` steps at a time, so memory does not grow with
+    ``walk_length``; a generator's ``integers(0, k, size=a)`` followed by
+    ``size=b`` returns the values of one call with ``size=a + b``, so the
+    symbols do not depend on the block size.
     """
     if isinstance(seeds, np.random.SeedSequence):
         seeds = seeds.spawn(n_pairs)
-    symbols = np.empty((walk_length, n_pairs * repeats), dtype=np.int64)
-    for pi_, pair_seq in enumerate(seeds):
-        for r, walk_seq in enumerate(pair_seq.spawn(repeats)):
-            rng = np.random.default_rng(walk_seq)
-            symbols[:, pi_ * repeats + r] = rng.integers(0, k, size=walk_length)
-    return symbols
+    rngs = [np.random.default_rng(walk_seq)
+            for pair_seq in seeds for walk_seq in pair_seq.spawn(repeats)]
+    for start in range(0, walk_length, _WALK_BLOCK_STEPS):
+        block = np.empty((min(_WALK_BLOCK_STEPS, walk_length - start), len(rngs)), dtype=np.int64)
+        for col, rng in enumerate(rngs):
+            block[:, col] = rng.integers(0, k, size=block.shape[0])
+        yield from block
 
 
 def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> np.ndarray:
@@ -350,13 +356,11 @@ def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seeds) ->
             b[side, block, :nq] = start[side]
     dest += np.arange(2 * rows).reshape(2, rows, 1, 1) * qmax
 
-    symbols = _walk_symbols(seeds, n_pairs, walk_length, repeats, k)
     ridx = np.arange(rows)
     acc = np.zeros(rows)
-    for t in range(walk_length):
+    for s in _walk_symbols(seeds, n_pairs, walk_length, repeats, k):
         d = np.diff(np.log(np.einsum("xrq,xrsq->xrs", b, emit)), axis=2)
         acc += np.einsum("rs,rs->r", d[0], d[1])
-        s = symbols[t]
         b = np.bincount(dest[:, ridx, s].ravel(), (b * emit[:, ridx, s]).ravel(),
                         minlength=b.size).reshape(b.shape)
         b /= b.sum(axis=2, keepdims=True)
@@ -378,9 +382,10 @@ def _mc_estimates(pairs, eps, walk_length, repeats, seed, max_depth) -> list[Inn
     if walk_length < 1 or repeats < 2:
         raise ValueError("need walk_length >= 1 and repeats >= 2")
     point, belief = [], []
+    tables = {}  # one merge table per machine, shared by the pairs
     for i, (p, q) in enumerate(pairs):
         g, h = p.machine, q.machine
-        word = reset_word(g, h)
+        word = _reset_word((g, h), tables)
         if word is not None:
             gi = hj = 0  # any start: the word leads every state to the same pair
             for s in g.to_indices(word):

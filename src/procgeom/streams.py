@@ -164,9 +164,11 @@ def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) ->
     n = len(s)
     if n <= depth:
         raise StreamTooShort(f"stream length {n} <= depth {depth}")
-    windows = np.lib.stride_tricks.sliding_window_view(s.indices, depth + 1)
-    powers = k ** np.arange(depth, -1, -1, dtype=np.int64)
-    joint_codes = windows @ powers
+    # window codes in base k, first symbol most significant, by Horner's rule
+    joint_codes = s.indices[: n - depth].copy()
+    for i in range(1, depth + 1):
+        joint_codes *= k
+        joint_codes += s.indices[i : n - depth + i]
     joint = np.bincount(joint_codes, minlength=k ** (depth + 1)).reshape(k**depth, k)
     counts = joint.sum(axis=1)
     probs = (joint + smoothing) / (counts[:, None] + smoothing * k)

@@ -107,6 +107,13 @@ def reset_word(*machines: Pfsa) -> tuple[str, ...] | None:
         raise ValueError("need at least one machine")
     for m in machines[1:]:
         check_same_alphabet(machines[0], m)
+    return _reset_word(machines, {})
+
+
+def _reset_word(machines, tables: dict) -> tuple[str, ...] | None:
+    """:func:`reset_word` of machines sharing one alphabet, taking each
+    machine's :func:`_merge_table` from ``tables`` (keyed by machine) and
+    storing there the ones it builds, so callers can share them."""
     word: list[int] = []
     for g in machines:
         n = g.n_states
@@ -116,7 +123,9 @@ def reset_word(*machines: Pfsa) -> tuple[str, ...] | None:
         image = np.unique(image)
         if image.size == 1:
             continue
-        table = _merge_table(g)
+        if g not in tables:
+            tables[g] = _merge_table(g)
+        table = tables[g]
         if table is None:
             return None
         pdT, dist, first = table

@@ -5,7 +5,7 @@ import pytest
 
 from procgeom import format_pfsa, parse_pfsa, read_stream
 from procgeom.cli import build_parser, main
-from conftest import make_feed3, make_redundant_g2, make_two_sinks
+from conftest import make_feed3, make_redundant_g2, make_t3, make_two_sinks
 
 
 @pytest.fixture
@@ -245,6 +245,35 @@ class TestExperiment:
             assert (outdir / name).exists()
         assert "seed=2" in (outdir / "model_angles.csv").read_text()
         assert "pairwise angles" in out
+
+    def test_pair_without_a_defined_angle_leaves_an_empty_cell(self, capsys, tmp_path):
+        # T and 0.1 T share a permutation structure and 0.1 T's rows are
+        # nearly uniform: the joint search for their start runs out of depth
+        model = tmp_path / "t3.pfsa"
+        model.write_text(format_pfsa(make_t3()), encoding="utf-8")
+        outdir = tmp_path / "exp"
+        code, out, _ = run(
+            capsys, "experiment", str(model), "--scales", "1,0.1", "--length", "2000",
+            "--outdir", str(outdir),
+        )
+        assert code == 0
+        summary = (outdir / "summary.txt").read_text()
+        assert summary == out
+        assert "1G vs 0.1G: undefined (DepthExceeded: no string within depth" in summary
+        assert "zero norm" not in summary
+        rows = [line.split(",") for line in (outdir / "model_angles.csv").read_text().splitlines()]
+        assert rows[2][2] == "" and rows[3][1] == ""
+        assert float(rows[2][1]) == 0.0
+
+    def test_mc_angle_at_defaults_is_unchanged(self, capsys, g2_path, tmp_path):
+        neg = tmp_path / "neg.pfsa"
+        run(capsys, "scale", g2_path, "--alpha", "-1", "-o", str(neg))
+        code, out, _ = run(capsys, "angle", g2_path, str(neg), "--mode", "mc")
+        assert code == 0
+        assert out == (
+            "# seed=42 eps=1e-06 walk_length=100000 repeats=20\n"
+            "3.1415926535897931 cos=-1.0002046381853353 cos_std_error=0.0002937947701571369\n"
+        )
 
 
 class TestParser:

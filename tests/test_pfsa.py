@@ -28,7 +28,7 @@ from procgeom import (
     word_probability,
     write_pfsa,
 )
-from procgeom.pfsa import ROW_SUM_TOL, _sink_components, _tarjan_sccs
+from procgeom.pfsa import _JUMP_TABLE_ENTRIES, ROW_SUM_TOL, _sink_components, _tarjan_sccs
 from conftest import (
     make_feed3,
     make_g2,
@@ -574,6 +574,42 @@ class TestGenerate:
             for length in (0, 1, 10_000):
                 assert np.array_equal(generate_sequence(g, length, seed),
                                       self.sample_by_index(g, length, seed))
+
+    @staticmethod
+    def block_length(g):
+        """Symbols per table step: the longest block whose jump table fits the cap."""
+        letters = np.unique(np.cumsum(g._morph, axis=1)[:, :-1]).size + 1
+        m = 1
+        while g.n_states * letters ** (m + 1) <= _JUMP_TABLE_ENTRIES:
+            m += 1
+        return m
+
+    @classmethod
+    def block_cases(cls):
+        tied = Pfsa(["0", "1"], ["a", "b", "c"], [[1, 2], [2, 0], [0, 1]],
+                    [[0.3, 0.7], [0.3, 0.7], [0.6, 0.4]])
+        uniform = Pfsa(["a", "b", "c"], ["x", "y", "z"], make_u3()._delta, np.full((3, 3), 1.0 / 3))
+        return {
+            "g2": make_g2(),
+            "tied": tied,
+            "uniform": uniform,
+            "zero": make_single(),
+            "k4": cls.random_machine(5, 4, 4),
+            "n200": cls.random_machine(200, 2, 5),
+        }
+
+    @pytest.mark.parametrize("name", ["g2", "tied", "uniform", "zero", "k4", "n200"])
+    def test_every_length_around_the_block_matches_reference_loop(self, name):
+        # identical rows and uniform rows give thresholds tied across states;
+        # the one-state zero model takes the longest block, 200 states take
+        # blocks of one symbol
+        g = self.block_cases()[name]
+        m = self.block_length(g)
+        assert m == {"zero": 16, "n200": 1}.get(name, m) and (m > 1) == (name != "n200")
+        for seed in (0, 5):
+            for length in [*range(2 * m + 2), 10_000]:
+                assert np.array_equal(generate_sequence(g, length, seed),
+                                      self.sample_by_index(g, length, seed)), length
 
     def test_draw_above_a_sum_rounding_below_one_emits_last_symbol(self):
         # ten rows of 0.1 add up to 1 - 2**-53; a draw in [that sum, 1) lies

@@ -423,6 +423,32 @@ class TestInnerMc:
             "norm_sq_b=InnerEstimate(value=0.6752475016193192, std_error=0.006903968325793979, "
             "mode='monte-carlo', walks=6, walk_length=3000))")
 
+    def test_angle_builds_one_merge_table_per_operand(self, G, M, monkeypatch):
+        import procgeom.sync as sync
+
+        calls = []
+        build = sync._merge_table
+
+        def counting(g):
+            calls.append(g)
+            return build(g)
+
+        monkeypatch.setattr(sync, "_merge_table", counting)
+        angle_mc_estimate(G, M, walk_length=200, repeats=4, seed=1)
+        assert calls == [G.machine, M.machine]
+
+    def test_walk_symbols_take_memory_independent_of_walk_length(self, G):
+        # the (walk_length, 3 * repeats) symbol table alone would be 48 MB here
+        neg = scale_process(-1.0, G)
+        tracemalloc.start()
+        try:
+            est = angle_mc_estimate(G, neg, walk_length=100_000, repeats=20, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert repr(est.cos) == "-1.0002046381853353"
+
     def test_cerny_self_angle_at_cli_defaults(self):
         # Cerny machine, n = 8: symbol 0 rotates, symbol 1 merges state 0
         # into state 1; its shortest reset word has (n - 1)**2 = 49 symbols,
