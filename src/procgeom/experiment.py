@@ -12,13 +12,14 @@ serving as the "angle from self" diagnostic (ideally zero).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DepthExceeded, NotErgodic, ZeroNorm
 from .pfsa import Pfsa
-from .process import ProcessHandle, angle, as_process, scale_process
+from .process import ProcessHandle, _angle_from, as_process, inner_exact, scale_process
 from .streams import estimate_derivatives, stream_from_model, stream_stats, table_angle
 
 DEFAULT_SCALES = (1.0, -1.0, 0.1, -0.1, 0.0)
@@ -120,12 +121,17 @@ def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = 
     labels = tuple(f"{a:g}G" for a in config.scales)
     n = len(models)
 
+    # each norm once; a diagonal cell reuses its norm's inner product
+    norms_sq = [inner_exact(m, m).value for m in models]
+    norms = [math.sqrt(max(v, 0.0)) for v in norms_sq]
     model_angles = np.full((n, n), np.nan)
     undefined = {}
     for i in range(n):
         for j in range(i, n):
             try:
-                model_angles[i, j] = model_angles[j, i] = angle(models[i], models[j])
+                model_angles[i, j] = model_angles[j, i] = _angle_from(
+                    norms[i], norms[j],
+                    lambda: norms_sq[i] if i == j else inner_exact(models[i], models[j]).value)
             except ZeroNorm:
                 undefined[i, j] = "zero norm"
             except (DepthExceeded, NotErgodic) as err:

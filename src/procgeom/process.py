@@ -523,9 +523,21 @@ def angle(p: ProcessHandle, q: ProcessHandle, mode: str = "exact", **mc_options)
         return angle_mc_estimate(p, q, **mc_options).angle
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    norm_p = process_norm(p)
-    norm_q = process_norm(q)
+    return _angle_from(process_norm(p), process_norm(q), lambda: inner_exact(p, q).value)
+
+
+def _angle_from(norm_p: float, norm_q: float, inner_pq) -> float:
+    """``acos`` of the clamped cosine ``inner_pq() / (norm_p * norm_q)``.
+
+    ``inner_pq`` returns the operands' inner product; it is called only
+    when both norms reach ``ZERO_NORM_TOL``.
+
+    Raises
+    ------
+    ZeroNorm
+        If either norm is below ``ZERO_NORM_TOL``.
+    """
     if norm_p < ZERO_NORM_TOL or norm_q < ZERO_NORM_TOL:
         raise ZeroNorm("angle undefined against a zero-norm process")
-    cos = inner_exact(p, q).value / (norm_p * norm_q)
+    cos = inner_pq() / (norm_p * norm_q)
     return math.acos(min(1.0, max(-1.0, cos)))

@@ -313,6 +313,8 @@ class TestUsageErrors:
         ["angle", "{m}", "{m}", "--mode", "mc", "--walk-length", "0"],
         ["sync", "{m}", "--eps", "0"],
         ["generate", "{m}", "--length", "-1", "-o", "{tmp}/s.txt"],
+        ["minimize", "{m}", "--tol", "-1"],
+        ["minimize", "{m}", "--tol", "nan"],
     ])
     def test_bad_numeric_option_exits_two(self, capsys, g2_path, tmp_path, argv):
         code, out, err = run(capsys, *(a.format(m=g2_path, tmp=tmp_path) for a in argv))

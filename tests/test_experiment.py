@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from procgeom import ExperimentConfig, run_noise_experiment
+from procgeom import ExperimentConfig, angle, run_noise_experiment
 
 
 def small_config(**overrides):
@@ -34,6 +34,29 @@ class TestNoiseExperiment:
         assert rep.zero_norm[i["0G"]]
         assert not rep.zero_norm[i["1G"]]
         assert np.isnan(rep.model_angles[i["0G"], i["1G"]])
+
+    def test_each_norm_and_each_pair_solved_once(self, g2, monkeypatch):
+        import procgeom.experiment as experiment
+
+        calls = []
+        solve = experiment.inner_exact
+
+        def counted(p, q):
+            calls.append((p, q))
+            return solve(p, q)
+
+        monkeypatch.setattr(experiment, "inner_exact", counted)
+        rep = run_noise_experiment(g2, small_config(stream_length=2_000))
+        # five norms, and the six cross pairs of the four models of nonzero norm
+        assert len(calls) == 11
+        assert len(set(map(frozenset, calls))) == 11
+        monkeypatch.undo()
+        for i in range(5):
+            for j in range(5):
+                if rep.zero_norm[i] or rep.zero_norm[j]:
+                    assert np.isnan(rep.model_angles[i, j])
+                else:
+                    assert rep.model_angles[i, j] == angle(rep.models[i], rep.models[j])
 
     def test_near_uniform_single_state_is_not_zero_norm(self):
         # a one-state base scaled by 1e-6 is within 1e-5 of uniform, but its

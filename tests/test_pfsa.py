@@ -398,6 +398,12 @@ class TestMinimize:
         flat = Pfsa(g2.alphabet, g2.states, g2._delta.copy(), np.full((2, 2), 0.5))
         assert minimize(flat).n_states == 1
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_a_negative_or_non_finite_tolerance(self, g2, tol):
+        # a negative or NaN tol matches no row, not even a row with itself
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            minimize(g2, tol=tol)
+
     def test_idempotent(self, t3):
         for g in (make_redundant_g2(), t3):
             once = minimize(g)

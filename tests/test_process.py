@@ -606,14 +606,93 @@ class TestLargePairChains:
         assert peak < 10e6
 
     def test_certifying_after_a_checkpoint_keeps_the_iterate(self, count_dense):
-        # this 265-state sink certifies at step 283, after the residual's
-        # first projection to the step cap at step 250
+        # this 265-state sink certified at step 283 under the step
+        # x <- (x + xP) / 2, after the residual's first projection to the
+        # step cap at step 250; it now certifies before step 250 (the next
+        # test keeps a sink that certifies after it)
         import procgeom.process as process
 
         p, q = random_process(24, 1), random_process(24, 2)
         assert len(process._pair_sink(p.machine, q.machine)[1]) == 265
         inner_exact(p, q)
         assert count_dense == []
+
+    def test_certifying_after_the_first_projection_keeps_the_iterate(self, monkeypatch, count_dense):
+        import procgeom.pfsa as pfsa
+        import procgeom.process as process
+
+        p, q = random_process(24, 6), random_process(24, 11)
+        delta, keep = process._pair_sink(p.machine, q.machine)
+        assert len(keep) == 266
+        value = inner_exact(p, q).value
+        assert count_dense == []
+        block = pfsa._renumber(delta, keep)
+        steps = []
+        bincount = np.bincount
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        assert pfsa._power_iterate(block, np.full(block.shape, 0.5)) is not None
+        # the residual was projected at step 250 and the iteration went on
+        assert len(steps) > 251
+        monkeypatch.undo()
+        rho = pfsa._dense_stationary(pfsa._chain_matrix(block, np.full(block.shape, 0.5)))
+        pairwise = np.diff(np.log(p.machine._morph), axis=1) @ np.diff(np.log(q.machine._morph), axis=1).T
+        assert value == pytest.approx(float(rho @ pairwise.ravel()[keep]), rel=1e-12)
+
+    @pytest.mark.parametrize("k, n", [(2, 16), (2, 24), (3, 12), (3, 14)])
+    def test_iterate_meets_its_stopping_rule_and_a_dense_solve(self, k, n):
+        import procgeom.pfsa as pfsa
+        from procgeom.process import _sink_components
+        from procgeom.sync import _pair_delta
+
+        def machine(seed):
+            # raw random machines; a pair graph may have several sinks
+            rng = np.random.default_rng(seed)
+            delta = rng.integers(0, n, (n, k))
+            rows = np.maximum(rng.dirichlet([2.0] * k, n), 1e-3)
+            return Pfsa([str(s) for s in range(k)], [f"s{i}" for i in range(n)], delta,
+                        rows / rows.sum(axis=1, keepdims=True))
+
+        blocks = 0
+        for seed in range(1, 9):
+            g, h = machine(seed), machine(seed + 100)
+            delta = _pair_delta(g, h)
+            for keep in _sink_components(delta):
+                m = len(keep)
+                if m <= 128:
+                    continue
+                block = pfsa._renumber(delta, keep)
+                # uniform drive, and the pair chain driven by g's emissions
+                for w in (np.full(block.shape, 1.0 / k), g._morph[np.asarray(keep) // n]):
+                    x = pfsa._power_iterate(block, w)
+                    xp = np.bincount(block.ravel(), (x[:, None] * w).ravel(), minlength=m)
+                    assert np.abs(xp - x).max() <= 4 * np.finfo(float).eps * x.max()
+                    assert x.min() > 0.0 and x.sum() == pytest.approx(1.0, abs=1e-15)
+                    a = pfsa._chain_matrix(block, w).T - np.eye(m)
+                    a[-1] = 1.0
+                    ref = np.linalg.solve(a, np.eye(m)[-1])
+                    assert np.abs(x - ref).max() <= 1e-12 * ref.max()
+                    blocks += 1
+        assert blocks >= 4
+
+    def test_periodic_block_is_certified(self):
+        # every step crosses between the even and the odd states, so xP alone
+        # would oscillate; the lazy step damps that period
+        import procgeom.pfsa as pfsa
+
+        rng = np.random.default_rng(5)
+        m = 200
+        block = (np.arange(m)[:, None] + 1 + 2 * rng.integers(0, m // 2, (m, 2))) % m
+        w = rng.dirichlet([2.0, 2.0], m)
+        x = pfsa._power_iterate(block, w)
+        a = pfsa._chain_matrix(block, w).T - np.eye(m)
+        a[-1] = 1.0
+        ref = np.linalg.solve(a, np.eye(m)[-1])
+        assert np.abs(x - ref).max() <= 1e-12 * ref.max()
 
     def test_uncertified_iteration_falls_back_to_the_dense_solve(self, count_dense):
         p = slow_cycle_process()
