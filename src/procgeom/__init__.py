@@ -31,7 +31,6 @@ from .pfsa import (
     belief_from_string,
     belief_update,
     canonicalize,
-    closed_restrictions,
     format_pfsa,
     generate_sequence,
     matrices,
@@ -57,7 +56,6 @@ from .process import (
     angle_mc_estimate,
     as_process,
     fdd_distance,
-    inner,
     inner_exact,
     inner_mc,
     process_norm,
@@ -99,7 +97,6 @@ from .sync import (
     SyncResult,
     epsilon_synchronize,
     joint_epsilon_synchronize,
-    joint_epsilon_synchronize_many,
     product_machine,
     reset_word,
 )

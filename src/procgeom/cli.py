@@ -141,28 +141,44 @@ def _cmd_sum(args) -> int:
     return 0
 
 
+_MC_DEFAULTS = {"eps": 1e-6, "walk_length": 100_000, "repeats": 20, "seed": 42}
+_MC_HEADER = "# seed={seed} eps={eps:g} walk_length={walk_length} repeats={repeats}"
+
+
+def _mc_options(args) -> dict | None:
+    """Monte Carlo options of ``inner`` and ``angle``, unset ones at their
+    defaults, or None in exact mode; a ``ValueError`` if exact mode is
+    given one, which it would ignore."""
+    given = {k: getattr(args, k) for k in _MC_DEFAULTS if getattr(args, k) is not None}
+    if args.mode == "mc":
+        return {**_MC_DEFAULTS, **given}
+    if given:
+        raise ValueError("exact mode takes no Monte Carlo options")
+    return None
+
+
 def _cmd_inner(args) -> int:
+    mc = _mc_options(args)
     p = _load_process(args.model_a)
     q = _load_process(args.model_b)
-    if args.mode == "exact":
+    if mc is None:
         print(_fmt(inner_exact(p, q).value))
     else:
-        est = inner_mc(p, q, eps=args.eps, walk_length=args.walk_length,
-                       repeats=args.repeats, seed=args.seed)
-        print(f"# seed={args.seed} eps={args.eps:g} walk_length={args.walk_length} repeats={args.repeats}")
+        est = inner_mc(p, q, **mc)
+        print(_MC_HEADER.format(**mc))
         print(f"{_fmt(est.value)} {_fmt(est.std_error)}")
     return 0
 
 
 def _cmd_angle(args) -> int:
+    mc = _mc_options(args)
     p = _load_process(args.model_a)
     q = _load_process(args.model_b)
-    if args.mode == "exact":
+    if mc is None:
         print(_fmt(angle(p, q)))
     else:
-        est = angle_mc_estimate(p, q, eps=args.eps, walk_length=args.walk_length,
-                                repeats=args.repeats, seed=args.seed)
-        print(f"# seed={args.seed} eps={args.eps:g} walk_length={args.walk_length} repeats={args.repeats}")
+        est = angle_mc_estimate(p, q, **mc)
+        print(_MC_HEADER.format(**mc))
         print(f"{_fmt(est.angle)} cos={_fmt(est.cos)} cos_std_error={_fmt(est.cos_std_error)}")
     return 0
 
@@ -306,10 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("model_a")
         p.add_argument("model_b")
         p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-        p.add_argument("--eps", type=float, default=1e-6)
-        p.add_argument("--walk-length", type=int, default=100_000)
-        p.add_argument("--repeats", type=int, default=20)
-        p.add_argument("--seed", type=int, default=42)
+        # Monte Carlo options; None marks an option left unset (see _mc_options)
+        p.add_argument("--eps", type=float)
+        p.add_argument("--walk-length", type=int)
+        p.add_argument("--repeats", type=int)
+        p.add_argument("--seed", type=int)
 
     p = add("geodesic-chart", _cmd_geodesic_chart, "sample geodesic curves on the simplex as CSV")
     p.add_argument("--p0", help="comma-separated endpoint (default: built-in orthogonal pair, dim 3)")

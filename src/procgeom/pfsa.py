@@ -6,9 +6,9 @@ emission rows ("morph" rows) giving the next-symbol distribution at each
 state.  Strictly positive rows encode strictly positive processes.
 
 The module covers validation, the derived matrices, stationary analysis,
-belief recursion over observed symbols, word probabilities, closed
-restrictions, state minimization, canonical ordering, sampling, and the
-line-oriented ``pfsa v1`` text format.
+belief recursion over observed symbols, word probabilities, the minimal
+closed restriction, state minimization, canonical ordering, sampling, and
+the line-oriented ``pfsa v1`` text format.
 """
 
 from __future__ import annotations
@@ -322,16 +322,19 @@ def sink_sccs(g: Pfsa) -> list[list[int]]:
     return _sink_components(g._delta)
 
 
-def _reachable(delta: np.ndarray, starts) -> np.ndarray:
-    """Mask of the states reachable from ``starts`` along ``delta`` (starts included)."""
-    seen = np.zeros(delta.shape[0], dtype=bool)
-    frontier = np.unique(np.asarray(starts, dtype=np.int64))
-    seen[frontier] = True
-    while frontier.size:
-        frontier = np.unique(delta[frontier])
-        frontier = frontier[~seen[frontier]]
-        seen[frontier] = True
-    return seen
+def _reachable(delta: np.ndarray, start: int) -> list[int]:
+    """States reachable from ``start`` along ``delta``, ``start`` first, in
+    breadth-first discovery order with symbols explored in alphabet order."""
+    succ = delta.tolist()
+    seen = [False] * len(succ)
+    seen[start] = True
+    order = [start]
+    for q in order:  # also visits the states appended while it runs
+        for t in succ[q]:
+            if not seen[t]:
+                seen[t] = True
+                order.append(t)
+    return order
 
 
 def _renumber(delta: np.ndarray, keep) -> np.ndarray:
@@ -349,30 +352,6 @@ def _restrict(g: Pfsa, keep) -> Pfsa:
     transition table, which the constructor rejects."""
     return Pfsa(g.alphabet, [g.states[i] for i in keep], _renumber(g._delta, keep),
                 g._morph[keep, :])
-
-
-def closed_restrictions(g: Pfsa) -> list[Pfsa]:
-    """All restrictions to nonempty delta-closed state subsets, ``g`` included.
-
-    Every closed subset is a union of single-state forward closures, so the
-    enumeration unions closures until no new subset appears.  Output is
-    sorted by size, then by state names.
-    """
-    base = {frozenset(np.flatnonzero(_reachable(g._delta, [q])).tolist())
-            for q in range(g.n_states)}
-    closed = set(base)
-    frontier = list(base)
-    while frontier:
-        fresh = []
-        for c in frontier:
-            for b in base:
-                u = c | b
-                if u not in closed:
-                    closed.add(u)
-                    fresh.append(u)
-        frontier = fresh
-    subsets = sorted(closed, key=lambda c: (len(c), sorted(g.states[i] for i in c)))
-    return [_restrict(g, sorted(c)) for c in subsets]
 
 
 def minimal_closed_restriction(g: Pfsa) -> Pfsa:
@@ -543,13 +522,13 @@ def belief_update(g: Pfsa, belief: np.ndarray, sigma) -> np.ndarray:
     return _freeze(w / total)
 
 
-def belief_from_string(g: Pfsa, symbols, start: np.ndarray | None = None) -> np.ndarray:
+def belief_from_string(g: Pfsa, symbols) -> np.ndarray:
     """Fold :func:`belief_update` over ``symbols``.
 
     The fold starts at the stationary distribution — the no-initial-state
     convention: any past could have preceded the observation window.
     """
-    b = stationary_distribution(g) if start is None else start
+    b = stationary_distribution(g)
     for j in g.to_indices(symbols):
         b = belief_update(g, b, int(j))
     return b
@@ -647,22 +626,9 @@ def canonicalize(g: Pfsa) -> Pfsa:
     states (possible before restriction) follow in name order.  Gives
     deterministic file round-trips independent of construction history.
     """
-    start = g.state_index(min(g.states))
-    seen = {start}
-    order = [start]
-    head = 0
-    while head < len(order):
-        q = order[head]
-        head += 1
-        for j in range(g.n_symbols):
-            t = int(g._delta[q, j])
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-    for q in sorted(range(g.n_states), key=lambda i: g.states[i]):
-        if q not in seen:
-            seen.add(q)
-            order.append(q)
+    order = _reachable(g._delta, g.state_index(min(g.states)))
+    seen = set(order)
+    order += [q for q in sorted(range(g.n_states), key=g.states.__getitem__) if q not in seen]
     return _restrict(g, order)
 
 

@@ -46,7 +46,7 @@ from .pfsa import (
     stationary_distribution,
     structurally_equal,
 )
-from .simplex import pscale, psum
+from .simplex import log_ratios, pscale, psum
 from .sync import _pair_delta, _reset_word, joint_epsilon_synchronize, product_machine
 
 ZERO_NORM_TOL = 1e-12
@@ -207,7 +207,8 @@ def _pair_sink(g: Pfsa, h: Pfsa):
     if len(sinks) == 1:
         return delta, sinks[0]
     rg, rh, _ = joint_epsilon_synchronize(g, h, DEFAULT_MC_EPS)
-    seen = _reachable(delta, [g.state_index(rg.state) * h.n_states + h.state_index(rh.state)])
+    seen = np.zeros(delta.shape[0], dtype=bool)
+    seen[_reachable(delta, g.state_index(rg.state) * h.n_states + h.state_index(rh.state))] = True
     reachable = [s for s in sinks if seen[s].any()]
     if len(reachable) != 1:
         raise MultipleRecurrentClasses(
@@ -257,9 +258,7 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
     check_same_alphabet(g, h)
     delta, keep = _pair_sink(g, h)
     rho = _stationary(delta, 1.0 / g.n_symbols, keep)
-    lg = np.diff(np.log(g._morph), axis=1)
-    lh = np.diff(np.log(h._morph), axis=1)
-    pairwise = lg @ lh.T
+    pairwise = log_ratios(g._morph) @ log_ratios(h._morph).T
     value = float(np.sum(rho.reshape(g.n_states, h.n_states) * pairwise))
     return InnerEstimate(value=value, std_error=0.0, mode="exact", walks=0, walk_length=0)
 
@@ -308,8 +307,7 @@ def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> n
     tables, terms, x = [], [], []
     offset = 0
     for (g, h), (i, j) in zip(pairs, starts):
-        lg = np.diff(np.log(g._morph), axis=1)
-        lh = np.diff(np.log(h._morph), axis=1)
+        lg, lh = log_ratios(g._morph), log_ratios(h._morph)
         terms.append(np.einsum("rs,rs->r", np.repeat(lg, h.n_states, axis=0),
                                np.tile(lh, (g.n_states, 1))))
         tables.append(_pair_delta(g, h) + offset)
@@ -359,7 +357,7 @@ def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seeds) ->
     ridx = np.arange(rows)
     acc = np.zeros(rows)
     for s in _walk_symbols(seeds, n_pairs, walk_length, repeats, k):
-        d = np.diff(np.log(np.einsum("xrq,xrsq->xrs", b, emit)), axis=2)
+        d = log_ratios(np.einsum("xrq,xrsq->xrs", b, emit))
         acc += np.einsum("rs,rs->r", d[0], d[1])
         b = np.bincount(dest[:, ridx, s].ravel(), (b * emit[:, ridx, s]).ravel(),
                         minlength=b.size).reshape(b.shape)
@@ -367,7 +365,7 @@ def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seeds) ->
     return (acc / walk_length).reshape(n_pairs, repeats)
 
 
-def _mc_estimates(pairs, eps, walk_length, repeats, seed, max_depth) -> list[InnerEstimate]:
+def _mc_estimates(pairs, eps, walk_length, repeats, seed) -> list[InnerEstimate]:
     """Monte Carlo estimates of ``<p, q>`` for each ``(p, q)`` in ``pairs``.
 
     The kernel is chosen per pair.  A pair with a :func:`reset_word` starts
@@ -392,7 +390,7 @@ def _mc_estimates(pairs, eps, walk_length, repeats, seed, max_depth) -> list[Inn
                 gi, hj = int(g._delta[gi, s]), int(h._delta[hj, s])
             point.append((i, (gi, hj)))
         else:
-            _, _, string = joint_epsilon_synchronize(g, h, eps, max_depth)
+            _, _, string = joint_epsilon_synchronize(g, h, eps)
             belief.append((i, (belief_from_string(g, string), belief_from_string(h, string))))
     pair_seqs = np.random.SeedSequence(seed).spawn(len(pairs))
     means = [None] * len(pairs)
@@ -418,7 +416,6 @@ def inner_mc(
     walk_length: int = 10_000,
     repeats: int = 20,
     seed=42,
-    max_depth: int | None = None,
 ) -> InnerEstimate:
     """Monte Carlo inner product along uniformly random symbol walks.
 
@@ -429,11 +426,11 @@ def inner_mc(
     it leads to and follow integer pair states: the belief after the word
     is a point mass and deterministic transitions keep it one, so this is
     the belief recursion itself, not an approximation.  Otherwise a jointly
-    epsilon-synchronizing string (to ``1 - eps``, within ``max_depth``)
-    pins both beliefs, which then move together along ``delta`` and are
-    renormalized at every step, so long walks on sharply peaked rows stay
-    finite.  The estimate and its standard error come from the per-walk
-    means, reduced in a fixed order.
+    epsilon-synchronizing string (to ``1 - eps``, within 64 times the
+    larger state count) pins both beliefs, which then move together along
+    ``delta`` and are renormalized at every step, so long walks on sharply
+    peaked rows stay finite.  The estimate and its standard error come from
+    the per-walk means, reduced in a fixed order.
 
     Raises
     ------
@@ -441,27 +438,15 @@ def inner_mc(
         Propagated from the synchronization search, which runs only for
         operands without a reset word.
     """
-    return _mc_estimates([(p, q)], eps, walk_length, repeats, seed, max_depth)[0]
-
-
-def inner(p: ProcessHandle, q: ProcessHandle, mode: str = "exact", **mc_options) -> InnerEstimate:
-    """Dispatch to :func:`inner_exact` or :func:`inner_mc` by ``mode``."""
-    if mode == "exact":
-        if mc_options:
-            raise ValueError("exact mode takes no Monte Carlo options")
-        return inner_exact(p, q)
-    if mode == "mc":
-        return inner_mc(p, q, **mc_options)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _mc_estimates([(p, q)], eps, walk_length, repeats, seed)[0]
 
 
 # ---------------------------------------------------------------------------
 # norms and angles
 
-def process_norm(p: ProcessHandle, mode: str = "exact", **mc_options) -> float:
-    """Norm induced by the process inner product: ``sqrt(<p, p>)``."""
-    est = inner(p, p, mode=mode, **mc_options)
-    return math.sqrt(max(est.value, 0.0))
+def process_norm(p: ProcessHandle) -> float:
+    """Norm induced by the process inner product: ``sqrt(<p, p>)``, exactly."""
+    return math.sqrt(max(inner_exact(p, p).value, 0.0))
 
 
 def angle_mc_estimate(
@@ -471,7 +456,6 @@ def angle_mc_estimate(
     walk_length: int = 10_000,
     repeats: int = 20,
     seed=42,
-    max_depth: int | None = None,
 ) -> AngleEstimate:
     """Monte Carlo angle with a cosine-level standard error.
 
@@ -487,7 +471,7 @@ def angle_mc_estimate(
         Propagated from the synchronization search, which runs only for
         pairs without a reset word.
     """
-    ip, n1, n2 = _mc_estimates([(p, q), (p, p), (q, q)], eps, walk_length, repeats, seed, max_depth)
+    ip, n1, n2 = _mc_estimates([(p, q), (p, p), (q, q)], eps, walk_length, repeats, seed)
     if n1.value <= ZERO_NORM_TOL**2 or n2.value <= ZERO_NORM_TOL**2:
         raise ZeroNorm("angle undefined against a zero-norm process")
     denom = math.sqrt(n1.value * n2.value)
@@ -508,21 +492,15 @@ def angle_mc_estimate(
     )
 
 
-def angle(p: ProcessHandle, q: ProcessHandle, mode: str = "exact", **mc_options) -> float:
-    """Angle between two processes, in radians.
-
-    Exact mode uses closed-form inner products; Monte Carlo mode accepts
-    ``eps``, ``walk_length``, ``repeats`` and ``seed``.
+def angle(p: ProcessHandle, q: ProcessHandle) -> float:
+    """Angle between two processes, in radians, from closed-form inner
+    products (:func:`angle_mc_estimate` is the Monte Carlo route).
 
     Raises
     ------
     ZeroNorm
         If either operand has norm below 1e-12 (the zero process).
     """
-    if mode == "mc":
-        return angle_mc_estimate(p, q, **mc_options).angle
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     return _angle_from(process_norm(p), process_norm(q), lambda: inner_exact(p, q).value)
 
 

@@ -144,7 +144,8 @@ def log_ratios(a: ProbVec) -> np.ndarray:
 
     This is the linear chart in which :func:`psum` is vector addition,
     :func:`pscale` is scalar multiplication and :func:`log_inner` is the
-    ordinary dot product.
+    ordinary dot product.  A 2-D or higher array is charted row by row
+    (along its last axis).
     """
     return -np.diff(np.log(a))
 
@@ -168,7 +169,7 @@ def log_inner(a: ProbVec, b: ProbVec) -> float:
     positive definite with the uniform vector as the unique null vector.
     """
     _check_same_dim(a, b)
-    return float(np.dot(np.diff(np.log(a)), np.diff(np.log(b))))
+    return float(np.dot(log_ratios(a), log_ratios(b)))
 
 
 def pnorm(a: ProbVec) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AlphabetMismatch, StreamTooShort, ZeroNorm
 from .pfsa import Pfsa, generate_sequence
-from .simplex import ProbVec, _freeze
+from .simplex import ProbVec, _freeze, log_ratios
 
 STREAM_ZERO_NORM_TOL = 1e-9
 
@@ -192,9 +192,7 @@ def table_inner(t1: DerivativeTable, t2: DerivativeTable) -> float:
         raise AlphabetMismatch(f"alphabets differ: {t1.alphabet} vs {t2.alphabet}")
     if t1.depth != t2.depth:
         raise ValueError(f"depths differ: {t1.depth} vs {t2.depth}")
-    d1 = np.diff(np.log(t1.probs), axis=1)
-    d2 = np.diff(np.log(t2.probs), axis=1)
-    return float((d1 * d2).sum() / t1.probs.shape[0])
+    return float((log_ratios(t1.probs) * log_ratios(t2.probs)).sum() / t1.probs.shape[0])
 
 
 def table_norm(t: DerivativeTable) -> float:

@@ -7,8 +7,8 @@ epsilon, but no length bound is available, so the search is best-first
 with an explicit depth budget and reports :class:`DepthExceeded` (with the
 best certificate found) when the budget runs out.
 
-Joint synchronization drives several machines with the same string and
-ranks frontier entries by the worst of the per-machine belief peaks.
+Joint synchronization drives two machines with the same string and ranks
+frontier entries by the lower of their belief peaks.
 
 A reset word is the exact case: a word that sends every state of a machine
 to one state, so the belief after it is a point mass whatever the start.
@@ -176,19 +176,17 @@ def _certificates(machines, string_idx, beliefs, depth: int):
     return tuple(results), string
 
 
-def _frontier_search(machines, eps: float, max_depth: int | None):
+def _frontier_search(machines: tuple, eps: float, max_depth: int | None):
     """Best-first search over strings, ranked by the worst belief peak.
 
-    The machines share one alphabet; ``max_depth`` defaults to 64 times
-    the largest state count.  Beliefs quantized to 1e-12 deduplicate
-    revisited frontier entries (the future depends on the beliefs alone).
-    Ties in score break toward the lexicographically smallest string in
-    alphabet order.  Certificates are read off the beliefs each entry
-    carries, folded by :func:`belief_update` from the stationary start.
+    ``machines`` is a nonempty tuple of machines sharing one alphabet;
+    ``max_depth`` defaults to 64 times the largest state count.  Beliefs
+    quantized to 1e-12 deduplicate revisited frontier entries (the future
+    depends on the beliefs alone).  Ties in score break toward the
+    lexicographically smallest string in alphabet order.  Certificates are
+    read off the beliefs each entry carries, folded by
+    :func:`belief_update` from the stationary start.
     """
-    machines = tuple(machines)
-    if not machines:
-        raise ValueError("need at least one machine")
     for m in machines[1:]:
         check_same_alphabet(machines[0], m)
     if max_depth is None:
@@ -262,10 +260,3 @@ def joint_epsilon_synchronize(
     """
     (rg, rh), string = _frontier_search((g, h), eps, max_depth)
     return rg, rh, string
-
-
-def joint_epsilon_synchronize_many(
-    machines, eps: float, max_depth: int | None = None
-) -> tuple[tuple[SyncResult, ...], tuple[str, ...]]:
-    """Joint synchronization of any finite family over one alphabet."""
-    return _frontier_search(machines, eps, max_depth)

@@ -166,6 +166,20 @@ class TestInnerAndAngle:
         code, _, err = run(capsys, "angle", g2_path, str(zero))
         assert code == 1 and "ZeroNorm" in err
 
+    @pytest.mark.parametrize("command", ["inner", "angle"])
+    @pytest.mark.parametrize("option", [("--eps", "1e-3"), ("--walk-length", "5"),
+                                        ("--repeats", "3"), ("--seed", "1")])
+    @pytest.mark.parametrize("mode", [(), ("--mode", "exact")])
+    def test_exact_mode_rejects_monte_carlo_options(self, capsys, g2_path, command, option, mode):
+        code, out, err = run(capsys, command, g2_path, g2_path, *mode, *option)
+        assert (code, out, err) == (2, "", "error: exact mode takes no Monte Carlo options\n")
+
+    @pytest.mark.parametrize("command", ["inner", "angle"])
+    def test_mc_mode_fills_unset_options_with_defaults(self, capsys, g2_path, command):
+        code, out, _ = run(capsys, command, g2_path, g2_path, "--mode", "mc", "--walk-length", "50")
+        assert code == 0
+        assert out.splitlines()[0] == "# seed=42 eps=1e-06 walk_length=50 repeats=20"
+
     def test_determinism_across_runs(self, capsys, g2_path):
         args = ("inner", g2_path, g2_path, "--mode", "mc",
                 "--walk-length", "400", "--repeats", "4", "--seed", "5")

@@ -12,7 +12,6 @@ from procgeom import (
     PfsaFormatError,
     belief_from_string,
     belief_update,
-    closed_restrictions,
     canonicalize,
     format_pfsa,
     generate_sequence,
@@ -28,7 +27,7 @@ from procgeom import (
     word_probability,
     write_pfsa,
 )
-from procgeom.pfsa import _JUMP_TABLE_ENTRIES, ROW_SUM_TOL, _sink_components, _tarjan_sccs
+from procgeom.pfsa import _JUMP_TABLE_ENTRIES, ROW_SUM_TOL, _reachable, _sink_components, _tarjan_sccs
 from conftest import (
     make_feed3,
     make_g2,
@@ -293,40 +292,6 @@ class TestWordProbability:
             assert abs(total - word_probability(g, w)) < 1e-10
 
 
-class TestClosedRestrictions:
-    def test_g2_only_itself(self, g2):
-        subs = closed_restrictions(g2)
-        assert len(subs) == 1
-        assert structurally_equal(subs[0], g2)
-
-    def test_absorbing_state_included(self):
-        g = Pfsa(
-            ["0", "1"],
-            ["s", "t"],
-            {"s": {"0": "s", "1": "s"}, "t": {"0": "s", "1": "t"}},
-            {"s": [0.5, 0.5], "t": [0.4, 0.6]},
-        )
-        subs = closed_restrictions(g)
-        assert [set(h.states) for h in subs] == [{"s"}, {"s", "t"}]
-
-    def test_single_state(self):
-        assert len(closed_restrictions(make_single())) == 1
-
-    def test_brute_force_oracle(self, t3):
-        # oracle: check every nonempty subset for closure directly
-        g = make_feed3()
-        for g in (g, t3):
-            expected = []
-            idx = range(g.n_states)
-            for r in range(1, g.n_states + 1):
-                for sub in itertools.combinations(idx, r):
-                    ok = all(g._delta[i, j] in sub for i in sub for j in range(g.n_symbols))
-                    if ok:
-                        expected.append(set(g.states[i] for i in sub))
-            got = [set(h.states) for h in closed_restrictions(g)]
-            assert sorted(map(sorted, got)) == sorted(map(sorted, expected))
-
-
 def sink_components_loop(delta):
     """Per-edge reference: a component is a sink if every edge stays in it."""
     succ = [sorted(set(row)) for row in delta.tolist()]
@@ -500,6 +465,24 @@ class TestCanonicalize:
     def test_idempotent(self, u3):
         once = canonicalize(u3)
         assert structurally_equal(once, canonicalize(once))
+
+    def test_unreachable_states_follow_in_name_order(self):
+        g = Pfsa(
+            ["0", "1"],
+            ["n", "m", "z", "a"],
+            {"n": {"0": "a", "1": "z"}, "m": {"0": "z", "1": "a"},
+             "z": {"0": "a", "1": "z"}, "a": {"0": "z", "1": "a"}},
+            {"n": [0.5, 0.5], "m": [0.5, 0.5], "z": [0.55, 0.45], "a": [0.4, 0.6]},
+        )
+        assert canonicalize(g).states == ("a", "z", "m", "n")
+
+    def test_reachable_in_breadth_first_order(self):
+        # depth-first order would be 0 3 5 1 4 2, index order 0 1 2 3 4 5
+        delta = np.array([[3, 1, 3], [4, 0, 2], [2, 2, 2], [5, 1, 0],
+                          [4, 4, 4], [5, 5, 5], [0, 0, 0]])
+        assert _reachable(delta, 0) == [0, 3, 1, 5, 4, 2]
+        assert _reachable(delta, 6) == [6, 0, 3, 1, 5, 4, 2]
+        assert _reachable(delta, 2) == [2]
 
 
 class TestGenerate:

@@ -15,7 +15,6 @@ from procgeom import (
     belief_update,
     fdd_distance,
     format_pfsa,
-    inner,
     inner_exact,
     inner_mc,
     minimal_closed_restriction,
@@ -28,7 +27,7 @@ from procgeom import (
     zero_process,
 )
 from procgeom.process import _batched_pair_walks, _pair_state_walks
-from conftest import make_t3
+from conftest import make_feed3, make_t3
 
 
 @pytest.fixture
@@ -322,11 +321,6 @@ class TestInnerMc:
         assert est.walks == 5 and est.walk_length == 800
         assert est.std_error > 0.0
 
-    def test_dispatcher(self, G, M):
-        assert inner(G, M).value == inner_exact(G, M).value
-        mc = inner(G, M, mode="mc", walk_length=500, repeats=4, seed=2)
-        assert mc.mode == "monte-carlo"
-
     @pytest.mark.parametrize("fixture", ["g2", "t3"])
     def test_sharply_peaked_rows_stay_finite(self, request, fixture):
         # at alpha = 60 the rows are nearly deterministic, so a belief left
@@ -502,7 +496,65 @@ class TestNormAndAngle:
 
     def test_mc_angle_zero_norm_rejected(self, G):
         with pytest.raises(ZeroNorm):
-            angle(G, zero_process(G.alphabet), mode="mc", walk_length=200, repeats=3, seed=0)
+            angle_mc_estimate(G, zero_process(G.alphabet), walk_length=200, repeats=3, seed=0)
+
+
+class TestOneEntryPerRoute:
+    def test_exact_angle_and_norm_take_no_monte_carlo_options(self, G, M):
+        with pytest.raises(TypeError):
+            angle(G, M, walk_length=10)
+        with pytest.raises(TypeError):
+            process_norm(G, mode="mc")
+
+    def test_angle_makes_three_exact_inner_products(self, G, M, monkeypatch):
+        # two norms and one cross pair: the call pattern the benchmark's
+        # tracer counts
+        import procgeom.process as process
+
+        calls = []
+        original = process.inner_exact
+
+        def counted(p, q):
+            calls.append((p.label, q.label))
+            return original(p, q)
+
+        monkeypatch.setattr(process, "inner_exact", counted)
+        angle(G, M)
+        assert sorted(calls) == [("G", "G"), ("G", "M"), ("M", "M")]
+
+
+@pytest.mark.parametrize("pair", [("t3", "g2"), ("g2", "t3"), ("feed3", "g2")])
+def test_one_sink_of_non_synchronizing_operands_needs_no_joint_search(request, monkeypatch, pair):
+    # t3 and feed3 permute their closed states, so no word synchronizes
+    # them, yet paired with g2 the whole pair chain is one sink component:
+    # the single-sink rule picks it and no joint search runs
+    import procgeom.process as process
+    from procgeom.sync import _pair_delta
+
+    def machine(name):
+        return make_feed3() if name == "feed3" else request.getfixturevalue(name)
+
+    p, q = (as_process(machine(name), name) for name in pair)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("joint search ran")
+
+    monkeypatch.setattr(process, "joint_epsilon_synchronize", no_search)
+    value = inner_exact(p, q).value
+    total = sum_processes(p, q)
+    assert validate(total.machine).valid
+
+    g, h = p.machine, q.machine
+    delta = _pair_delta(g, h)
+    m = delta.shape[0]
+    chain = np.zeros((m, m))
+    np.add.at(chain, (np.arange(m)[:, None], delta), 1.0 / g.n_symbols)
+    w, v = np.linalg.eig(chain.T)
+    rho = np.real(v[:, np.argmin(np.abs(w - 1.0))])
+    rho /= rho.sum()
+    assert rho.min() > 0.0  # the whole pair chain is the sink
+    pairwise = np.diff(np.log(g._morph), axis=1) @ np.diff(np.log(h._morph), axis=1).T
+    assert abs(value - float(rho @ pairwise.ravel())) <= 1e-12
 
 
 def test_start_reaching_two_pair_sinks_is_not_ergodic(monkeypatch):

@@ -9,7 +9,6 @@ from procgeom import (
     belief_from_string,
     epsilon_synchronize,
     joint_epsilon_synchronize,
-    joint_epsilon_synchronize_many,
     product_machine,
     psum,
     reset_word,
@@ -55,8 +54,8 @@ class TestCertificatesReplay:
         res = epsilon_synchronize(g, eps)
         assert_replays(g, res, res.string)
         partner = make_u3() if g.n_symbols == 3 else make_m2()
-        results, string = joint_epsilon_synchronize_many((g, partner), eps)
-        for machine, r in zip((g, partner), results):
+        rg, rh, string = joint_epsilon_synchronize(g, partner, eps)
+        for machine, r in zip((g, partner), (rg, rh)):
             assert_replays(machine, r, string)
 
     def test_depth_exceeded_best(self):
@@ -181,15 +180,6 @@ class TestJointSynchronize:
         tenth = scale_process(0.1, p).machine
         rg, rh, string = joint_epsilon_synchronize(g2, tenth, 1e-6, max_depth=128)
         for machine, res in ((g2, rg), (tenth, rh)):
-            replay = float(belief_from_string(machine, string).max())
-            assert replay >= 1.0 - 1e-6
-            assert replay == pytest.approx(res.achieved, abs=1e-12)
-
-    def test_three_machines(self, g2, m2):
-        p = as_process(g2, "G")
-        machines = (g2, scale_process(0.1, p).machine, m2)
-        results, string = joint_epsilon_synchronize_many(machines, 1e-6)
-        for machine, res in zip(machines, results):
             replay = float(belief_from_string(machine, string).max())
             assert replay >= 1.0 - 1e-6
             assert replay == pytest.approx(res.achieved, abs=1e-12)
