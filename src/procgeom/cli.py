@@ -114,7 +114,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_wordprob(args) -> int:
     g = _load_valid(args.model)
-    print(_fmt(word_probability(g, _parse_word(g, args.word))))
+    word = _parse_word(g, args.word)
+    for sym in word:
+        if sym not in g.alphabet:
+            raise ValueError(f"symbol {sym!r} not in alphabet {' '.join(g.alphabet)}")
+    print(_fmt(word_probability(g, word)))
     return 0
 
 
@@ -188,6 +192,10 @@ def _parse_pvec_option(text: str):
 
 
 def _cmd_geodesic_chart(args) -> int:
+    if not np.isfinite(args.extend):
+        raise ValueError(f"--extend must be finite, got {args.extend}")
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     endpoints = (args.p0, args.p1, args.q0, args.q1)
     if all(e is None for e in endpoints):
         # two orthogonal lines through the uniform center of the 2-simplex

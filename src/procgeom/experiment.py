@@ -20,7 +20,13 @@ import numpy as np
 from .errors import DepthExceeded, NotErgodic, ZeroNorm
 from .pfsa import Pfsa
 from .process import ProcessHandle, _angle_from, as_process, inner_exact, scale_process
-from .streams import estimate_derivatives, stream_from_model, stream_stats, table_angle
+from .streams import (
+    _check_smoothing,
+    estimate_derivatives,
+    stream_from_model,
+    stream_stats,
+    table_angle,
+)
 
 DEFAULT_SCALES = (1.0, -1.0, 0.1, -0.1, 0.0)
 
@@ -115,7 +121,15 @@ class ExperimentReport:
 
 
 def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = ExperimentConfig()) -> ExperimentReport:
-    """Build the scaled model family, stream from it, and measure angles."""
+    """Build the scaled model family, stream from it, and measure angles.
+
+    Raises
+    ------
+    ValueError
+        If ``config.smoothing`` is not a finite positive number; checked
+        before any model is built or sampled.
+    """
+    _check_smoothing(config.smoothing)
     base_p = base if isinstance(base, ProcessHandle) else as_process(base, label="G")
     models = tuple(scale_process(a, base_p) for a in config.scales)
     labels = tuple(f"{a:g}G" for a in config.scales)

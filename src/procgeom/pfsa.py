@@ -337,6 +337,29 @@ def _reachable(delta: np.ndarray, start: int) -> list[int]:
     return order
 
 
+def _all_reach(delta: np.ndarray, target: int) -> bool:
+    """Whether every state reaches ``target`` along ``delta``.
+
+    A breadth-first search backwards from ``target``: the predecessors of
+    each state are one run of a stable argsort of the targets, so the
+    search costs O(states * symbols) on any graph.
+    """
+    n, k = delta.shape
+    flat = delta.ravel()
+    by_target = np.argsort(flat, kind="stable")
+    preds = (by_target // k).tolist()
+    bounds = np.searchsorted(flat[by_target], np.arange(n + 1)).tolist()
+    seen = [False] * n
+    seen[target] = True
+    order = [target]
+    for q in order:  # also visits the states appended while it runs
+        for p in preds[bounds[q]:bounds[q + 1]]:
+            if not seen[p]:
+                seen[p] = True
+                order.append(p)
+    return len(order) == n
+
+
 def _renumber(delta: np.ndarray, keep) -> np.ndarray:
     """Rows ``keep`` of ``delta`` with every target renumbered to its
     position in ``keep``; a target outside ``keep`` becomes -1."""

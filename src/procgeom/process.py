@@ -32,6 +32,7 @@ import numpy as np
 from .errors import MultipleRecurrentClasses, ZeroNorm
 from .pfsa import (
     Pfsa,
+    _all_reach,
     _reachable,
     _restrict,
     _sink_components,
@@ -129,8 +130,16 @@ def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
     The sum tracks both operands along one shared symbol stream, so its
     states are pairs moved componentwise and its rows are the simplex sums
     of the operand rows.  It lives on the closed component of the pair
-    structure that :func:`inner_exact` averages over (see there for how
-    that component is picked).
+    structure that :func:`inner_exact` averages over, picked by the first
+    rule that applies:
+
+    1. a process added to itself: the diagonal, which is closed;
+    2. every pair state reaches one candidate state ``x``: the states
+       reachable from ``x``.  Every sink component is closed and holds a
+       state reaching ``x``, so each holds ``x``, and the sink is unique;
+    3. a single sink component, found by a search over all pair states;
+    4. otherwise the one sink reachable from the start a joint
+       synchronization run pins.
 
     Raises
     ------
@@ -189,8 +198,15 @@ def _pair_sink(g: Pfsa, h: Pfsa):
        search.  Operands are in normal form, so strongly connected, which
        makes the diagonal a closed component: the single sink if the
        process synchronizes, where the synchronized walk begins if not.
-    2. One sink component: that component.
-    3. Otherwise a joint synchronization pins the start, and the component
+    2. Every pair state reaches the candidate ``x``, the last state found
+       by a breadth-first search from pair state 0: the states reachable
+       from ``x``.  Every sink component is closed and holds a state that
+       reaches ``x``, so each holds ``x``; the sink is unique and is the
+       set reachable from ``x``.  The check is one backward search and
+       needs no synchronization.
+    3. One sink component, found by a search over all pair states: that
+       component.
+    4. Otherwise a joint synchronization pins the start, and the component
        is the one sink reachable from it.
 
     Raises
@@ -203,6 +219,9 @@ def _pair_sink(g: Pfsa, h: Pfsa):
     delta = _pair_delta(g, h)
     if g is h or structurally_equal(g, h):
         return delta, [i * h.n_states + i for i in range(g.n_states)]
+    x = _reachable(delta, 0)[-1]
+    if _all_reach(delta, x):
+        return delta, sorted(_reachable(delta, x))
     sinks = _sink_components(delta)
     if len(sinks) == 1:
         return delta, sinks[0]
@@ -225,13 +244,17 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
     the stationary distribution of the uniformly driven pair chain — the
     deterministic value of the walk-average definition.
 
-    When the full pair chain has several sink components, only the part
-    reachable from the jointly synchronized start matters (the walk begins
-    there).  A process paired with itself starts on the diagonal, which is
-    closed, so no search is needed; otherwise a joint synchronization run
-    pins the start.  The value is ambiguous only if several sinks remain
-    reachable from it.  :func:`sum_processes` picks its component by the
-    same rule.
+    The component averaged over is picked by the first rule that applies
+    (:func:`sum_processes` uses the same rules):
+
+    1. a process paired with itself: the diagonal, which is closed;
+    2. every pair state reaches one candidate state ``x``: the states
+       reachable from ``x``.  Every sink component is closed and holds a
+       state reaching ``x``, so each holds ``x``, and the sink is unique;
+    3. a single sink component, found by a search over all pair states;
+    4. otherwise the one sink reachable from the start a joint
+       synchronization run pins (the walk begins there).  The value is
+       ambiguous only if several sinks remain reachable from it.
 
     The closed form evaluates the walk limit under the synchronized-state
     idealization; it is exact whenever some word merges all states (the

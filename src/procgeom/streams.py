@@ -144,6 +144,14 @@ class DerivativeTable:
         return int(self.counts[self._context_index(context)])
 
 
+def _check_smoothing(smoothing: float) -> None:
+    """Reject a smoothing that is not a finite positive number: NaN or
+    infinity would make every estimate NaN, and a stream's angle with
+    itself would come out as pi."""
+    if not (math.isfinite(smoothing) and smoothing > 0.0):
+        raise ValueError(f"smoothing must be finite and > 0, got {smoothing!r}")
+
+
 def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) -> DerivativeTable:
     """Sliding-window estimates of next-symbol distributions per context.
 
@@ -153,13 +161,15 @@ def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) ->
 
     Raises
     ------
+    ValueError
+        If ``depth`` is negative or ``smoothing`` is not a finite positive
+        number.
     StreamTooShort
         If the stream has no window of length ``depth + 1``.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if smoothing <= 0.0:
-        raise ValueError("smoothing must be > 0")
+    _check_smoothing(smoothing)
     k = len(s.alphabet)
     n = len(s)
     if n <= depth:

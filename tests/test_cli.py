@@ -118,6 +118,12 @@ class TestGenerateAndWordprob:
         code, out, _ = run(capsys, "wordprob", g2_path, "")
         assert code == 0 and float(out.strip()) == 1.0
 
+    @pytest.mark.parametrize("word, symbol", [("2", "'2'"), ("0 x", "'x'"), ("012", "'2'")])
+    def test_wordprob_symbol_outside_alphabet_exits_two(self, capsys, g2_path, word, symbol):
+        code, out, err = run(capsys, "wordprob", g2_path, word)
+        assert (code, out) == (2, "")
+        assert err == f"error: symbol {symbol} not in alphabet 0 1\n"
+
 
 class TestSync:
     def test_g2(self, capsys, g2_path):
@@ -220,6 +226,15 @@ class TestGeodesicChart:
         code, _, err = run(capsys, "geodesic-chart", "--p0", "0.5,0.5")
         assert code == 2 and "all of" in err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--extend", "nan", "error: --extend must be finite, got nan\n"),
+        ("--extend", "inf", "error: --extend must be finite, got inf\n"),
+        ("--samples", "-3", "error: --samples must be >= 0, got -3\n"),
+    ])
+    def test_bad_option_is_named(self, capsys, option, value, message):
+        code, out, err = run(capsys, "geodesic-chart", f"{option}={value}")
+        assert (code, out, err) == (2, "", message)
+
 
 class TestEstimate:
     def test_table_csv(self, capsys, g2_path, tmp_path):
@@ -245,6 +260,14 @@ class TestEstimate:
         stream.write_text("\n")
         code, _, err = run(capsys, "estimate", str(stream), "--depth", "1")
         assert code == 1 and "StreamTooShort" in err
+
+    @pytest.mark.parametrize("smoothing", ["nan", "inf", "-inf"])
+    def test_non_finite_smoothing_exits_two(self, capsys, tmp_path, smoothing):
+        stream = tmp_path / "s.txt"
+        stream.write_text("0110100110010110\n")
+        code, out, err = run(capsys, "estimate", str(stream), "--depth", "1", f"--smoothing={smoothing}")
+        assert (code, out) == (2, "")
+        assert err == f"error: smoothing must be finite and > 0, got {float(smoothing)!r}\n"
 
 
 class TestExperiment:
@@ -278,6 +301,15 @@ class TestExperiment:
         rows = [line.split(",") for line in (outdir / "model_angles.csv").read_text().splitlines()]
         assert rows[2][2] == "" and rows[3][1] == ""
         assert float(rows[2][1]) == 0.0
+
+    @pytest.mark.parametrize("smoothing", ["nan", "inf"])
+    def test_non_finite_smoothing_exits_two(self, capsys, g2_path, tmp_path, smoothing):
+        outdir = tmp_path / "exp"
+        code, out, err = run(capsys, "experiment", g2_path, "--length", "2000",
+                             f"--smoothing={smoothing}", "--outdir", str(outdir))
+        assert (code, out) == (2, "")
+        assert err == f"error: smoothing must be finite and > 0, got {float(smoothing)!r}\n"
+        assert not outdir.exists()
 
     def test_mc_angle_at_defaults_is_unchanged(self, capsys, g2_path, tmp_path):
         neg = tmp_path / "neg.pfsa"

@@ -35,6 +35,18 @@ class TestNoiseExperiment:
         assert not rep.zero_norm[i["1G"]]
         assert np.isnan(rep.model_angles[i["0G"], i["1G"]])
 
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
+    def test_non_finite_smoothing_rejected_before_any_work(self, g2, monkeypatch, smoothing):
+        import procgeom.experiment as experiment
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(experiment, "inner_exact", no_work)
+        monkeypatch.setattr(experiment, "stream_from_model", no_work)
+        with pytest.raises(ValueError, match="smoothing must be finite and > 0"):
+            run_noise_experiment(g2, small_config(smoothing=smoothing))
+
     def test_each_norm_and_each_pair_solved_once(self, g2, monkeypatch):
         import procgeom.experiment as experiment
 

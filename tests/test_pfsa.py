@@ -27,7 +27,14 @@ from procgeom import (
     word_probability,
     write_pfsa,
 )
-from procgeom.pfsa import _JUMP_TABLE_ENTRIES, ROW_SUM_TOL, _reachable, _sink_components, _tarjan_sccs
+from procgeom.pfsa import (
+    _JUMP_TABLE_ENTRIES,
+    ROW_SUM_TOL,
+    _all_reach,
+    _reachable,
+    _sink_components,
+    _tarjan_sccs,
+)
 from conftest import (
     make_feed3,
     make_g2,
@@ -483,6 +490,28 @@ class TestCanonicalize:
         assert _reachable(delta, 0) == [0, 3, 1, 5, 4, 2]
         assert _reachable(delta, 6) == [6, 0, 3, 1, 5, 4, 2]
         assert _reachable(delta, 2) == [2]
+
+    def test_all_reach_searches_backwards_from_the_target(self):
+        # state 6 has no predecessor; 2, 4 and 5 are absorbing
+        delta = np.array([[3, 1, 3], [4, 0, 2], [2, 2, 2], [5, 1, 0],
+                          [4, 4, 4], [5, 5, 5], [0, 0, 0]])
+        assert not any(_all_reach(delta, t) for t in range(7))
+        # send 2 and 4 on to 5: every state, 6 included, now reaches 5 and only 5
+        delta[2] = delta[4] = 5
+        assert [t for t in range(7) if _all_reach(delta, t)] == [5]
+        assert _all_reach(np.zeros((1, 2), dtype=np.int64), 0)
+
+    def test_all_reach_matches_forward_search_on_random_graphs(self):
+        rng = np.random.default_rng(4)
+        hits = 0
+        for _ in range(200):
+            n, k = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+            delta = rng.integers(0, n, (n, k))
+            t = int(rng.integers(0, n))
+            expected = all(t in _reachable(delta, v) for v in range(n))
+            assert _all_reach(delta, t) == expected
+            hits += expected
+        assert 0 < hits < 200
 
 
 class TestGenerate:

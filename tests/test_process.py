@@ -581,6 +581,74 @@ def test_start_reaching_two_pair_sinks_is_not_ergodic(monkeypatch):
         assert isinstance(err.value, MultipleRecurrentClasses)
 
 
+# (n, seed): a random pair of the random-machine recipe, operands at seed and seed + 1
+RANDOM_PAIRS = [(n, seed) for n in (12, 24, 36, 48) for seed in (4, 6, 8, 10)]
+
+
+def sink_rule_pairs(request):
+    named = [(request.getfixturevalue("g2"), request.getfixturevalue("m2")),
+             (request.getfixturevalue("t3"), request.getfixturevalue("g2")),
+             (make_feed3(), request.getfixturevalue("g2"))]
+    named = [(as_process(a, "a").machine, as_process(b, "b").machine) for a, b in named]
+    return named + [(random_process(n, seed).machine, random_process(n, seed + 1).machine)
+                    for n, seed in RANDOM_PAIRS]
+
+
+def forbid_component_search(monkeypatch):
+    import procgeom.process as process
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("component search ran")
+
+    monkeypatch.setattr(process, "_sink_components", no_search)
+    monkeypatch.setattr(process, "joint_epsilon_synchronize", no_search)
+
+
+class TestCertifiedSinkRule:
+    def test_keep_is_the_single_sink_component(self, request, monkeypatch):
+        import procgeom.process as process
+        from procgeom.pfsa import _sink_components
+        from procgeom.sync import _pair_delta
+
+        pairs = sink_rule_pairs(request)
+        expected = []
+        for g, h in pairs:
+            sinks = _sink_components(_pair_delta(g, h))
+            assert len(sinks) == 1
+            expected.append(sinks[0])
+        forbid_component_search(monkeypatch)
+        assert [process._pair_sink(g, h)[1] for g, h in pairs] == expected
+
+    def test_failed_check_falls_back_to_the_same_keep(self, request, monkeypatch):
+        import procgeom.process as process
+
+        pairs = sink_rule_pairs(request)
+        certified = [process._pair_sink(g, h)[1] for g, h in pairs]
+        monkeypatch.setattr(process, "_all_reach", lambda delta, target: False)
+        assert [process._pair_sink(g, h)[1] for g, h in pairs] == certified
+
+    @pytest.mark.parametrize("pair", [("g2", "m2"), (12, 4), (24, 6), (36, 8)])
+    def test_synchronizing_pairs_need_no_component_search(self, request, monkeypatch, pair):
+        import procgeom.process as process
+        from procgeom.sync import reset_word
+
+        if pair[0] == "g2":
+            p, q = (as_process(request.getfixturevalue(name), name) for name in pair)
+        else:
+            n, seed = pair
+            p, q = random_process(n, seed), random_process(n, seed + 1)
+        assert reset_word(p.machine, q.machine) is not None
+
+        def results():
+            return inner_exact(p, q).value, angle(p, q), format_pfsa(sum_processes(p, q).machine)
+
+        with monkeypatch.context() as m:
+            m.setattr(process, "_all_reach", lambda delta, target: False)
+            fallback = results()
+        forbid_component_search(monkeypatch)
+        assert results() == fallback
+
+
 def random_process(n, seed):
     # the random test machines: delta uniform, rows dirichlet([2, 2]) floored at 1e-3
     rng = np.random.default_rng(seed)

@@ -87,6 +87,16 @@ class TestEstimateDerivatives:
         with pytest.raises(StreamTooShort):
             estimate_derivatives(s, depth=4, smoothing=0.5)
 
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_smoothing_must_be_finite_and_positive(self, g2, smoothing):
+        # a NaN smoothing used to give a table of NaN, and the angle of a
+        # stream with itself came out as pi
+        s = stream_from_model(g2, 200, 1)
+        with pytest.raises(ValueError, match="smoothing must be finite and > 0"):
+            estimate_derivatives(s, 2, smoothing)
+        with pytest.raises(ValueError, match="smoothing must be finite and > 0"):
+            stream_angle(s, s, 2, smoothing)
+
     def test_unseen_context_gets_uniform(self):
         s = SymbolStream.from_symbols(list("0000"), alphabet=["0", "1"])
         table = estimate_derivatives(s, depth=1, smoothing=0.5)
