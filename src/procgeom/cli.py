@@ -114,11 +114,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_wordprob(args) -> int:
     g = _load_valid(args.model)
-    word = _parse_word(g, args.word)
-    for sym in word:
-        if sym not in g.alphabet:
-            raise ValueError(f"symbol {sym!r} not in alphabet {' '.join(g.alphabet)}")
-    print(_fmt(word_probability(g, word)))
+    print(_fmt(word_probability(g, _parse_word(g, args.word))))
     return 0
 
 

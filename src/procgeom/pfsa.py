@@ -153,13 +153,24 @@ class Pfsa:
         return self._morph[self.state_index(q)]
 
     def to_indices(self, symbols) -> np.ndarray:
-        """Convert a symbol sequence (names or indices) to an index array."""
+        """Convert a symbol sequence (names or indices) to an index array.
+
+        Raises
+        ------
+        ValueError
+            If a name is not in the alphabet or an index is out of range.
+        """
         arr = np.asarray(symbols)
         if arr.dtype.kind in "iu":
             if arr.size and (arr.min() < 0 or arr.max() >= self.n_symbols):
-                raise KeyError("symbol index out of range")
+                raise ValueError("symbol index out of range")
             return arr.astype(np.int64)
-        return np.array([self._sym_index[s] for s in symbols], dtype=np.int64)
+        try:
+            return np.array([self._sym_index[s] for s in symbols], dtype=np.int64)
+        except KeyError as exc:
+            raise ValueError(
+                f"symbol {exc.args[0]!r} not in alphabet {' '.join(self.alphabet)}"
+            ) from None
 
     def __repr__(self):
         return (

@@ -280,6 +280,13 @@ class TestWordProbability:
     def test_two_symbols(self, g2):
         assert math.isclose(word_probability(g2, ["0", "1"]), 0.12, abs_tol=1e-13)
 
+    @pytest.mark.parametrize("fold", [word_probability, belief_from_string])
+    def test_symbol_outside_alphabet_is_a_value_error(self, g2, fold):
+        with pytest.raises(ValueError, match=r"^symbol 'x' not in alphabet 0 1$"):
+            fold(g2, ["0", "x"])
+        with pytest.raises(ValueError, match="symbol index out of range"):
+            fold(g2, [0, 2])
+
     @pytest.mark.parametrize("maker", [make_g2, make_t3, make_u3])
     def test_kolmogorov_consistency(self, maker):
         g = maker()

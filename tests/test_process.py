@@ -590,8 +590,14 @@ def sink_rule_pairs(request):
              (request.getfixturevalue("t3"), request.getfixturevalue("g2")),
              (make_feed3(), request.getfixturevalue("g2"))]
     named = [(as_process(a, "a").machine, as_process(b, "b").machine) for a, b in named]
-    return named + [(random_process(n, seed).machine, random_process(n, seed + 1).machine)
-                    for n, seed in RANDOM_PAIRS]
+    # scaled copies share one merging transition map, as the noise
+    # experiment's off-diagonal pairs do: pair state 0 lies on the diagonal,
+    # which is the sink
+    scaled = [tuple(scale_process(a, p).machine for a in (1.0, -0.1))
+              for p in (as_process(request.getfixturevalue("g2"), "g"), random_process(24, 6))]
+    randoms = [(random_process(n, seed).machine, random_process(n, seed + 1).machine)
+               for n, seed in RANDOM_PAIRS]
+    return named + scaled + randoms
 
 
 def forbid_component_search(monkeypatch):
