@@ -21,6 +21,7 @@ from .errors import DepthExceeded, NotErgodic, ZeroNorm
 from .pfsa import Pfsa
 from .process import ProcessHandle, _angle_from, as_process, inner_exact, scale_process
 from .streams import (
+    _check_depth,
     _check_smoothing,
     estimate_derivatives,
     stream_from_model,
@@ -126,9 +127,11 @@ def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = 
     Raises
     ------
     ValueError
-        If ``config.smoothing`` is not a finite positive number; checked
-        before any model is built or sampled.
+        If ``config.depth`` is negative or ``config.smoothing`` is not a
+        finite positive number; checked before any model is built or
+        sampled.
     """
+    _check_depth(config.depth)
     _check_smoothing(config.smoothing)
     base_p = base if isinstance(base, ProcessHandle) else as_process(base, label="G")
     models = tuple(scale_process(a, base_p) for a in config.scales)

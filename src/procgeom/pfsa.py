@@ -37,6 +37,7 @@ _POWER_TEST_STEPS = 10  # steps between residual tests; divides _POWER_CHECK_STE
 _POWER_STEP_WEIGHT = 0.9  # x <- (1 - a) x + a xP; any a < 1 keeps the chain aperiodic
 _POWER_RESIDUAL_EPS = 4 * np.finfo(np.float64).eps
 _JUMP_TABLE_ENTRIES = 1 << 16  # cap on the sampler's block-jump table
+_STITCH_BLOCKS = 32  # blocks per stitched chunk; 8 to 64 were equally fast
 
 
 def _check_names(names, kind: str) -> tuple[str, ...]:
@@ -75,7 +76,7 @@ class Pfsa:
         unknown states or symbols, or a non-integer transition target.
     """
 
-    __slots__ = ("alphabet", "states", "_delta", "_morph", "_sym_index", "_state_index")
+    __slots__ = ("alphabet", "states", "_delta", "_morph", "_sym_index", "_state_index", "_pi")
 
     def __init__(self, alphabet, states, delta, morph):
         self.alphabet = _check_names(alphabet, "symbol")
@@ -121,6 +122,7 @@ class Pfsa:
 
         self._delta = _freeze(d.astype(np.int64))
         self._morph = _freeze(m)
+        self._pi = None  # stationary vector, solved on first use
 
     @property
     def n_states(self) -> int:
@@ -432,8 +434,10 @@ def _power_iterate(block: np.ndarray, w: np.ndarray) -> np.ndarray | None:
     and on the pair chains of the exact angle ``a = 0.9`` takes about half
     the steps of ``a = 1/2``.  ``xP`` is one ``np.bincount`` over the
     transition table, so no m x m matrix exists.  Between tests a step is
-    ``x`` repeated times the weights scaled by ``a``, that ``bincount``,
-    and an axpy adding ``(1 - a) x``.
+    one gather, one product and one ``bincount`` over the edges weighted
+    by ``a`` followed by one self loop per state weighted by ``1 - a``:
+    ``bincount`` adds in index order, so each entry is its edges' sum plus
+    ``(1 - a) x``, bit for bit the sum then the axpy.
 
     Every ``_POWER_TEST_STEPS`` steps ``x`` is renormalised and tested:
     it is returned once ``|xP - x|_inf <= 4 eps max(x)`` and every entry
@@ -459,7 +463,10 @@ def _power_iterate(block: np.ndarray, w: np.ndarray) -> np.ndarray | None:
     targets = block.ravel()
     w = w.ravel()
     a = _POWER_STEP_WEIGHT
-    aw = a * w
+    states = np.arange(m)
+    src = np.concatenate([np.repeat(states, k), states])
+    dst = np.concatenate([targets, states])
+    lazy_w = np.concatenate([a * w, np.full(m, 1.0 - a)])
     x = np.full(m, 1.0 / m)
     last = np.inf
     for step in range(0, _POWER_STEP_CAP, _POWER_TEST_STEPS):
@@ -478,9 +485,7 @@ def _power_iterate(block: np.ndarray, w: np.ndarray) -> np.ndarray | None:
             last = residual
         x = (1.0 - a) * x + a * xp
         for _ in range(_POWER_TEST_STEPS - 1):
-            xp = np.bincount(targets, np.repeat(x, k) * aw, minlength=m)
-            xp += (1.0 - a) * x
-            x = xp
+            x = np.bincount(dst, x[src] * lazy_w, minlength=m)
     return None
 
 
@@ -529,16 +534,20 @@ def stationary_distribution(g: Pfsa) -> np.ndarray:
     """Unique stationary state distribution (row vector fixed by the chain).
 
     Solved on the single sink component; transient states get mass zero.
+    The machine is immutable, so the read-only vector is solved once and
+    kept on it.
 
     Raises
     ------
     NotErgodic
         If the machine is not unichain.
     """
-    sinks = sink_sccs(g)
-    if len(sinks) != 1:
-        raise NotErgodic(f"{len(sinks)} sink components; stationary distribution not unique")
-    return _freeze(_stationary(g._delta, g._morph, sinks[0]))
+    if g._pi is None:
+        sinks = sink_sccs(g)
+        if len(sinks) != 1:
+            raise NotErgodic(f"{len(sinks)} sink components; stationary distribution not unique")
+        g._pi = _freeze(_stationary(g._delta, g._morph, sinks[0]))
+    return g._pi
 
 
 def belief_update(g: Pfsa, belief: np.ndarray, sigma) -> np.ndarray:
@@ -669,6 +678,60 @@ def canonicalize(g: Pfsa) -> Pfsa:
 # ---------------------------------------------------------------------------
 # sampling
 
+def _letters(draws: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Letter of each draw: the number of ``cuts`` at or below it.
+
+    One vectorised comparison per cut, added up in a byte: the tabulated
+    sampler admits at most 255 cuts, since a block of two letters fits its
+    table only if ``L <= 256``.  The int64 letters are made here, before
+    the caller's temporary draws are freed: of three allocation orders
+    tried this one made ``experiment`` ops about 12% faster than the
+    others, the difference landing in the later estimation's allocations.
+    """
+    count = np.zeros(draws.size, dtype=np.uint8)
+    above = np.empty(draws.size, dtype=bool)
+    for c in cuts.tolist():
+        np.greater_equal(draws, c, out=above)
+        count += above.view(np.uint8)
+    del above
+    return count.astype(np.int64)
+
+
+def _stitched_starts(jump: np.ndarray, codes: np.ndarray, q: int) -> np.ndarray:
+    """Start state of every block when the first block starts at ``q`` and
+    a block of code ``c`` moves its start ``p`` to ``jump[p, c]``.
+
+    The enumerative data-parallel walk of Mytkowicz, Musuvathi and Schulte
+    ("Data-Parallel Finite-State Machines", 2014): the codes are cut into
+    chunks of ``_STITCH_BLOCKS`` blocks, and every chunk is walked from
+    every state at once, one gather per block over an (n, chunks) array.
+    One Python pass over the chunks links each chunk's start to the end of
+    the one before it, and a second vectorised pass records every block's
+    start from its chunk's, over the codes' own buffer.  The gathers cost
+    n times the work of a walk from one state.
+    """
+    n, width = jump.shape
+    chunks = -(-codes.size // _STITCH_BLOCKS)
+    by_chunk = np.zeros((chunks, _STITCH_BLOCKS), dtype=np.int64)  # row c: chunk c's codes
+    by_chunk.ravel()[:codes.size] = codes
+    offsets = (jump * width).ravel()  # a successor as its row offset in the flat table
+    ends = np.repeat(np.arange(n) * width, chunks).reshape(n, chunks)  # [p, c]: chunk c from p
+    for j in range(_STITCH_BLOCKS):
+        ends += by_chunk[:, j].copy()  # contiguous, so it broadcasts fast over the n walks
+        ends = offsets[ends]
+    heads = []
+    for row in (ends // width).T.tolist():
+        heads.append(q)
+        q = row[q]
+    at = np.array(heads, dtype=np.int64) * width
+    for j in range(_STITCH_BLOCKS):
+        index = at + by_chunk[:, j]
+        by_chunk[:, j] = at  # each code is overwritten by its block's start once read
+        at = offsets[index]
+    by_chunk //= width
+    return by_chunk.ravel()[:codes.size]
+
+
 def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
     """Sample ``length`` symbols from the stationary process (index array).
 
@@ -682,24 +745,28 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
     ``q``'s row without its last entry, so a draw above a sum that rounds
     below one still emits the last symbol.  Small machines tabulate that
     loop (the "Four Russians" idea of Arlazarov, Dinic, Kronrod and
-    Faradzev, 1970), so that Python takes one step per ``m`` symbols; the
-    output equals the per-symbol loop element for element:
+    Faradzev, 1970) over blocks of ``m`` symbols; the output equals the
+    per-symbol loop element for element:
 
     * The distinct thresholds ``cuts`` of all rows split [0, 1) into
-      ``L = cuts.size + 1`` letters; draw ``u`` is letter
-      ``a = searchsorted(cuts, u, "right")``.  Every ``cum[q, j]`` is a
-      cut, so ``cum[q, j] <= u`` exactly when ``cum[q, j] <= cuts[a - 1]``:
-      the letter fixes every state's symbol ``sym[q, a]`` by the same float
+      ``L = cuts.size + 1`` letters; draw ``u`` is letter ``a``, the
+      number of cuts at or below ``u``, counted by one vectorised
+      comparison per cut.  Every ``cum[q, j]`` is a cut, so
+      ``cum[q, j] <= u`` exactly when ``cum[q, j] <= cuts[a - 1]``: the
+      letter fixes every state's symbol ``sym[q, a]`` by the same float
       comparisons the loop makes, and its successor
       ``step[q, a] = delta[q, sym[q, a]]``.
     * ``jump[q, code]`` is the state after the ``m`` letters of ``code``
       (base ``L``, first letter most significant), built from ``step`` by
       ``m - 1`` gathers.  ``m`` is the longest block whose table has at
-      most ``_JUMP_TABLE_ENTRIES`` entries (``n * L ** m``).
-    * The loop walks the block codes, recording each block's start state;
-      ``m`` vectorised gathers of ``sym`` and ``step`` then fill in the
-      symbols of every block at once.  A tail of fewer than ``m`` symbols
-      takes the one-step tables symbol by symbol.
+      most ``_JUMP_TABLE_ENTRIES`` entries (``n * L ** m``), so ``m >= 2``
+      needs ``L <= 256`` and a letter fits a byte.
+    * Each block's start state comes from the block codes by stitching
+      chunks of blocks walked from every state at once
+      (:func:`_stitched_starts`), so Python takes one step per
+      ``_STITCH_BLOCKS`` blocks.  ``m`` vectorised gathers of ``sym`` and
+      ``step`` then fill in the symbols of every block at once.  A tail of
+      fewer than ``m`` symbols takes the one-step tables symbol by symbol.
 
     When no block of two letters fits the cap (from about 40 states on
     two symbols), the loop bisects every symbol as written above: the
@@ -735,22 +802,19 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
     for _ in range(m - 1):
         jump = np.take(step, jump, axis=0).reshape(n, -1)
 
-    # letters of the draws, each overwritten by its symbol once it is read
-    out = np.searchsorted(cuts, rng.random(length), side="right")
+    out = _letters(rng.random(length), cuts)  # each letter is overwritten by its symbol once read
     blocks = length // m
     by_block = out[:blocks * m].reshape(blocks, m)
     codes = by_block[:, 0].copy()
     for i in range(1, m):
         codes *= letters
         codes += by_block[:, i]
-    jump_rows = jump.tolist()
-    starts = []
-    for code in memoryview(codes):
-        starts.append(q)
-        q = jump_rows[q][code]
+    starts = _stitched_starts(jump, codes, q)
+    if blocks:
+        q = int(jump[starts[-1], codes[-1]])
 
     sym_flat, step_flat = sym.ravel(), (step * letters).ravel()
-    at = np.array(starts, dtype=np.int64) * letters  # row offsets into the flat tables
+    at = starts * letters  # row offsets into the flat tables
     for i in range(m):
         index = at + by_block[:, i]
         by_block[:, i] = sym_flat[index]

@@ -152,6 +152,11 @@ def _check_smoothing(smoothing: float) -> None:
         raise ValueError(f"smoothing must be finite and > 0, got {smoothing!r}")
 
 
+def _check_depth(depth: int) -> None:
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+
+
 def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) -> DerivativeTable:
     """Sliding-window estimates of next-symbol distributions per context.
 
@@ -167,8 +172,7 @@ def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) ->
     StreamTooShort
         If the stream has no window of length ``depth + 1``.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    _check_depth(depth)
     _check_smoothing(smoothing)
     k = len(s.alphabet)
     n = len(s)

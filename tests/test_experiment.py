@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from procgeom import ExperimentConfig, angle, run_noise_experiment
+from procgeom import ExperimentConfig, Pfsa, angle, as_process, run_noise_experiment, write_pfsa
+from procgeom.cli import main
 
 
 def small_config(**overrides):
@@ -46,6 +48,35 @@ class TestNoiseExperiment:
         monkeypatch.setattr(experiment, "stream_from_model", no_work)
         with pytest.raises(ValueError, match="smoothing must be finite and > 0"):
             run_noise_experiment(g2, small_config(smoothing=smoothing))
+
+    def test_negative_depth_rejected_before_any_work(self, g2, monkeypatch):
+        import procgeom.experiment as experiment
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(experiment, "inner_exact", no_work)
+        monkeypatch.setattr(experiment, "stream_from_model", no_work)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            run_noise_experiment(g2, small_config(depth=-1))
+
+    def test_each_model_solves_its_stationary_vector_once(self, g2, monkeypatch):
+        import procgeom.pfsa as pfsa
+
+        solved = []
+        solve = pfsa._stationary
+
+        def counted(delta, weights, keep):
+            # a machine's solve weights by its rows, an inner product by 1/k
+            if np.ndim(weights) == 2:
+                solved.append(1)
+            return solve(delta, weights, keep)
+
+        monkeypatch.setattr(pfsa, "_stationary", counted)
+        rep = run_noise_experiment(g2, small_config(stream_length=2_000))
+        # five models, two streams each
+        assert len(solved) == 5
+        assert [m.machine.n_states for m in rep.models] == [2, 2, 2, 2, 1]
 
     def test_each_norm_and_each_pair_solved_once(self, g2, monkeypatch):
         import procgeom.experiment as experiment
@@ -108,3 +139,44 @@ class TestNoiseExperiment:
             header = lines[0].split(",")
             assert all(len(l.split(",")) == len(header) for l in lines[1:])
         assert "self-angle" in rep.summary() or "1G" in rep.summary()
+
+
+# sha256 of the four output files of ``experiment BASE --length 20000``; the
+# streams are the per-symbol loop's, whatever route the sampler takes
+PINNED_OUTPUTS = {
+    "g2": {
+        "model_angles.csv": "0bac268e07e633d92d73e02ae561a360f671dabef3f9f5d9bcf9e65029927ba1",
+        "stream_angles.csv": "3c09cfec2af677d3aa538689e9c1f37861cfd86546354b283bd5848149dcd165",
+        "stream_stats.csv": "02217684d5d2030bfdc69a3f0f78499100e672c2589eecc8a03b040104ab58a3",
+        "summary.txt": "fa04b2d604147af6dc2bba00aa25c4556ca1816a079badc16f30fc964857f885",
+    },
+    "r6": {
+        "model_angles.csv": "9a2a009421359b01f09f6baae9890c2a9d3850e8b1b3c774692efc7be1ab74a9",
+        "stream_angles.csv": "e072cd70f79361b0e150f6c519c36099e492857254c7d18f2d1c521a976916ba",
+        "stream_stats.csv": "64ef1240302df9eb4a8eeeecbed0c2a9f69d206e78f0537b0fc390e7e8b14c30",
+        "summary.txt": "65d29063a73856b7c4457ca0a1fe759cac801ae1f892797ec87870518692702b",
+    },
+}
+
+
+def random_base(n, seed):
+    # symbol 0 walks a cycle through every state, so the machine is ergodic
+    rng = np.random.default_rng(seed)
+    delta = rng.integers(0, n, (n, 2))
+    delta[:, 0] = np.roll(np.arange(n), -1)
+    rows = np.maximum(rng.dirichlet([2.0, 2.0], n), 1e-3)
+    return Pfsa(["0", "1"], [f"s{i}" for i in range(n)], delta,
+                rows / rows.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_experiment_files_are_pinned(name, g2, tmp_path, capsys):
+    base = g2 if name == "g2" else random_base(6, 1)
+    assert as_process(base).machine.n_states == {"g2": 2, "r6": 6}[name]
+    write_pfsa(base, tmp_path / "base.pfsa")
+    outdir = tmp_path / "out"
+    assert main(["experiment", str(tmp_path / "base.pfsa"), "--outdir", str(outdir),
+                 "--length", "20000"]) == 0
+    capsys.readouterr()
+    digests = {f: hashlib.sha256((outdir / f).read_bytes()).hexdigest() for f in PINNED_OUTPUTS[name]}
+    assert digests == PINNED_OUTPUTS[name]

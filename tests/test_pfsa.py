@@ -29,6 +29,7 @@ from procgeom import (
 )
 from procgeom.pfsa import (
     _JUMP_TABLE_ENTRIES,
+    _STITCH_BLOCKS,
     ROW_SUM_TOL,
     _all_reach,
     _reachable,
@@ -635,6 +636,56 @@ class TestGenerate:
             for length in [*range(2 * m + 2), 10_000]:
                 assert np.array_equal(generate_sequence(g, length, seed),
                                       self.sample_by_index(g, length, seed)), length
+
+    @pytest.mark.parametrize("n", [39, 40])
+    def test_both_sides_of_the_block_table_cap_match_reference_loop(self, n, monkeypatch):
+        # on two symbols, 39 states is the largest machine whose blocks of
+        # two fit the table and so stitch; 40 states walk symbol by symbol
+        import procgeom.pfsa as pfsa
+
+        stitched = []
+        stitch = pfsa._stitched_starts
+
+        def counted(*args):
+            stitched.append(1)
+            return stitch(*args)
+
+        monkeypatch.setattr(pfsa, "_stitched_starts", counted)
+        for seed in (1, 2):
+            g = self.random_machine(n, 2, seed)
+            assert self.block_length(g) == (2 if n == 39 else 1)
+            for length in (0, 1, 2, 3, 10_001):
+                assert np.array_equal(generate_sequence(g, length, seed),
+                                      self.sample_by_index(g, length, seed)), (seed, length)
+        assert len(stitched) == (10 if n == 39 else 0)
+
+    @pytest.mark.parametrize("n, k", [(1, 256), (2, 91)])
+    def test_most_letters_a_block_table_admits_match_reference_loop(self, n, k):
+        # L = 256 letters on one state and 181 on two, the largest counts
+        # whose two-letter tables fit the cap: a draw's letter, the count of
+        # cuts at or below it, reaches 255 and 180, past a signed byte
+        g = self.random_machine(n, k, 3)
+        letters = np.unique(np.cumsum(g._morph, axis=1)[:, :-1]).size + 1
+        assert letters == n * (k - 1) + 1 and n * letters ** 2 <= _JUMP_TABLE_ENTRIES
+        assert self.block_length(g) == 2
+        for seed in (0, 1):
+            out = generate_sequence(g, 50_001, seed)
+            assert np.array_equal(out, self.sample_by_index(g, 50_001, seed))
+
+    @pytest.mark.parametrize("name", ["g2", "tied", "k4", "t3"])
+    def test_lengths_around_chunk_boundaries_match_reference_loop(self, name):
+        # block counts one below, at and one above a whole number of chunks,
+        # each with no tail and with a tail one symbol short of a block;
+        # t3's rotations never merge two states
+        g = make_t3() if name == "t3" else self.block_cases()[name]
+        m = self.block_length(g)
+        for chunks in (1, 3):
+            for blocks in (chunks * _STITCH_BLOCKS - 1, chunks * _STITCH_BLOCKS,
+                           chunks * _STITCH_BLOCKS + 1):
+                for tail in (0, m - 1):
+                    length = blocks * m + tail
+                    assert np.array_equal(generate_sequence(g, length, 4),
+                                          self.sample_by_index(g, length, 4)), length
 
     def test_draw_above_a_sum_rounding_below_one_emits_last_symbol(self):
         # ten rows of 0.1 add up to 1 - 2**-53; a draw in [that sum, 1) lies

@@ -827,6 +827,62 @@ class TestLargePairChains:
         assert repr(inner_exact(p, p).value) == "0.5737703913841145"
         assert count_dense == [200]
 
+    @staticmethod
+    def power_iterate_by_axpy(block, w):
+        """Reference: the lazy step as a scatter of the edges weighted by a,
+        then an axpy adding (1 - a) x, with the same tests and exits."""
+        import procgeom.pfsa as pfsa
+
+        m, k = block.shape
+        targets, w = block.ravel(), w.ravel()
+        a = pfsa._POWER_STEP_WEIGHT
+        aw = a * w
+        x = np.full(m, 1.0 / m)
+        last = np.inf
+        for step in range(0, pfsa._POWER_STEP_CAP, pfsa._POWER_TEST_STEPS):
+            x /= x.sum()
+            xp = np.bincount(targets, np.repeat(x, k) * w, minlength=m)
+            residual = np.abs(xp - x).max()
+            bound = pfsa._POWER_RESIDUAL_EPS * x.max()
+            if residual <= bound and x.min() > 0.0:
+                return x
+            if step % pfsa._POWER_CHECK_STEPS == 0:
+                windows_left = (pfsa._POWER_STEP_CAP - step) / pfsa._POWER_CHECK_STEPS
+                if step and residual > 1e3 * bound and (
+                        residual >= last
+                        or windows_left * math.log(residual / last) > math.log(bound / residual)):
+                    return None
+                last = residual
+            x = (1.0 - a) * x + a * xp
+            for _ in range(pfsa._POWER_TEST_STEPS - 1):
+                xp = np.bincount(targets, np.repeat(x, k) * aw, minlength=m)
+                xp += (1.0 - a) * x
+                x = xp
+        return None
+
+    def test_self_loop_scatter_equals_the_axpy_step_bit_for_bit(self):
+        import procgeom.pfsa as pfsa
+        import procgeom.process as process
+        from procgeom.sync import _pair_delta
+
+        cases = []
+        for seeds in ((1, 2), (6, 11), (3, 4)):
+            p, q = random_process(24, seeds[0]), random_process(24, seeds[1])
+            delta, keep = process._pair_sink(p.machine, q.machine)
+            assert len(keep) > pfsa._POWER_MIN_STATES
+            cases.append((pfsa._renumber(delta, keep), np.full((len(keep), 2), 0.5)))
+        cases.append((p.machine._delta, p.machine._morph))  # a machine's chain, weighted by its rows
+        slow = slow_cycle_process().machine
+        diagonal = [i * slow.n_states + i for i in range(slow.n_states)]
+        cases.append((pfsa._renumber(_pair_delta(slow, slow), diagonal), np.full((200, 2), 0.5)))
+        results = []
+        for block, w in cases:
+            x, ref = pfsa._power_iterate(block, w), self.power_iterate_by_axpy(block, w)
+            assert (x is None) == (ref is None)
+            assert x is None or np.array_equal(x, ref)
+            results.append(x is not None)
+        assert results == [True, True, True, True, False]  # the slow cycle gives up in both
+
     def test_slow_iteration_leaves_early(self, monkeypatch):
         # the slow cycle's residual falls like 1/t, so at the rate of its
         # last window it cannot reach the bound within the step cap

@@ -17,11 +17,12 @@ from procgeom import (
     stream_angle,
     stream_from_model,
     stream_inner,
+    stationary_distribution,
     stream_stats,
     symbolic_derivative,
     write_stream,
 )
-from conftest import make_single
+from conftest import make_g2, make_single
 
 
 class TestSymbolStream:
@@ -182,3 +183,23 @@ class TestStreamAngles:
                 exact = angle(family[i], family[j])
                 empirical = stream_angle(streams[i], streams[j], depth=4)
                 assert abs(empirical - exact) <= 0.3
+
+
+def test_two_streams_from_one_model_solve_it_once(monkeypatch):
+    import procgeom.pfsa as pfsa
+
+    solved = []
+    solve = pfsa._stationary
+
+    def counted(*args):
+        solved.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(pfsa, "_stationary", counted)
+    g = make_g2()
+    first, second = stream_from_model(g, 1_000, 1), stream_from_model(g, 1_000, 2)
+    assert len(solved) == 1
+    assert not np.array_equal(first.indices, second.indices)
+    pi = stationary_distribution(g)
+    assert len(solved) == 1 and not pi.flags.writeable
+    assert np.array_equal(pi, stationary_distribution(make_g2())) and len(solved) == 2
