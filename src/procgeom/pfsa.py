@@ -320,7 +320,17 @@ def _tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
 
 
 def _sink_components(delta: np.ndarray) -> list[list[int]]:
-    """Sink components of the graph ``v -> delta[v, s]``, sorted."""
+    """Sink components of the graph ``v -> delta[v, s]``, sorted.
+
+    First a certified check: if every state reaches ``x``, the last state a
+    breadth-first search from state 0 finds, the sink is unique and is the
+    set reachable from ``x``.  Every sink component is closed and holds a
+    state that reaches ``x``, so each holds ``x``.  The check is one backward
+    search; only a graph that fails it takes the Tarjan search.
+    """
+    x = _reachable(delta, 0)[-1]
+    if _all_reach(delta, x):
+        return [sorted(_reachable(delta, x))]
     sccs = _tarjan_sccs(delta.tolist())
     comp_of = np.empty(delta.shape[0], dtype=np.int64)
     for ci, comp in enumerate(sccs):

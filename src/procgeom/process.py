@@ -32,7 +32,6 @@ import numpy as np
 from .errors import MultipleRecurrentClasses, ZeroNorm
 from .pfsa import (
     Pfsa,
-    _all_reach,
     _reachable,
     _restrict,
     _sink_components,
@@ -130,16 +129,8 @@ def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
     The sum tracks both operands along one shared symbol stream, so its
     states are pairs moved componentwise and its rows are the simplex sums
     of the operand rows.  It lives on the closed component of the pair
-    structure that :func:`inner_exact` averages over, picked by the first
-    rule that applies:
-
-    1. a process added to itself: the diagonal, which is closed;
-    2. every pair state reaches one candidate state ``x``: the states
-       reachable from ``x``.  Every sink component is closed and holds a
-       state reaching ``x``, so each holds ``x``, and the sink is unique;
-    3. a single sink component, found by a search over all pair states;
-    4. otherwise the one sink reachable from the start a joint
-       synchronization run pins.
+    structure that :func:`inner_exact` averages over, picked by the rules
+    stated there.
 
     Raises
     ------
@@ -192,22 +183,7 @@ def fdd_distance(p: ProcessHandle, q: ProcessHandle, max_len: int = 5) -> float:
 
 def _pair_sink(g: Pfsa, h: Pfsa):
     """Transition table of the pair states and the closed component the
-    uniformly driven walk settles in, by the first rule that applies:
-
-    1. A process paired with itself: the diagonal, with no component
-       search.  Operands are in normal form, so strongly connected, which
-       makes the diagonal a closed component: the single sink if the
-       process synchronizes, where the synchronized walk begins if not.
-    2. Every pair state reaches the candidate ``x``, the last state found
-       by a breadth-first search from pair state 0: the states reachable
-       from ``x``.  Every sink component is closed and holds a state that
-       reaches ``x``, so each holds ``x``; the sink is unique and is the
-       set reachable from ``x``.  The check is one backward search and
-       needs no synchronization.
-    3. One sink component, found by a search over all pair states: that
-       component.
-    4. Otherwise a joint synchronization pins the start, and the component
-       is the one sink reachable from it.
+    uniformly driven walk settles in, by the rules of :func:`inner_exact`.
 
     Raises
     ------
@@ -219,9 +195,6 @@ def _pair_sink(g: Pfsa, h: Pfsa):
     delta = _pair_delta(g, h)
     if g is h or structurally_equal(g, h):
         return delta, [i * h.n_states + i for i in range(g.n_states)]
-    x = _reachable(delta, 0)[-1]
-    if _all_reach(delta, x):
-        return delta, sorted(_reachable(delta, x))
     sinks = _sink_components(delta)
     if len(sinks) == 1:
         return delta, sinks[0]
@@ -247,12 +220,14 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
     The component averaged over is picked by the first rule that applies
     (:func:`sum_processes` uses the same rules):
 
-    1. a process paired with itself: the diagonal, which is closed;
-    2. every pair state reaches one candidate state ``x``: the states
-       reachable from ``x``.  Every sink component is closed and holds a
-       state reaching ``x``, so each holds ``x``, and the sink is unique;
-    3. a single sink component, found by a search over all pair states;
-    4. otherwise the one sink reachable from the start a joint
+    1. a process paired with itself: the diagonal, with no component
+       search.  Operands are in normal form, so strongly connected, which
+       makes the diagonal closed: the single sink if the process
+       synchronizes, where the synchronized walk begins if not;
+    2. a single sink component of the pair graph, found by
+       :func:`procgeom.pfsa._sink_components` (the routine that also
+       serves ``clx``, ``stationary`` and normal forms);
+    3. otherwise the one sink reachable from the start a joint
        synchronization run pins (the walk begins there).  The value is
        ambiguous only if several sinks remain reachable from it.
 
@@ -289,20 +264,18 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
 # ---------------------------------------------------------------------------
 # Monte Carlo inner product
 
-def _walk_symbols(seeds, n_pairs: int, walk_length: int, repeats: int, k: int):
-    """Uniform symbols of every walk, one row of ``n_pairs * repeats`` per step.
+def _walk_symbols(seeds, walk_length: int, repeats: int, k: int):
+    """Uniform symbols of every walk, one row of ``len(seeds) * repeats`` per step.
 
     Column ``pi * repeats + r`` is walk ``r`` of pair ``pi``, drawn from
-    ``seeds.spawn(n_pairs)[pi].spawn(repeats)[r]``.  ``seeds`` may instead
-    be the list of the pairs' own spawned sequences, so that a pair reads
-    the same symbols whichever pairs share its batch.  Rows are drawn
-    ``_WALK_BLOCK_STEPS`` steps at a time, so memory does not grow with
-    ``walk_length``; a generator's ``integers(0, k, size=a)`` followed by
-    ``size=b`` returns the values of one call with ``size=a + b``, so the
-    symbols do not depend on the block size.
+    ``seeds[pi].spawn(repeats)[r]``: ``seeds`` is the list of the pairs' own
+    spawned sequences, so that a pair reads the same symbols whichever
+    pairs share its batch.  Rows are drawn ``_WALK_BLOCK_STEPS`` steps at
+    a time, so memory does not grow with ``walk_length``; a generator's
+    ``integers(0, k, size=a)`` followed by ``size=b`` returns the values of
+    one call with ``size=a + b``, so the symbols do not depend on the block
+    size.
     """
-    if isinstance(seeds, np.random.SeedSequence):
-        seeds = seeds.spawn(n_pairs)
     rngs = [np.random.default_rng(walk_seq)
             for pair_seq in seeds for walk_seq in pair_seq.spawn(repeats)]
     for start in range(0, walk_length, _WALK_BLOCK_STEPS):
@@ -339,7 +312,7 @@ def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> n
     table, term, x = np.concatenate(tables), np.concatenate(terms), np.concatenate(x)
 
     acc = np.zeros(n_pairs * repeats)
-    for s in _walk_symbols(seeds, n_pairs, walk_length, repeats, k):
+    for s in _walk_symbols(seeds, walk_length, repeats, k):
         acc += term[x]
         x = table[x, s]
     return (acc / walk_length).reshape(n_pairs, repeats)
@@ -379,7 +352,7 @@ def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seeds) ->
 
     ridx = np.arange(rows)
     acc = np.zeros(rows)
-    for s in _walk_symbols(seeds, n_pairs, walk_length, repeats, k):
+    for s in _walk_symbols(seeds, walk_length, repeats, k):
         d = log_ratios(np.einsum("xrq,xrsq->xrs", b, emit))
         acc += np.einsum("rs,rs->r", d[0], d[1])
         b = np.bincount(dest[:, ridx, s].ravel(), (b * emit[:, ridx, s]).ravel(),
@@ -402,6 +375,8 @@ def _mc_estimates(pairs, eps, walk_length, repeats, seed) -> list[InnerEstimate]
     check_same_alphabet(pairs[0][0].machine, pairs[0][1].machine)
     if walk_length < 1 or repeats < 2:
         raise ValueError("need walk_length >= 1 and repeats >= 2")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
     point, belief = [], []
     tables = {}  # one merge table per machine, shared by the pairs
     for i, (p, q) in enumerate(pairs):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from procgeom import Pfsa, as_process
+from procgeom.pfsa import _tarjan_sccs
 
 
 def make_g2() -> Pfsa:
@@ -92,6 +93,39 @@ def make_redundant_g2() -> Pfsa:
         {"A": {"0": "A", "1": "B"}, "B": {"0": "A", "1": "C"}, "C": {"0": "A", "1": "B"}},
         {"A": [0.8, 0.2], "B": [0.3, 0.7], "C": [0.3, 0.7]},
     )
+
+
+def sink_components_loop(delta):
+    """Per-edge reference: a component is a sink if every edge stays in it.
+
+    Tarjan only, with no reachability shortcut, so tests of the certified
+    check in ``_sink_components`` compare against an independent answer.
+    """
+    succ = [sorted(set(row)) for row in delta.tolist()]
+    sccs = _tarjan_sccs(succ)
+    comp_of = np.empty(len(succ), dtype=np.int64)
+    for ci, comp in enumerate(sccs):
+        comp_of[comp] = ci
+    sinks = [comp for ci, comp in enumerate(sccs)
+             if all(comp_of[w] == ci for v in comp for w in succ[v])]
+    sinks.sort()
+    return sinks
+
+
+@pytest.fixture
+def count_tarjan(monkeypatch):
+    """The sizes of the graphs the Tarjan search runs on, in call order."""
+    import procgeom.pfsa as pfsa
+
+    calls = []
+    tarjan = pfsa._tarjan_sccs
+
+    def counted(succ):
+        calls.append(len(succ))
+        return tarjan(succ)
+
+    monkeypatch.setattr(pfsa, "_tarjan_sccs", counted)
+    return calls
 
 
 @pytest.fixture

@@ -367,3 +367,11 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["inner", "angle"])
+    @pytest.mark.parametrize("eps", ["nan", "0", "1", "-1", "inf"])
+    def test_bad_mc_eps_exits_two_on_synchronizing_operands(self, capsys, g2_path, command, eps):
+        # g2 has a reset word, so no epsilon search would reject eps later
+        code, out, err = run(capsys, command, g2_path, g2_path, "--mode", "mc", "--eps", eps)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: eps must be in (0, 1), got ") and err.count("\n") == 1

@@ -10,6 +10,7 @@ from procgeom import (
     NotErgodic,
     Pfsa,
     PfsaFormatError,
+    as_process,
     belief_from_string,
     belief_update,
     canonicalize,
@@ -20,9 +21,11 @@ from procgeom import (
     minimize,
     parse_pfsa,
     read_pfsa,
+    sink_sccs,
     stationary_distribution,
     structurally_equal,
     symbolic_derivative,
+    transition_matrix,
     validate,
     word_probability,
     write_pfsa,
@@ -34,7 +37,6 @@ from procgeom.pfsa import (
     _all_reach,
     _reachable,
     _sink_components,
-    _tarjan_sccs,
 )
 from conftest import (
     make_feed3,
@@ -45,6 +47,7 @@ from conftest import (
     make_t3,
     make_two_sinks,
     make_u3,
+    sink_components_loop,
 )
 
 
@@ -307,19 +310,6 @@ class TestWordProbability:
             assert abs(total - word_probability(g, w)) < 1e-10
 
 
-def sink_components_loop(delta):
-    """Per-edge reference: a component is a sink if every edge stays in it."""
-    succ = [sorted(set(row)) for row in delta.tolist()]
-    sccs = _tarjan_sccs(succ)
-    comp_of = np.empty(len(succ), dtype=np.int64)
-    for ci, comp in enumerate(sccs):
-        comp_of[comp] = ci
-    sinks = [comp for ci, comp in enumerate(sccs)
-             if all(comp_of[w] == ci for v in comp for w in succ[v])]
-    sinks.sort()
-    return sinks
-
-
 class TestSinkComponents:
     def test_matches_per_edge_loop_on_random_graphs(self):
         rng = np.random.default_rng(11)
@@ -337,6 +327,55 @@ class TestSinkComponents:
             assert _sink_components(delta) == expected
             counts.append(len(expected))
         assert max(counts) >= 4 and counts.count(1) < len(counts) // 2
+
+    def test_transient_candidate_takes_the_tarjan_search(self, count_tarjan):
+        # breadth-first order from 0 is 0 3 1 5 4 2, and the last state, 2,
+        # only feeds the absorbing state 5; state 6 has no predecessor
+        delta = np.array([[3, 1, 3], [4, 0, 2], [5, 5, 5], [5, 1, 0],
+                          [5, 5, 5], [5, 5, 5], [0, 0, 0]])
+        assert _reachable(delta, 0)[-1] == 2
+        assert _sink_components(delta) == sink_components_loop(delta) == [[5]]
+        assert count_tarjan == [7]
+
+    def test_machine_with_a_transient_candidate(self, count_tarjan):
+        # breadth-first order from s0 is s0 s3 s5 s1 s4 s2; the sink is
+        # {s1, s3, s4}, and s2 and s5 only feed it
+        delta = np.array([[3, 5], [3, 4], [1, 5], [1, 4], [3, 3], [3, 2]])
+        rows = [[0.5, 0.5], [0.3, 0.7], [0.6, 0.4], [0.8, 0.2], [0.45, 0.55], [0.1, 0.9]]
+        g = Pfsa(["0", "1"], [f"s{i}" for i in range(6)], delta, rows)
+        assert _reachable(delta, 0)[-1] == 2
+        assert sink_sccs(g) == sink_components_loop(delta) == [[1, 3, 4]]
+        assert minimal_closed_restriction(g).states == ("s1", "s3", "s4")
+        pi = stationary_distribution(g)
+        assert count_tarjan == [6, 6, 6]
+        assert np.all(pi[[0, 2, 5]] == 0.0)
+        P = transition_matrix(g)[np.ix_([1, 3, 4], [1, 3, 4])]
+        w, v = np.linalg.eig(P.T)
+        ref = np.real(v[:, np.argmin(np.abs(w - 1.0))])
+        np.testing.assert_allclose(pi[[1, 3, 4]], ref / ref.sum(), rtol=0, atol=1e-12)
+
+    def test_normal_forms_need_no_tarjan_search(self, monkeypatch):
+        # feed3's transient c, and the 4 transient states of a raw random
+        # machine (n = 12, seed 1, the benchmark recipe), all pass the
+        # certified check
+        import procgeom.pfsa as pfsa
+
+        rng = np.random.default_rng(1)
+        delta = rng.integers(0, 12, (12, 2))
+        rows = np.maximum(rng.dirichlet([2.0, 2.0], 12), 1e-3)
+        raw = Pfsa(["0", "1"], [f"s{i}" for i in range(12)], delta,
+                   rows / rows.sum(axis=1, keepdims=True))
+        machines = [make_feed3(), raw]
+        assert [minimal_closed_restriction(g).n_states for g in machines] == [2, 8]
+        with monkeypatch.context() as m:
+            m.setattr(pfsa, "_all_reach", lambda delta, target: False)
+            expected = [format_pfsa(as_process(g).machine) for g in machines]
+
+        def no_search(succ):
+            raise AssertionError("Tarjan search ran")
+
+        monkeypatch.setattr(pfsa, "_tarjan_sccs", no_search)
+        assert [format_pfsa(as_process(g).machine) for g in machines] == expected
 
 
 class TestMinimalClosedRestriction:

@@ -27,7 +27,7 @@ from procgeom import (
     zero_process,
 )
 from procgeom.process import _batched_pair_walks, _pair_state_walks
-from conftest import make_feed3, make_t3
+from conftest import make_feed3, make_t3, sink_components_loop
 
 
 @pytest.fixture
@@ -331,6 +331,19 @@ class TestInnerMc:
         if fixture == "g2":
             assert abs(est.value - inner_exact(p, p).value) <= 4.0 * est.std_error
 
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, 1.0, -1.0, math.inf])
+    def test_invalid_eps_rejected_before_any_work(self, G, monkeypatch, eps):
+        # g2 has a reset word, so no epsilon search reads eps on this pair
+        import procgeom.process as process
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the eps check")
+
+        monkeypatch.setattr(process, "_reset_word", no_work)
+        for call in (inner_mc, angle_mc_estimate):
+            with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
+                call(G, G, eps=eps, walk_length=10, repeats=2)
+
     def test_batched_kernel_matches_per_walk_loop(self, g2, t3):
         # g2 is padded to the 3 states of t3; both pairs share one batch
         pairs = [(g2, t3), (t3, t3)]
@@ -339,7 +352,8 @@ class TestInnerMc:
             (np.array([0.1, 0.6, 0.3]), np.array([0.2, 0.2, 0.6])),
         ]
         walk_length, repeats = 200, 3
-        means = _batched_pair_walks(pairs, starts, walk_length, repeats, np.random.SeedSequence(7))
+        means = _batched_pair_walks(pairs, starts, walk_length, repeats,
+                                     np.random.SeedSequence(7).spawn(len(pairs)))
         assert means.shape == (2, repeats)
         pair_seqs = np.random.SeedSequence(7).spawn(len(pairs))
         for pi, ((g, h), (bg, bh)) in enumerate(zip(pairs, starts)):
@@ -363,8 +377,10 @@ class TestInnerMc:
             walk_length, repeats = 300, 3
             beliefs = [(np.eye(g.n_states)[i], np.eye(h.n_states)[j])
                        for (g, h), (i, j) in zip(pairs, starts)]
-            walks = _pair_state_walks(pairs, starts, walk_length, repeats, np.random.SeedSequence(7))
-            means = _batched_pair_walks(pairs, beliefs, walk_length, repeats, np.random.SeedSequence(7))
+            walks = _pair_state_walks(pairs, starts, walk_length, repeats,
+                                      np.random.SeedSequence(7).spawn(len(pairs)))
+            means = _batched_pair_walks(pairs, beliefs, walk_length, repeats,
+                                        np.random.SeedSequence(7).spawn(len(pairs)))
             assert walks.shape == (len(pairs), repeats)
             assert walks.tobytes() == means.tobytes()
 
@@ -601,41 +617,42 @@ def sink_rule_pairs(request):
 
 
 def forbid_component_search(monkeypatch):
+    import procgeom.pfsa as pfsa
     import procgeom.process as process
 
     def no_search(*args, **kwargs):
         raise AssertionError("component search ran")
 
-    monkeypatch.setattr(process, "_sink_components", no_search)
+    monkeypatch.setattr(pfsa, "_tarjan_sccs", no_search)
     monkeypatch.setattr(process, "joint_epsilon_synchronize", no_search)
 
 
 class TestCertifiedSinkRule:
     def test_keep_is_the_single_sink_component(self, request, monkeypatch):
         import procgeom.process as process
-        from procgeom.pfsa import _sink_components
         from procgeom.sync import _pair_delta
 
         pairs = sink_rule_pairs(request)
         expected = []
         for g, h in pairs:
-            sinks = _sink_components(_pair_delta(g, h))
+            sinks = sink_components_loop(_pair_delta(g, h))
             assert len(sinks) == 1
             expected.append(sinks[0])
         forbid_component_search(monkeypatch)
         assert [process._pair_sink(g, h)[1] for g, h in pairs] == expected
 
     def test_failed_check_falls_back_to_the_same_keep(self, request, monkeypatch):
+        import procgeom.pfsa as pfsa
         import procgeom.process as process
 
         pairs = sink_rule_pairs(request)
         certified = [process._pair_sink(g, h)[1] for g, h in pairs]
-        monkeypatch.setattr(process, "_all_reach", lambda delta, target: False)
+        monkeypatch.setattr(pfsa, "_all_reach", lambda delta, target: False)
         assert [process._pair_sink(g, h)[1] for g, h in pairs] == certified
 
     @pytest.mark.parametrize("pair", [("g2", "m2"), (12, 4), (24, 6), (36, 8)])
     def test_synchronizing_pairs_need_no_component_search(self, request, monkeypatch, pair):
-        import procgeom.process as process
+        import procgeom.pfsa as pfsa
         from procgeom.sync import reset_word
 
         if pair[0] == "g2":
@@ -649,10 +666,46 @@ class TestCertifiedSinkRule:
             return inner_exact(p, q).value, angle(p, q), format_pfsa(sum_processes(p, q).machine)
 
         with monkeypatch.context() as m:
-            m.setattr(process, "_all_reach", lambda delta, target: False)
+            m.setattr(pfsa, "_all_reach", lambda delta, target: False)
             fallback = results()
         forbid_component_search(monkeypatch)
         assert results() == fallback
+
+    def test_synchronizing_pair_with_a_transient_candidate(self, count_tarjan):
+        # breadth-first order from pair state 0 is 0 3 5 1 4 2, so the
+        # candidate is 2, but the only sink is {1, 3, 4}: the check fails on
+        # a synchronizing pair, and the Tarjan search finds the sink
+        import procgeom.process as process
+        from procgeom.pfsa import _reachable
+        from procgeom.sync import _pair_delta, reset_word
+
+        p = as_process(Pfsa(["0", "1"], ["a", "b", "c"], [[1, 2], [0, 2], [1, 1]],
+                            [[0.3, 0.7], [0.6, 0.4], [0.8, 0.2]]), "p")
+        q = as_process(Pfsa(["0", "1"], ["a", "b"], [[1, 1], [1, 0]],
+                            [[0.45, 0.55], [0.25, 0.75]]), "q")
+        g, h = p.machine, q.machine
+        assert (g.n_states, h.n_states) == (3, 2)
+        delta = _pair_delta(g, h)
+        assert _reachable(delta, 0) == [0, 3, 5, 1, 4, 2]
+        assert reset_word(g, h) is not None
+        ends = np.arange(6)
+        for s in (1, 0, 1):
+            ends = delta[ends, s]
+        assert set(ends.tolist()) == {4}
+        expected = sink_components_loop(delta)
+        assert expected == [[1, 3, 4]]
+
+        assert process._pair_sink(g, h)[1] == expected[0]
+        assert count_tarjan == [6]
+
+        value = inner_exact(p, q).value
+        chain = np.zeros((6, 6))
+        np.add.at(chain, (np.arange(6)[:, None], delta), 0.5)
+        w, v = np.linalg.eig(chain.T)
+        rho = np.real(v[:, np.argmin(np.abs(w - 1.0))])
+        rho /= rho.sum()
+        pairwise = np.diff(np.log(g._morph), axis=1) @ np.diff(np.log(h._morph), axis=1).T
+        assert abs(value - float(rho @ pairwise.ravel())) <= 1e-12
 
 
 def random_process(n, seed):
