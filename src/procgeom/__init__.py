@@ -97,7 +97,6 @@ from .sync import (
     SyncResult,
     epsilon_synchronize,
     joint_epsilon_synchronize,
-    product_machine,
     reset_word,
 )
 

@@ -127,12 +127,14 @@ def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = 
     Raises
     ------
     ValueError
-        If ``config.depth`` is negative or ``config.smoothing`` is not a
-        finite positive number; checked before any model is built or
-        sampled.
+        If ``config.depth`` or ``config.stream_length`` is negative, or
+        ``config.smoothing`` is not a finite positive number; checked
+        before any model is built or sampled.
     """
     _check_depth(config.depth)
     _check_smoothing(config.smoothing)
+    if config.stream_length < 0:
+        raise ValueError("stream_length must be >= 0")
     base_p = base if isinstance(base, ProcessHandle) else as_process(base, label="G")
     models = tuple(scale_process(a, base_p) for a in config.scales)
     labels = tuple(f"{a:g}G" for a in config.scales)

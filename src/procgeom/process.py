@@ -9,7 +9,7 @@ The algebra mirrors the simplex operations row by row:
 
 * zero process: one state emitting uniformly (flat white noise),
 * scalar product: every emission row raised to a power and renormalized,
-* sum: componentwise product machine with row-wise simplex sums.
+* sum: pair states moved componentwise, with row-wise simplex sums.
 
 The inner product of two processes is the long-run average of the
 log-ratio inner products of their next-symbol distributions along a
@@ -33,7 +33,7 @@ from .errors import MultipleRecurrentClasses, ZeroNorm
 from .pfsa import (
     Pfsa,
     _reachable,
-    _restrict,
+    _renumber,
     _sink_components,
     _stationary,
     belief_from_string,
@@ -46,8 +46,8 @@ from .pfsa import (
     stationary_distribution,
     structurally_equal,
 )
-from .simplex import log_ratios, pscale, psum
-from .sync import _pair_delta, _reset_word, joint_epsilon_synchronize, product_machine
+from .simplex import log_ratios, pscale
+from .sync import _pair_delta, _reset_word, joint_epsilon_synchronize
 
 ZERO_NORM_TOL = 1e-12
 DEFAULT_MC_EPS = 1e-6
@@ -95,8 +95,14 @@ class AngleEstimate:
 def as_process(machine: Pfsa, label: str = "process") -> ProcessHandle:
     """Validate a machine and reduce it to process normal form."""
     require_valid(machine)
-    normal = canonicalize(minimize(minimal_closed_restriction(machine)))
-    return ProcessHandle(machine=normal, label=label)
+    return _normal_form(minimal_closed_restriction(machine), label)
+
+
+def _normal_form(machine: Pfsa, label: str) -> ProcessHandle:
+    """Normal form of a validated machine that is one closed, strongly
+    connected component (a minimal closed restriction, a scaled normal
+    form or a pair sink): minimize and canonicalize, with no sink search."""
+    return ProcessHandle(machine=canonicalize(minimize(machine)), label=label)
 
 
 def zero_process(alphabet) -> ProcessHandle:
@@ -120,17 +126,19 @@ def scale_process(alpha: float, p: ProcessHandle) -> ProcessHandle:
     """
     g = p.machine
     scaled = Pfsa(g.alphabet, g.states, g._delta.copy(), pscale(alpha, g._morph))
-    return as_process(scaled, label=f"{alpha:g}*{p.label}")
+    return _normal_form(require_valid(scaled), label=f"{alpha:g}*{p.label}")
 
 
 def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
-    """Group sum: pair machine with row-wise simplex sums, then normal form.
+    """Group sum: pair states with row-wise simplex sums, then normal form.
 
     The sum tracks both operands along one shared symbol stream, so its
     states are pairs moved componentwise and its rows are the simplex sums
     of the operand rows.  It lives on the closed component of the pair
     structure that :func:`inner_exact` averages over, picked by the rules
-    stated there.
+    stated there.  Names ``(a,b)``, rows and validation are built for its
+    pair states only; a row is the :func:`~procgeom.simplex.psum` of the
+    operand rows.
 
     Raises
     ------
@@ -143,9 +151,12 @@ def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
     """
     g, h = p.machine, q.machine
     check_same_alphabet(g, h)
-    _, keep = _pair_sink(g, h)
-    prod = product_machine(g, h, row_combiner=psum)
-    return as_process(_restrict(prod, keep), label=f"({p.label}+{q.label})")
+    delta, keep = _pair_sink(g, h)
+    i, j = np.divmod(keep, h.n_states)
+    names = [f"({g.states[a]},{h.states[b]})" for a, b in zip(i.tolist(), j.tolist())]
+    w = g._morph[i] * h._morph[j]
+    pair = Pfsa(g.alphabet, names, _renumber(delta, keep), w / w.sum(axis=1, keepdims=True))
+    return _normal_form(require_valid(pair), label=f"({p.label}+{q.label})")
 
 
 # ---------------------------------------------------------------------------

@@ -143,24 +143,6 @@ def _reset_word(machines, tables: dict) -> tuple[str, ...] | None:
     return tuple(machines[0].alphabet[s] for s in word)
 
 
-def product_machine(g: Pfsa, h: Pfsa, row_combiner=None) -> Pfsa:
-    """Componentwise product machine on the shared alphabet.
-
-    States are all pairs (g-state, h-state); a symbol moves both components
-    by their own transition maps.  Emission rows come from
-    ``row_combiner(row_g, row_h)``; without a combiner every product state
-    emits uniformly.
-    """
-    check_same_alphabet(g, h)
-    k = g.n_symbols
-    names = [f"({a},{b})" for a in g.states for b in h.states]
-    if row_combiner is None:
-        morph = np.full((len(names), k), 1.0 / k)
-    else:
-        morph = [row_combiner(rg, rh) for rg in g._morph for rh in h._morph]
-    return Pfsa(g.alphabet, names, _pair_delta(g, h), morph)
-
-
 def _belief_key(beliefs) -> bytes:
     return np.round(np.concatenate(beliefs) / BELIEF_QUANTUM).tobytes()
 

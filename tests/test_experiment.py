@@ -37,8 +37,13 @@ class TestNoiseExperiment:
         assert not rep.zero_norm[i["1G"]]
         assert np.isnan(rep.model_angles[i["0G"], i["1G"]])
 
-    @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
-    def test_non_finite_smoothing_rejected_before_any_work(self, g2, monkeypatch, smoothing):
+    @pytest.mark.parametrize("bad, message", [
+        (dict(smoothing=math.nan), "smoothing must be finite and > 0"),
+        (dict(smoothing=math.inf), "smoothing must be finite and > 0"),
+        (dict(depth=-1), "depth must be >= 0"),
+        (dict(stream_length=-1), "stream_length must be >= 0"),
+    ], ids=["nan-smoothing", "inf-smoothing", "negative-depth", "negative-length"])
+    def test_bad_config_rejected_before_any_work(self, g2, monkeypatch, bad, message):
         import procgeom.experiment as experiment
 
         def no_work(*args, **kwargs):
@@ -46,19 +51,8 @@ class TestNoiseExperiment:
 
         monkeypatch.setattr(experiment, "inner_exact", no_work)
         monkeypatch.setattr(experiment, "stream_from_model", no_work)
-        with pytest.raises(ValueError, match="smoothing must be finite and > 0"):
-            run_noise_experiment(g2, small_config(smoothing=smoothing))
-
-    def test_negative_depth_rejected_before_any_work(self, g2, monkeypatch):
-        import procgeom.experiment as experiment
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("the experiment ran")
-
-        monkeypatch.setattr(experiment, "inner_exact", no_work)
-        monkeypatch.setattr(experiment, "stream_from_model", no_work)
-        with pytest.raises(ValueError, match="depth must be >= 0"):
-            run_noise_experiment(g2, small_config(depth=-1))
+        with pytest.raises(ValueError, match=message):
+            run_noise_experiment(g2, small_config(**bad))
 
     def test_each_model_solves_its_stationary_vector_once(self, g2, monkeypatch):
         import procgeom.pfsa as pfsa

@@ -1,0 +1,92 @@
+"""Hilbert-space laws of the exact inner product on random synchronizing machines.
+
+Each triple (p, q, r) draws three machines of 5-8 states on k symbols from
+one seeded generator: transitions uniform, rows dirichlet(2) floored at
+1e-3 and renormalized.  A triple is kept only if every machine is unichain
+and the three share a reset word, so every pair chain has one sink and the
+closed form is the walk average itself.  The sum enters through
+``sum_processes`` and the scalar product through ``scale_process``.
+
+Tolerances are relative to the Cauchy-Schwarz scale of each side, the
+product of the operands' norms, so an inner product near zero is not
+held to a relative error of its own size.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from procgeom import (
+    NotErgodic,
+    Pfsa,
+    as_process,
+    inner_exact,
+    process_norm,
+    reset_word,
+    scale_process,
+    sum_processes,
+    zero_process,
+)
+
+TRIPLES = 20
+REL_TOL = 1e-12
+SCALES = (0.37, -1.0, -2.5)
+
+
+def random_machine(rng, k):
+    n = int(rng.integers(5, 9))
+    delta = rng.integers(0, n, (n, k))
+    rows = np.maximum(rng.dirichlet([2.0] * k, n), 1e-3)
+    return Pfsa([str(s) for s in range(k)], [f"s{i}" for i in range(n)], delta,
+                rows / rows.sum(axis=1, keepdims=True))
+
+
+@functools.lru_cache(maxsize=None)
+def triples(k):
+    """The first ``TRIPLES`` kept triples on ``k`` symbols, by seed."""
+    kept = []
+    for seed in range(10 * TRIPLES):
+        rng = np.random.default_rng([k, seed])
+        try:
+            triple = tuple(as_process(random_machine(rng, k), f"{name}{seed}") for name in "pqr")
+        except NotErgodic:
+            continue
+        if reset_word(*(x.machine for x in triple)) is not None:
+            kept.append(triple)
+            if len(kept) == TRIPLES:
+                return kept
+    raise AssertionError(f"only {len(kept)} kept triples on {k} symbols")
+
+
+def inner(a, b):
+    return inner_exact(a, b).value
+
+
+def assert_close(lhs, rhs, scale):
+    assert abs(lhs - rhs) <= REL_TOL * scale, (lhs, rhs, scale)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+class TestInnerProductLaws:
+    def test_symmetry(self, k):
+        for p, q, _ in triples(k):
+            assert_close(inner(p, q), inner(q, p), process_norm(p) * process_norm(q))
+
+    def test_additivity(self, k):
+        # <p + q, r> = <p, r> + <q, r>
+        for p, q, r in triples(k):
+            scale = (process_norm(p) + process_norm(q)) * process_norm(r)
+            assert_close(inner(sum_processes(p, q), r), inner(p, r) + inner(q, r), scale)
+
+    @pytest.mark.parametrize("alpha", SCALES)
+    def test_homogeneity(self, k, alpha):
+        # <alpha p, r> = alpha <p, r>
+        for p, _, r in triples(k):
+            scale = abs(alpha) * process_norm(p) * process_norm(r)
+            assert_close(inner(scale_process(alpha, p), r), alpha * inner(p, r), scale)
+
+    def test_zero_annihilates(self, k):
+        for p, _, _ in triples(k):
+            zero = zero_process(p.alphabet)
+            assert_close(inner(zero, p), 0.0, process_norm(p))

@@ -7,6 +7,7 @@ import pytest
 
 from procgeom import (
     AlphabetMismatch,
+    InvalidPfsa,
     Pfsa,
     ZeroNorm,
     angle,
@@ -20,6 +21,7 @@ from procgeom import (
     minimal_closed_restriction,
     process_norm,
     pscale,
+    psum,
     scale_process,
     structurally_equal,
     sum_processes,
@@ -27,7 +29,7 @@ from procgeom import (
     zero_process,
 )
 from procgeom.process import _batched_pair_walks, _pair_state_walks
-from conftest import make_feed3, make_t3, sink_components_loop
+from conftest import make_feed3, make_single, make_t3, sink_components_loop
 
 
 @pytest.fixture
@@ -150,6 +152,82 @@ class TestSum:
         inv = sum_processes(T, scale_process(-1.0, T))
         assert validate(inv.machine).valid
         assert inv.machine.n_states == 3
+
+    def test_underflowing_pair_row_raises_invalid_pfsa(self):
+        # 1e-200 squared underflows to 0 in the pair state (a,a): the sum
+        # built on the pair sink still validates its rows
+        u = as_process(Pfsa(["0", "1"], ["a", "b"], [[0, 1], [0, 1]],
+                            [[1e-200, 1.0 - 1e-200], [0.5, 0.5]]), "U")
+        with pytest.raises(InvalidPfsa, match=r"state \(a,a\): morph entry for symbol '0' is 0"):
+            sum_processes(u, u)
+
+
+def reference_sum(p, q):
+    """The sum as built over every pair state: all ng * nh names, one
+    ``psum`` row per pair, restricted to the pair sink, then normal form."""
+    import procgeom.process as process
+    from procgeom.pfsa import _restrict
+    from procgeom.sync import _pair_delta
+
+    g, h = p.machine, q.machine
+    names = [f"({a},{b})" for a in g.states for b in h.states]
+    rows = [psum(rg, rh) for rg in g._morph for rh in h._morph]
+    full = Pfsa(g.alphabet, names, _pair_delta(g, h), rows)
+    _, keep = process._pair_sink(g, h)
+    return as_process(_restrict(full, keep), "reference")
+
+
+def reference_sum_pairs(request):
+    """Fixture pairs of all three ``_pair_sink`` rules, then seeded random pairs."""
+    fixture = {name: as_process(request.getfixturevalue(name), name)
+               for name in ("g2", "m2", "t3", "u3")}
+    t3 = request.getfixturevalue("t3")
+    renamed = as_process(Pfsa(t3.alphabet, ["u", "v", "w"], t3._delta, t3._morph), "S")
+    named = [(fixture["g2"], fixture["g2"]),  # rule 1: the diagonal
+             (fixture["u3"], fixture["u3"]),
+             (fixture["g2"], fixture["m2"]),  # rule 2: the single sink
+             (fixture["t3"], fixture["g2"]),
+             (fixture["t3"], renamed),  # rule 3: the sink the synchronized start reaches
+             (renamed, fixture["t3"])]
+    randoms = [(random_process(n, seed), random_process(n, seed + 1))
+               for n, seed in ((8, 1), (12, 4), (16, 5), (24, 7), (32, 9))]
+    randoms += [(random_process(n, seed, k), random_process(n, seed + 1, k))
+                for n, k, seed in ((8, 3, 11), (10, 9, 11))]
+    return named + randoms
+
+
+class TestSumOnThePairSink:
+    def test_equals_the_sum_over_every_pair_state_byte_for_byte(self, request):
+        for p, q in reference_sum_pairs(request):
+            assert format_pfsa(sum_processes(p, q).machine) == format_pfsa(reference_sum(p, q).machine)
+
+    def test_kept_pair_states_follow_both_machines(self, request, monkeypatch):
+        # the machine entering normal form: one named state per kept pair,
+        # moved componentwise, with the psum of the operand rows
+        import procgeom.process as process
+
+        built = []
+        normal_form = process._normal_form
+
+        def kept(machine, label):
+            built.append(machine)
+            return normal_form(machine, label)
+
+        monkeypatch.setattr(process, "_normal_form", kept)
+        one_state = (as_process(request.getfixturevalue("g2"), "G"), as_process(make_single(), "Z"))
+        for p, q in reference_sum_pairs(request) + [one_state]:
+            g, h = p.machine, q.machine
+            built.clear()
+            sum_processes(p, q)
+            (pair,) = built
+            keep = process._pair_sink(g, h)[1]
+            assert pair.states == tuple(f"({g.states[i // h.n_states]},{h.states[i % h.n_states]})"
+                                        for i in keep)
+            for name in pair.states:
+                a, b = name[1:-1].split(",")
+                assert pair.morph_row(name).tolist() == psum(g.morph_row(a), h.morph_row(b)).tolist()
+                for sym in g.alphabet:
+                    assert pair.next_state(name, sym) == f"({g.next_state(a, sym)},{h.next_state(b, sym)})"
 
 
 class TestVectorSpaceLaws:
@@ -708,12 +786,12 @@ class TestCertifiedSinkRule:
         assert abs(value - float(rho @ pairwise.ravel())) <= 1e-12
 
 
-def random_process(n, seed):
-    # the random test machines: delta uniform, rows dirichlet([2, 2]) floored at 1e-3
+def random_process(n, seed, k=2):
+    # the random test machines: delta uniform, rows dirichlet([2] * k) floored at 1e-3
     rng = np.random.default_rng(seed)
-    delta = rng.integers(0, n, (n, 2))
-    rows = np.maximum(rng.dirichlet([2.0, 2.0], n), 1e-3)
-    return as_process(Pfsa(["0", "1"], [f"s{i}" for i in range(n)], delta,
+    delta = rng.integers(0, n, (n, k))
+    rows = np.maximum(rng.dirichlet([2.0] * k, n), 1e-3)
+    return as_process(Pfsa([str(s) for s in range(k)], [f"s{i}" for i in range(n)], delta,
                            rows / rows.sum(axis=1, keepdims=True)), f"r{n}-{seed}")
 
 

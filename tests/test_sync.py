@@ -9,12 +9,9 @@ from procgeom import (
     belief_from_string,
     epsilon_synchronize,
     joint_epsilon_synchronize,
-    product_machine,
-    psum,
     reset_word,
     scale_process,
     as_process,
-    validate,
     Pfsa,
 )
 from conftest import (make_feed3, make_g2, make_m2, make_perm2, make_single, make_t3,
@@ -73,40 +70,6 @@ class TestCertificatesReplay:
             for machine, r in zip(pair, exc_info.value.best):
                 assert_replays(machine, r, r.string)
                 assert len(r.string) == best_len
-
-
-class TestProductMachine:
-    def test_g2_squared_has_four_states(self, g2):
-        prod = product_machine(g2, g2)
-        assert prod.n_states == 4
-        assert validate(prod).valid
-
-    def test_diagonal_closed_under_transitions(self, g2):
-        prod = product_machine(g2, g2)
-        diagonal = {f"({q},{q})" for q in g2.states}
-        for q in diagonal:
-            for sym in prod.alphabet:
-                assert prod.next_state(q, sym) in diagonal
-
-    @pytest.mark.parametrize("maker", [make_single, make_t3])
-    def test_pair_states_follow_both_machines(self, g2, maker):
-        h = maker()
-        prod = product_machine(g2, h)
-        assert prod.n_states == g2.n_states * h.n_states
-        for i, q in enumerate(g2.states):
-            for j, r in enumerate(h.states):
-                assert prod.states[i * h.n_states + j] == f"({q},{r})"
-                for sym in g2.alphabet:
-                    expected = f"({g2.next_state(q, sym)},{h.next_state(r, sym)})"
-                    assert prod.next_state(f"({q},{r})", sym) == expected
-
-    def test_row_combiner(self, g2):
-        prod = product_machine(g2, make_single(), row_combiner=psum)
-        np.testing.assert_allclose(prod.morph_row("(A,s)"), [0.8, 0.2], atol=1e-15)
-
-    def test_alphabet_mismatch(self, g2, u3):
-        with pytest.raises(AlphabetMismatch):
-            product_machine(g2, u3)
 
 
 class TestEpsilonSynchronize:
