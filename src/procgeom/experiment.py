@@ -22,6 +22,7 @@ from .pfsa import Pfsa
 from .process import ProcessHandle, _angle_from, as_process, inner_exact, scale_process
 from .streams import (
     _check_depth,
+    _check_length,
     _check_smoothing,
     estimate_derivatives,
     stream_from_model,
@@ -124,17 +125,27 @@ class ExperimentReport:
 def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = ExperimentConfig()) -> ExperimentReport:
     """Build the scaled model family, stream from it, and measure angles.
 
+    Streams are sampled one at a time, in the seed order of
+    ``SeedSequence(config.seed).spawn(n_models)`` and then two children per
+    model; each is reduced to its mean, std and context table before the
+    next is sampled, so peak memory holds about two streams of
+    ``8 * config.stream_length`` bytes, not all of them.
+
     Raises
     ------
     ValueError
         If ``config.depth`` or ``config.stream_length`` is negative, or
         ``config.smoothing`` is not a finite positive number; checked
         before any model is built or sampled.
+    StreamTooShort
+        If ``config.stream_length <= config.depth``, so a stream has no
+        window of ``depth + 1`` symbols; checked at the same point.
     """
     _check_depth(config.depth)
     _check_smoothing(config.smoothing)
     if config.stream_length < 0:
         raise ValueError("stream_length must be >= 0")
+    _check_length(config.stream_length, config.depth)
     base_p = base if isinstance(base, ProcessHandle) else as_process(base, label="G")
     models = tuple(scale_process(a, base_p) for a in config.scales)
     labels = tuple(f"{a:g}G" for a in config.scales)
@@ -156,19 +167,18 @@ def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = 
             except (DepthExceeded, NotErgodic) as err:
                 undefined[i, j] = f"{type(err).__name__}: {err}"
 
+    # rebinding ``stream`` frees the one before once the next is sampled;
+    # freeing it earlier, by ``del``, made more page faults and slower ops
     seeds = np.random.SeedSequence(config.seed).spawn(n)
-    streams = [
-        [stream_from_model(m.machine, config.stream_length, s) for s in seeds[i].spawn(2)]
-        for i, m in enumerate(models)
-    ]
     means = np.empty((n, 2))
     stds = np.empty((n, 2))
     tables = []
-    for i in range(n):
+    for i, m in enumerate(models):
         per_model = []
-        for s in range(2):
-            means[i, s], stds[i, s] = stream_stats(streams[i][s])
-            per_model.append(estimate_derivatives(streams[i][s], config.depth, config.smoothing))
+        for s, seed in enumerate(seeds[i].spawn(2)):
+            stream = stream_from_model(m.machine, config.stream_length, seed)
+            means[i, s], stds[i, s] = stream_stats(stream)
+            per_model.append(estimate_derivatives(stream, config.depth, config.smoothing))
         tables.append(per_model)
 
     empirical = np.full((n, n), np.nan)

@@ -777,6 +777,8 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
       ``_STITCH_BLOCKS`` blocks.  ``m`` vectorised gathers of ``sym`` and
       ``step`` then fill in the symbols of every block at once.  A tail of
       fewer than ``m`` symbols takes the one-step tables symbol by symbol.
+    * A one-state machine needs no table or walk: every symbol is
+      ``sym[0, a]`` of its own draw's letter.
 
     When no block of two letters fits the cap (from about 40 states on
     two symbols), the loop bisects every symbol as written above: the
@@ -807,6 +809,8 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
     # sym[q, a] counts the thresholds of row q at or below cuts[a - 1]
     rank = np.searchsorted(cuts, cum) + 1 + letters * np.arange(n)[:, None]
     sym = np.bincount(rank.ravel(), minlength=n * letters).reshape(n, letters).cumsum(axis=1)
+    if n == 1:
+        return _freeze(sym[0][_letters(rng.random(length), cuts)])
     step = g._delta[np.arange(n)[:, None], sym]
     jump = step
     for _ in range(m - 1):

@@ -72,20 +72,27 @@ def stream_from_model(g: Pfsa, length: int, seed) -> SymbolStream:
 
 def stream_stats(s: SymbolStream) -> tuple[float, float]:
     """Mean and (population) standard deviation of the symbol indices."""
-    if len(s) == 0:
+    n = len(s)
+    if n == 0:
         raise StreamTooShort("cannot compute stats of an empty stream")
-    x = s.indices.astype(np.float64)
-    return float(x.mean()), float(x.std())
+    # no float copy of the stream: the integer sum is exact, and the squared
+    # deviations are gathered per symbol and summed in numpy's pairwise
+    # order, the same values and order as ``astype(float64).std()``; an
+    # index, unlike ``np.take``, does not copy the read-only indices first
+    mean = int(np.add.reduce(s.indices)) / n
+    sq = (np.arange(len(s.alphabet)) - mean) ** 2
+    return mean, math.sqrt(np.add.reduce(sq[s.indices]) / n)
 
 
 # ---------------------------------------------------------------------------
 # stream files: one line, space separated, or compact for 1-char symbols
 
 def format_stream(s: SymbolStream) -> str:
-    names = s.symbols()
     if all(len(n) == 1 for n in s.alphabet):
-        return "".join(names) + "\n"
-    return " ".join(names) + "\n"
+        # one UTF-32 code unit per symbol, decoded at once
+        text = np.array(s.alphabet, dtype="<U1")[s.indices].tobytes().decode("utf-32-le")
+        return text + "\n"
+    return " ".join(s.symbols()) + "\n"
 
 
 def write_stream(s: SymbolStream, path) -> None:
@@ -157,6 +164,12 @@ def _check_depth(depth: int) -> None:
         raise ValueError("depth must be >= 0")
 
 
+def _check_length(n: int, depth: int) -> None:
+    """Reject a stream of ``n`` symbols that has no window of ``depth + 1``."""
+    if n <= depth:
+        raise StreamTooShort(f"stream length {n} <= depth {depth}")
+
+
 def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) -> DerivativeTable:
     """Sliding-window estimates of next-symbol distributions per context.
 
@@ -176,13 +189,16 @@ def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) ->
     _check_smoothing(smoothing)
     k = len(s.alphabet)
     n = len(s)
-    if n <= depth:
-        raise StreamTooShort(f"stream length {n} <= depth {depth}")
-    # window codes in base k, first symbol most significant, by Horner's rule
-    joint_codes = s.indices[: n - depth].copy()
+    _check_length(n, depth)
+    # window codes in base k, first symbol most significant, by Horner's
+    # rule, in the narrowest unsigned type that holds the largest code; past
+    # 32 bits in int64, which ``bincount`` takes without a cast
+    codes = np.min_scalar_type(k ** (depth + 1) - 1)
+    indices = s.indices.astype(codes if codes.itemsize < 8 else np.int64, copy=False)
+    joint_codes = indices[: n - depth].copy()
     for i in range(1, depth + 1):
         joint_codes *= k
-        joint_codes += s.indices[i : n - depth + i]
+        joint_codes += indices[i : n - depth + i]
     joint = np.bincount(joint_codes, minlength=k ** (depth + 1)).reshape(k**depth, k)
     counts = joint.sum(axis=1)
     probs = (joint + smoothing) / (counts[:, None] + smoothing * k)

@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from procgeom import ExperimentConfig, Pfsa, angle, as_process, run_noise_experiment, write_pfsa
+from procgeom import (
+    ExperimentConfig,
+    Pfsa,
+    StreamTooShort,
+    angle,
+    as_process,
+    run_noise_experiment,
+    write_pfsa,
+)
+from procgeom.experiment import DEFAULT_SCALES
 from procgeom.cli import main
 
 
@@ -37,13 +46,16 @@ class TestNoiseExperiment:
         assert not rep.zero_norm[i["1G"]]
         assert np.isnan(rep.model_angles[i["0G"], i["1G"]])
 
-    @pytest.mark.parametrize("bad, message", [
-        (dict(smoothing=math.nan), "smoothing must be finite and > 0"),
-        (dict(smoothing=math.inf), "smoothing must be finite and > 0"),
-        (dict(depth=-1), "depth must be >= 0"),
-        (dict(stream_length=-1), "stream_length must be >= 0"),
-    ], ids=["nan-smoothing", "inf-smoothing", "negative-depth", "negative-length"])
-    def test_bad_config_rejected_before_any_work(self, g2, monkeypatch, bad, message):
+    @pytest.mark.parametrize("bad, error, message", [
+        (dict(smoothing=math.nan), ValueError, "smoothing must be finite and > 0"),
+        (dict(smoothing=math.inf), ValueError, "smoothing must be finite and > 0"),
+        (dict(depth=-1), ValueError, "depth must be >= 0"),
+        (dict(stream_length=-1), ValueError, "stream_length must be >= 0"),
+        (dict(stream_length=4, depth=4), StreamTooShort, "stream length 4 <= depth 4"),
+        (dict(stream_length=0), StreamTooShort, "stream length 0 <= depth 4"),
+    ], ids=["nan-smoothing", "inf-smoothing", "negative-depth", "negative-length",
+            "length-at-depth", "empty-streams"])
+    def test_bad_config_rejected_before_any_work(self, g2, monkeypatch, bad, error, message):
         import procgeom.experiment as experiment
 
         def no_work(*args, **kwargs):
@@ -51,8 +63,28 @@ class TestNoiseExperiment:
 
         monkeypatch.setattr(experiment, "inner_exact", no_work)
         monkeypatch.setattr(experiment, "stream_from_model", no_work)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             run_noise_experiment(g2, small_config(**bad))
+
+    def test_peak_memory_holds_two_streams_whatever_the_scales(self, g2):
+        # each stream is reduced before the next is sampled, so the peak is
+        # a few streams' worth of bytes and does not grow with the scales
+        import tracemalloc
+
+        length = 400_000
+        stream_bytes = 8 * length
+        run_noise_experiment(g2, small_config(stream_length=2_000))  # first-call imports and caches
+        peaks = []
+        for scales in ((1.0, -1.0), DEFAULT_SCALES):
+            tracemalloc.start()
+            try:
+                run_noise_experiment(g2, small_config(scales=scales, stream_length=length))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        two, five = peaks
+        assert five < 4 * stream_bytes, five / stream_bytes
+        assert abs(five - two) <= 0.05 * two, (two / stream_bytes, five / stream_bytes)
 
     def test_each_model_solves_its_stationary_vector_once(self, g2, monkeypatch):
         import procgeom.pfsa as pfsa

@@ -666,8 +666,8 @@ class TestGenerate:
     @pytest.mark.parametrize("name", ["g2", "tied", "uniform", "zero", "k4", "n200"])
     def test_every_length_around_the_block_matches_reference_loop(self, name):
         # identical rows and uniform rows give thresholds tied across states;
-        # the one-state zero model takes the longest block, 200 states take
-        # blocks of one symbol
+        # the one-state zero model would take the longest block but skips
+        # the table, 200 states take blocks of one symbol
         g = self.block_cases()[name]
         m = self.block_length(g)
         assert m == {"zero": 16, "n200": 1}.get(name, m) and (m > 1) == (name != "n200")
@@ -675,6 +675,26 @@ class TestGenerate:
             for length in [*range(2 * m + 2), 10_000]:
                 assert np.array_equal(generate_sequence(g, length, seed),
                                       self.sample_by_index(g, length, seed)), length
+
+    @pytest.mark.parametrize("row", [[0.5, 0.5], [0.3, 0.7], [0.2, 0.3, 0.5],
+                                     [0.5, 1e-20, 0.5 - 1e-20], [0.5, 0.5 - 1e-20, 1e-20]],
+                             ids=["2-uniform", "2", "3", "3-tied", "3-cut-at-one"])
+    def test_one_state_machines_match_reference_loop(self, row, monkeypatch):
+        # a one-state machine emits sym[0, letter] per draw, with no jump
+        # table or stitched walk; a tiny middle entry leaves two running
+        # sums tied, a tiny last one puts a threshold at 1.0
+        import procgeom.pfsa as pfsa
+
+        def no_walk(*args):
+            raise AssertionError("a one-state machine stitched a walk")
+
+        monkeypatch.setattr(pfsa, "_stitched_starts", no_walk)
+        g = make_single(tuple("abc"[:len(row)]), row)
+        for seed in (0, 5):
+            for length in (0, 1, 15, 16, 17, 10_000):
+                out = generate_sequence(g, length, seed)
+                assert out.dtype == np.int64 and not out.flags.writeable
+                assert np.array_equal(out, self.sample_by_index(g, length, seed)), length
 
     @pytest.mark.parametrize("n", [39, 40])
     def test_both_sides_of_the_block_table_cap_match_reference_loop(self, n, monkeypatch):

@@ -11,6 +11,7 @@ from procgeom import (
     as_process,
     belief_from_string,
     estimate_derivatives,
+    format_stream,
     pdist,
     read_stream,
     scale_process,
@@ -54,11 +55,37 @@ class TestSymbolStream:
         again = read_stream(path, alphabet=wide.alphabet)
         np.testing.assert_array_equal(wide.indices, again.indices)
 
+    def test_round_trip_compact_non_ascii(self, tmp_path):
+        # one-character symbols outside ASCII, one of them outside the BMP
+        alphabet = ("α", "β", "😀")
+        rng = np.random.default_rng(8)
+        s = SymbolStream.from_indices(rng.integers(0, 3, 1_001), alphabet)
+        assert format_stream(s) == "".join(s.symbols()) + "\n"
+        path = tmp_path / "s.txt"
+        write_stream(s, path)
+        again = read_stream(path, alphabet=alphabet)
+        np.testing.assert_array_equal(s.indices, again.indices)
+        assert format_stream(SymbolStream.from_indices([], alphabet)) == "\n"
+
     def test_stats_map_symbols_to_indices(self):
         s = SymbolStream.from_symbols(list("0011"), alphabet=["0", "1"])
         mean, std = stream_stats(s)
         assert mean == pytest.approx(0.5)
         assert std == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 127, 128, 129, 1_000, 8_191, 8_192,
+                                        8_193, 65_537, 100_000, 1_000_003])
+    def test_stats_equal_the_float_copy_bit_for_bit(self, length):
+        # the formula the stats replace, which converts the stream to floats
+        rng = np.random.default_rng(length)
+        for k in range(1, 8):
+            s = SymbolStream.from_indices(rng.integers(0, k, length), [str(j) for j in range(k)])
+            x = s.indices.astype(np.float64)
+            assert stream_stats(s) == (float(x.mean()), float(x.std())), k
+
+    def test_stats_of_empty_stream_rejected(self):
+        with pytest.raises(StreamTooShort):
+            stream_stats(SymbolStream.from_indices([], ["0", "1"]))
 
 
 class TestEstimateDerivatives:
@@ -103,6 +130,20 @@ class TestEstimateDerivatives:
         table = estimate_derivatives(s, depth=1, smoothing=0.5)
         np.testing.assert_allclose(table.estimate("1"), [0.5, 0.5], atol=1e-15)
         assert table.count("1") == 0
+
+    @pytest.mark.parametrize("k, depth", [(2, 7), (2, 8), (4, 7), (3, 10)])
+    def test_narrow_window_codes_count_like_int64(self, k, depth):
+        # the largest window code k ** (depth + 1) - 1 at the uint8 limit,
+        # one past it, at the uint16 limit, and in uint32
+        s = SymbolStream.from_indices(np.random.default_rng(k * depth).integers(0, k, 20_000),
+                                      [str(j) for j in range(k)])
+        codes = s.indices[: len(s) - depth].copy()
+        for i in range(1, depth + 1):
+            codes = codes * k + s.indices[i : len(s) - depth + i]
+        joint = np.bincount(codes, minlength=k ** (depth + 1)).reshape(k**depth, k)
+        table = estimate_derivatives(s, depth, 0.5)
+        np.testing.assert_array_equal(table.counts, joint.sum(axis=1))
+        np.testing.assert_array_equal(table.probs, (joint + 0.5) / (joint.sum(axis=1)[:, None] + 0.5 * k))
 
     def test_counts_cover_all_windows(self, g2):
         s = stream_from_model(g2, 5000, 9)
