@@ -36,7 +36,7 @@ _POWER_CHECK_STEPS = 250  # steps between projections of the residual to the cap
 _POWER_TEST_STEPS = 10  # steps between residual tests; divides _POWER_CHECK_STEPS
 _POWER_STEP_WEIGHT = 0.9  # x <- (1 - a) x + a xP; any a < 1 keeps the chain aperiodic
 _POWER_RESIDUAL_EPS = 4 * np.finfo(np.float64).eps
-_JUMP_TABLE_ENTRIES = 1 << 16  # cap on the sampler's block-jump table
+_JUMP_TABLE_ENTRIES = 1 << 16  # cap on a block-jump table (sampler and pair-state walks)
 _STITCH_BLOCKS = 32  # blocks per stitched chunk; 8 to 64 were equally fast
 
 
@@ -707,6 +707,26 @@ def _letters(draws: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     return count.astype(np.int64)
 
 
+def _jump_table(step: np.ndarray) -> tuple[int, np.ndarray]:
+    """Block length ``m`` and the ``m``-letter jump table of a one-step table.
+
+    ``step[q, a]`` is the state ``q`` moves to on letter ``a``, for ``n``
+    states and ``width`` letters.  ``m`` is the longest block whose table
+    has at most ``_JUMP_TABLE_ENTRIES`` entries (``n * width ** m``), and
+    at least 1.  ``jump[q, code]`` is the state after the ``m`` letters of
+    ``code`` (base ``width``, first letter most significant), built by
+    ``m - 1`` gathers of ``step``.
+    """
+    n, width = step.shape
+    m = 1
+    while n * width ** (m + 1) <= _JUMP_TABLE_ENTRIES:
+        m += 1
+    jump = step
+    for _ in range(m - 1):
+        jump = np.take(step, jump, axis=0).reshape(n, -1)
+    return m, jump
+
+
 def _stitched_starts(jump: np.ndarray, codes: np.ndarray, q: int) -> np.ndarray:
     """Start state of every block when the first block starts at ``q`` and
     a block of code ``c`` moves its start ``p`` to ``jump[p, c]``.
@@ -766,11 +786,11 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
       letter fixes every state's symbol ``sym[q, a]`` by the same float
       comparisons the loop makes, and its successor
       ``step[q, a] = delta[q, sym[q, a]]``.
-    * ``jump[q, code]`` is the state after the ``m`` letters of ``code``
-      (base ``L``, first letter most significant), built from ``step`` by
-      ``m - 1`` gathers.  ``m`` is the longest block whose table has at
-      most ``_JUMP_TABLE_ENTRIES`` entries (``n * L ** m``), so ``m >= 2``
-      needs ``L <= 256`` and a letter fits a byte.
+    * ``jump[q, code]`` is the state after the ``m`` letters of ``code``,
+      built from ``step`` by :func:`_jump_table`.  ``m`` is the longest
+      block whose table has at most ``_JUMP_TABLE_ENTRIES`` entries
+      (``n * L ** m``), so ``m >= 2`` needs ``L <= 256`` and a letter fits
+      a byte.
     * Each block's start state comes from the block codes by stitching
       chunks of blocks walked from every state at once
       (:func:`_stitched_starts`), so Python takes one step per
@@ -794,10 +814,7 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
     cum = np.cumsum(g._morph, axis=1)[:, :-1]
     cuts = np.unique(cum)
     letters = cuts.size + 1
-    m = 1
-    while n * letters ** (m + 1) <= _JUMP_TABLE_ENTRIES:
-        m += 1
-    if m == 1:
+    if n * letters ** 2 > _JUMP_TABLE_ENTRIES:
         cum_rows, delta_rows = cum.tolist(), g._delta.tolist()
         out = []
         for x in memoryview(rng.random(length)):
@@ -812,9 +829,7 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
     if n == 1:
         return _freeze(sym[0][_letters(rng.random(length), cuts)])
     step = g._delta[np.arange(n)[:, None], sym]
-    jump = step
-    for _ in range(m - 1):
-        jump = np.take(step, jump, axis=0).reshape(n, -1)
+    m, jump = _jump_table(step)
 
     out = _letters(rng.random(length), cuts)  # each letter is overwritten by its symbol once read
     blocks = length // m

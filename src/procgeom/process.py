@@ -32,6 +32,7 @@ import numpy as np
 from .errors import MultipleRecurrentClasses, ZeroNorm
 from .pfsa import (
     Pfsa,
+    _jump_table,
     _reachable,
     _renumber,
     _sink_components,
@@ -52,6 +53,7 @@ from .sync import _pair_delta, _reset_word, joint_epsilon_synchronize
 ZERO_NORM_TOL = 1e-12
 DEFAULT_MC_EPS = 1e-6
 _WALK_BLOCK_STEPS = 4096  # walk steps whose symbols are drawn at once
+_WALK_SUB_STEPS = 256  # pair-state walk steps whose states are filled in at once
 
 
 @dataclass(frozen=True)
@@ -276,16 +278,17 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
 # Monte Carlo inner product
 
 def _walk_symbols(seeds, walk_length: int, repeats: int, k: int):
-    """Uniform symbols of every walk, one row of ``len(seeds) * repeats`` per step.
+    """Uniform symbols of every walk, in blocks of rows of ``len(seeds) * repeats``.
 
-    Column ``pi * repeats + r`` is walk ``r`` of pair ``pi``, drawn from
+    Row ``t`` of a block holds step ``t`` of every walk: column
+    ``pi * repeats + r`` is walk ``r`` of pair ``pi``, drawn from
     ``seeds[pi].spawn(repeats)[r]``: ``seeds`` is the list of the pairs' own
     spawned sequences, so that a pair reads the same symbols whichever
-    pairs share its batch.  Rows are drawn ``_WALK_BLOCK_STEPS`` steps at
-    a time, so memory does not grow with ``walk_length``; a generator's
-    ``integers(0, k, size=a)`` followed by ``size=b`` returns the values of
-    one call with ``size=a + b``, so the symbols do not depend on the block
-    size.
+    pairs share its batch.  Blocks hold ``_WALK_BLOCK_STEPS`` steps (the
+    last one the rest), so memory does not grow with ``walk_length``; a
+    generator's ``integers(0, k, size=a)`` followed by ``size=b`` returns
+    the values of one call with ``size=a + b``, so the symbols do not
+    depend on the block size.
     """
     rngs = [np.random.default_rng(walk_seq)
             for pair_seq in seeds for walk_seq in pair_seq.spawn(repeats)]
@@ -293,7 +296,7 @@ def _walk_symbols(seeds, walk_length: int, repeats: int, k: int):
         block = np.empty((min(_WALK_BLOCK_STEPS, walk_length - start), len(rngs)), dtype=np.int64)
         for col, rng in enumerate(rngs):
             block[:, col] = rng.integers(0, k, size=block.shape[0])
-        yield from block
+        yield block
 
 
 def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> np.ndarray:
@@ -301,32 +304,77 @@ def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> n
 
     ``starts`` holds one ``(g-state, h-state)`` index pair per pair.  A
     point-mass belief stays a point mass under deterministic transitions,
-    so each walk is an integer walk over the pair states of all pairs,
-    numbered one after another: ``x = pair_delta[x, s]``, adding
-    ``term[x] = lg_i . lh_j`` at every step in time order.  Symbols come
-    from :func:`_walk_symbols` as in :func:`_batched_pair_walks`, and from
-    the same one-hot start the two kernels agree bit for bit: the belief
-    kernel's next-symbol row of a point mass is the state's own row, and
-    its renormalization gives exactly 1.0 again.
-    """
-    n_pairs = len(pairs)
-    k = pairs[0][0].n_symbols
-    tables, terms, x = [], [], []
-    offset = 0
-    for (g, h), (i, j) in zip(pairs, starts):
-        lg, lh = log_ratios(g._morph), log_ratios(h._morph)
-        terms.append(np.einsum("rs,rs->r", np.repeat(lg, h.n_states, axis=0),
-                               np.tile(lh, (g.n_states, 1))))
-        tables.append(_pair_delta(g, h) + offset)
-        x.append(np.full(repeats, offset + i * h.n_states + j))
-        offset += g.n_states * h.n_states
-    table, term, x = np.concatenate(tables), np.concatenate(terms), np.concatenate(x)
+    so each walk is an integer walk of a pair state ``(a, b)`` moved
+    componentwise, ``a = delta[a, s]`` and ``b = delta[b, s]``, adding
+    ``term[a * n + b] = lg_a . lh_b`` at every step.  ``delta`` stacks the
+    tables of the batch's distinct machines (``n`` states in all), so both
+    components of every walk move through one table.
 
-    acc = np.zeros(n_pairs * repeats)
-    for s in _walk_symbols(seeds, walk_length, repeats, k):
-        acc += term[x]
-        x = table[x, s]
-    return (acc / walk_length).reshape(n_pairs, repeats)
+    The walk is tabulated like :func:`~procgeom.pfsa.generate_sequence`:
+    :func:`~procgeom.pfsa._jump_table` gives the state after each block of
+    ``m`` symbols, so Python takes one step per block to find every block's
+    start, and ``m - 1`` vectorised gathers of ``delta`` then fill in the
+    states inside all blocks at once.  This runs over sub-blocks of
+    ``_WALK_SUB_STEPS`` steps in buffers allocated once per call; the last
+    block of a sub-block runs past its end on padding symbols, so the
+    state it ends in is known without a per-step tail.  Each walk's sum
+    stays a running sum in time order: one ``np.add.reduce`` along the
+    steps of a buffer whose first row is the sum carried in.
+
+    Symbols come from :func:`_walk_symbols` as in :func:`_batched_pair_walks`,
+    and from the same one-hot start the two kernels agree bit for bit: the
+    belief kernel's next-symbol row of a point mass is the state's own row,
+    and its renormalization gives exactly 1.0 again.
+    """
+    n_pairs, walks = len(pairs), len(pairs) * repeats
+    k = pairs[0][0].n_symbols
+    machines = list({id(g): g for pair in pairs for g in pair}.values())
+    offsets = np.cumsum([0] + [g.n_states for g in machines]).tolist()
+    first, n = dict(zip(map(id, machines), offsets)), offsets[-1]
+    delta = np.concatenate([g._delta + first[id(g)] for g in machines])
+    lr = log_ratios(np.concatenate([g._morph for g in machines]))
+    term = np.einsum("rs,rs->r", np.repeat(lr, n, axis=0), np.tile(lr, (n, 1)))
+    m, hop = _jump_table(delta)
+    inner = k ** (m - 1)
+    hop = (hop * (k * inner)).ravel()  # successors as row offsets: q's row starts at q * k * inner
+    step = (delta * k).ravel()  # the same for one symbol: state q's row starts at q * k
+    powers = k ** np.arange(m - 1, -1, -1)  # a block's code, first symbol most significant
+
+    # Every state below is held times k, as its row offset in ``step``.
+    # x[side, walk] is the walk's current g-state (side 0) or h-state (side 1).
+    x = k * np.array([[first[id(pair[side])] + start[side] for pair, start in zip(pairs, starts)
+                       for _ in range(repeats)] for side in (0, 1)], dtype=np.int64)
+    blocks = _WALK_SUB_STEPS // m + 1  # a sub-block's blocks; the last one runs past its end
+    pad = np.zeros((blocks * m, walks), dtype=np.int64)  # a sub-block's symbols, then padding
+    by_block = pad.reshape(blocks, m, walks)
+    codes = np.empty((blocks, 2, walks), dtype=np.int64)
+    states = np.empty((m, blocks, 2, walks), dtype=np.int64)  # [i, j]: at step j * m + i
+    fill = np.empty((blocks, 2, walks), dtype=np.int64)
+    index = np.empty((blocks, m, walks), dtype=np.int64)  # term index of every step, in time order
+    buf = np.zeros((_WALK_SUB_STEPS + 1, walks))  # row 0: the running sums carried in
+    # Indices are in range by construction; mode="clip" lets take write to ``out`` unbuffered.
+    for block in _walk_symbols(seeds, walk_length, repeats, k):
+        for t0 in range(0, block.shape[0], _WALK_SUB_STEPS):
+            steps = min(_WALK_SUB_STEPS, block.shape[0] - t0)
+            full = steps // m  # blocks wholly inside the sub-block
+            pad[:steps] = block[t0:t0 + steps]
+            codes[:full] = np.matmul(powers, by_block[:full])[:, None]
+            heads = states[0]  # block starts, first as row offsets in ``hop``
+            np.multiply(x, inner, out=heads[0])
+            for j in range(full):
+                hop.take(heads[j] + codes[j], out=heads[j + 1], mode="clip")
+            heads[:full + 1] //= inner
+            for i in range(1, m):
+                np.add(states[i - 1, :full + 1], by_block[:full + 1, i - 1, None], out=fill[:full + 1])
+                step.take(fill[:full + 1], out=states[i, :full + 1], mode="clip")
+            x = states[steps % m, steps // m].copy()
+            at = index[:full + 1]  # (a * k * n + b * k) // k = a * n + b
+            np.multiply(states[:, :full + 1, 0].transpose(1, 0, 2), n, out=at)
+            at += states[:, :full + 1, 1].transpose(1, 0, 2)
+            at //= k
+            term.take(at.reshape(-1, walks)[:steps], out=buf[1:steps + 1], mode="clip")
+            buf[0] = np.add.reduce(buf[:steps + 1], axis=0)
+    return (buf[0] / walk_length).reshape(n_pairs, repeats)
 
 
 def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> np.ndarray:
@@ -363,12 +411,13 @@ def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seeds) ->
 
     ridx = np.arange(rows)
     acc = np.zeros(rows)
-    for s in _walk_symbols(seeds, walk_length, repeats, k):
-        d = log_ratios(np.einsum("xrq,xrsq->xrs", b, emit))
-        acc += np.einsum("rs,rs->r", d[0], d[1])
-        b = np.bincount(dest[:, ridx, s].ravel(), (b * emit[:, ridx, s]).ravel(),
-                        minlength=b.size).reshape(b.shape)
-        b /= b.sum(axis=2, keepdims=True)
+    for block in _walk_symbols(seeds, walk_length, repeats, k):
+        for s in block:
+            d = log_ratios(np.einsum("xrq,xrsq->xrs", b, emit))
+            acc += np.einsum("rs,rs->r", d[0], d[1])
+            b = np.bincount(dest[:, ridx, s].ravel(), (b * emit[:, ridx, s]).ravel(),
+                            minlength=b.size).reshape(b.shape)
+            b /= b.sum(axis=2, keepdims=True)
     return (acc / walk_length).reshape(n_pairs, repeats)
 
 

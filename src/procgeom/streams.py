@@ -25,6 +25,7 @@ from .pfsa import Pfsa, generate_sequence
 from .simplex import ProbVec, _freeze, log_ratios
 
 STREAM_ZERO_NORM_TOL = 1e-9
+_COUNT_SLICE = 1 << 16  # windows per ``bincount`` call, unless the table has more bins
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,15 @@ def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) ->
     for i in range(1, depth + 1):
         joint_codes *= k
         joint_codes += indices[i : n - depth + i]
-    joint = np.bincount(joint_codes, minlength=k ** (depth + 1)).reshape(k**depth, k)
+    # counted in slices: ``bincount`` casts narrow codes to intp, 8 bytes a
+    # window, so a slice of at least as many windows as bins bounds that
+    # copy by the table's own size or ``_COUNT_SLICE``, whatever the length
+    bins = k ** (depth + 1)
+    size = max(_COUNT_SLICE, bins)
+    joint = np.zeros(bins, dtype=np.int64)
+    for start in range(0, joint_codes.size, size):
+        joint += np.bincount(joint_codes[start:start + size], minlength=bins)
+    joint = joint.reshape(k**depth, k)
     counts = joint.sum(axis=1)
     probs = (joint + smoothing) / (counts[:, None] + smoothing * k)
     contexts = tuple(itertools.product(s.alphabet, repeat=depth))

@@ -90,3 +90,13 @@ class TestInnerProductLaws:
         for p, _, _ in triples(k):
             zero = zero_process(p.alphabet)
             assert_close(inner(zero, p), 0.0, process_norm(p))
+
+    def test_positive_definite(self, k):
+        # <x, x> > 0 for every kept operand and its scaled copies, and
+        # <zero, zero> = 0: the uniform rows' log-ratios are exactly 0
+        for triple in triples(k):
+            for p in triple:
+                for x in (p, *(scale_process(alpha, p) for alpha in SCALES)):
+                    assert inner(x, x) > 0.0, x.label
+        zero = zero_process(triples(k)[0][0].alphabet)
+        assert inner(zero, zero) == 0.0

@@ -29,6 +29,7 @@ from procgeom import (
     zero_process,
 )
 from procgeom.process import _batched_pair_walks, _pair_state_walks
+from procgeom.simplex import log_ratios
 from conftest import make_feed3, make_single, make_t3, sink_components_loop
 
 
@@ -462,6 +463,50 @@ class TestInnerMc:
             assert walks.shape == (len(pairs), repeats)
             assert walks.tobytes() == means.tobytes()
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_pair_state_kernel_matches_scalar_walks(self, k):
+        # p sits in two pairs and the zero process is one operand; lengths
+        # around one block of m steps, a sub-block of 256 and a symbol block
+        # of 4096
+        p, q = random_process(9, 1, k).machine, random_process(10, 2, k).machine
+        z = zero_process([str(s) for s in range(k)]).machine
+        pairs, starts = [(p, q), (p, z), (q, q)], [(3, 1), (0, 0), (2, 5)]
+        m = block_length(p.n_states + q.n_states + 1, k)
+        assert m > 2
+        for walk_length in (1, m - 1, m, m + 1, 255, 256, 257, 4095, 4096, 4097):
+            walks = _pair_state_walks(pairs, starts, walk_length, 2,
+                                      np.random.SeedSequence(walk_length).spawn(len(pairs)))
+            expected = scalar_pair_walks(pairs, starts, walk_length, 2, walk_length)
+            assert walks.tobytes() == expected.tobytes(), walk_length
+
+    @pytest.mark.parametrize("entries, m", [(1, 1), (100, 2), (400, 4)])
+    def test_pair_state_kernel_matches_scalar_walks_at_short_blocks(self, monkeypatch, entries, m):
+        # a smaller cap on the jump table gives shorter blocks
+        import procgeom.pfsa as pfsa
+
+        monkeypatch.setattr(pfsa, "_JUMP_TABLE_ENTRIES", entries)
+        p, q = random_process(9, 1).machine, random_process(10, 2).machine
+        assert block_length(p.n_states + q.n_states, 2) == m
+        pairs, starts = [(p, q), (q, q)], [(3, 1), (2, 5)]
+        for walk_length in (1, 3, 257, 600):
+            walks = _pair_state_walks(pairs, starts, walk_length, 3,
+                                      np.random.SeedSequence(5).spawn(len(pairs)))
+            assert walks.tobytes() == scalar_pair_walks(pairs, starts, walk_length, 3, 5).tobytes()
+
+    def test_pair_state_walks_take_bounded_memory_at_44_states(self):
+        # a benchmark-sized pair (44 and 43 states): its 3 * 87-row jump
+        # table, the sub-block buffers and one block of symbols
+        p, q = random_process(56, 5), random_process(56, 6)
+        assert (p.machine.n_states, q.machine.n_states) == (44, 43)
+        tracemalloc.start()
+        try:
+            est = angle_mc_estimate(p, q, walk_length=100_000, repeats=20, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert repr(est.cos) == "0.05722234332737016"
+
     def test_synchronizing_operands_need_no_epsilon_search(self, G, M, u3, monkeypatch):
         import procgeom.process as process
         import procgeom.sync as sync
@@ -784,6 +829,37 @@ class TestCertifiedSinkRule:
         rho /= rho.sum()
         pairwise = np.diff(np.log(g._morph), axis=1) @ np.diff(np.log(h._morph), axis=1).T
         assert abs(value - float(rho @ pairwise.ravel())) <= 1e-12
+
+
+def block_length(n, k):
+    # steps per block of the pair-state walk over n stacked states: the
+    # longest block whose jump table fits the cap, and at least one
+    import procgeom.pfsa as pfsa
+
+    m = 1
+    while n * k ** (m + 1) <= pfsa._JUMP_TABLE_ENTRIES:
+        m += 1
+    return m
+
+
+def scalar_pair_walks(pairs, starts, walk_length, repeats, seed):
+    # one walk at a time in Python ints and floats: the two states move
+    # componentwise and each step's term joins a running sum in time order
+    pair_seqs = np.random.SeedSequence(seed).spawn(len(pairs))
+    out = np.empty((len(pairs), repeats))
+    for pi, ((g, h), (i0, j0)) in enumerate(zip(pairs, starts)):
+        lg, lh = log_ratios(g._morph), log_ratios(h._morph)
+        term = np.einsum("rs,rs->r", np.repeat(lg, h.n_states, axis=0),
+                         np.tile(lh, (g.n_states, 1))).tolist()
+        dg, dh = g._delta.tolist(), h._delta.tolist()
+        for r, walk_seq in enumerate(pair_seqs[pi].spawn(repeats)):
+            symbols = np.random.default_rng(walk_seq).integers(0, g.n_symbols, size=walk_length)
+            i, j, acc = i0, j0, 0.0
+            for s in symbols.tolist():
+                acc += term[i * h.n_states + j]
+                i, j = dg[i][s], dh[j][s]
+            out[pi, r] = acc / walk_length
+    return out
 
 
 def random_process(n, seed, k=2):

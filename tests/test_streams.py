@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,32 @@ class TestEstimateDerivatives:
         table = estimate_derivatives(s, depth, 0.5)
         np.testing.assert_array_equal(table.counts, joint.sum(axis=1))
         np.testing.assert_array_equal(table.probs, (joint + 0.5) / (joint.sum(axis=1)[:, None] + 0.5 * k))
+
+    @pytest.mark.parametrize("k, depth", [(2, 4), (3, 10)])
+    def test_counts_in_slices_equal_one_count(self, k, depth):
+        # slices of 2**16 windows at (2, 4), of 3**11 (the bin count) at
+        # (3, 10); the last slice is shorter
+        s = SymbolStream.from_indices(np.random.default_rng(k + depth).integers(0, k, 400_003),
+                                      [str(j) for j in range(k)])
+        codes = s.indices[: len(s) - depth].copy()
+        for i in range(1, depth + 1):
+            codes = codes * k + s.indices[i : len(s) - depth + i]
+        joint = np.bincount(codes, minlength=k ** (depth + 1)).reshape(k**depth, k)
+        table = estimate_derivatives(s, depth, 0.5)
+        np.testing.assert_array_equal(table.counts, joint.sum(axis=1))
+        np.testing.assert_array_equal(table.probs, (joint + 0.5) / (joint.sum(axis=1)[:, None] + 0.5 * k))
+
+    def test_estimation_takes_no_cast_per_window(self):
+        # the byte-wide window codes and their byte-wide source take 2 bytes
+        # a window; counting all codes at once cast them to 8 more
+        s = SymbolStream.from_indices(np.random.default_rng(4).integers(0, 2, 10**6), ["0", "1"])
+        tracemalloc.start()
+        try:
+            estimate_derivatives(s, 4, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(s)
 
     def test_counts_cover_all_windows(self, g2):
         s = stream_from_model(g2, 5000, 9)
