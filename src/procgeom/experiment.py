@@ -153,7 +153,7 @@ def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = 
 
     # each norm once; a diagonal cell reuses its norm's inner product
     norms_sq = [inner_exact(m, m).value for m in models]
-    norms = [math.sqrt(max(v, 0.0)) for v in norms_sq]
+    norms = [math.sqrt(v) for v in norms_sq]
     model_angles = np.full((n, n), np.nan)
     undefined = {}
     for i in range(n):

@@ -191,7 +191,7 @@ def structurally_equal(a: Pfsa, b: Pfsa) -> bool:
     )
 
 
-def check_same_alphabet(a: Pfsa, b: Pfsa) -> None:
+def check_same_alphabet(a, b) -> None:
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch(f"alphabets differ: {a.alphabet} vs {b.alphabet}")
 
@@ -688,8 +688,9 @@ def canonicalize(g: Pfsa) -> Pfsa:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _letters(draws: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Letter of each draw: the number of ``cuts`` at or below it.
+def _letters(draws: np.ndarray, cuts: np.ndarray, size: int) -> np.ndarray:
+    """Letter of each draw: the number of ``cuts`` at or below it, in an
+    array of ``size`` letters that holds 0 past the draws (the padding).
 
     One vectorised comparison per cut, added up in a byte: the tabulated
     sampler admits at most 255 cuts, since a block of two letters fits its
@@ -698,11 +699,11 @@ def _letters(draws: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     tried this one made ``experiment`` ops about 12% faster than the
     others, the difference landing in the later estimation's allocations.
     """
-    count = np.zeros(draws.size, dtype=np.uint8)
+    count = np.zeros(size, dtype=np.uint8)
     above = np.empty(draws.size, dtype=bool)
     for c in cuts.tolist():
         np.greater_equal(draws, c, out=above)
-        count += above.view(np.uint8)
+        count[:draws.size] += above.view(np.uint8)
     del above
     return count.astype(np.int64)
 
@@ -732,20 +733,18 @@ def _stitched_starts(jump: np.ndarray, codes: np.ndarray, q: int) -> np.ndarray:
     a block of code ``c`` moves its start ``p`` to ``jump[p, c]``.
 
     The enumerative data-parallel walk of Mytkowicz, Musuvathi and Schulte
-    ("Data-Parallel Finite-State Machines", 2014): the codes are cut into
+    ("Data-Parallel Finite-State Machines", 2014): ``codes`` holds whole
     chunks of ``_STITCH_BLOCKS`` blocks, and every chunk is walked from
     every state at once, one gather per block over an (n, chunks) array.
     One Python pass over the chunks links each chunk's start to the end of
-    the one before it, and a second vectorised pass records every block's
-    start from its chunk's, over the codes' own buffer.  The gathers cost
-    n times the work of a walk from one state.
+    the one before it, and a second vectorised pass writes every block's
+    start over its code, so the result is ``codes`` itself.  The gathers
+    cost n times the work of a walk from one state.
     """
     n, width = jump.shape
-    chunks = -(-codes.size // _STITCH_BLOCKS)
-    by_chunk = np.zeros((chunks, _STITCH_BLOCKS), dtype=np.int64)  # row c: chunk c's codes
-    by_chunk.ravel()[:codes.size] = codes
+    by_chunk = codes.reshape(-1, _STITCH_BLOCKS)  # row c: chunk c's codes
     offsets = (jump * width).ravel()  # a successor as its row offset in the flat table
-    ends = np.repeat(np.arange(n) * width, chunks).reshape(n, chunks)  # [p, c]: chunk c from p
+    ends = np.repeat(np.arange(n) * width, len(by_chunk)).reshape(n, -1)  # [p, c]: chunk c from p
     for j in range(_STITCH_BLOCKS):
         ends += by_chunk[:, j].copy()  # contiguous, so it broadcasts fast over the n walks
         ends = offsets[ends]
@@ -758,8 +757,8 @@ def _stitched_starts(jump: np.ndarray, codes: np.ndarray, q: int) -> np.ndarray:
         index = at + by_chunk[:, j]
         by_chunk[:, j] = at  # each code is overwritten by its block's start once read
         at = offsets[index]
-    by_chunk //= width
-    return by_chunk.ravel()[:codes.size]
+    codes //= width
+    return codes
 
 
 def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
@@ -791,12 +790,13 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
       block whose table has at most ``_JUMP_TABLE_ENTRIES`` entries
       (``n * L ** m``), so ``m >= 2`` needs ``L <= 256`` and a letter fits
       a byte.
-    * Each block's start state comes from the block codes by stitching
-      chunks of blocks walked from every state at once
-      (:func:`_stitched_starts`), so Python takes one step per
-      ``_STITCH_BLOCKS`` blocks.  ``m`` vectorised gathers of ``sym`` and
-      ``step`` then fill in the symbols of every block at once.  A tail of
-      fewer than ``m`` symbols takes the one-step tables symbol by symbol.
+    * The letters are padded with 0 to whole chunks of ``_STITCH_BLOCKS``
+      blocks, and a block's code is its ``m`` letters in base ``L``.  Each
+      block's start state comes from the codes by stitching chunks walked
+      from every state at once (:func:`_stitched_starts`), so Python takes
+      one step per chunk.  ``m`` vectorised gathers of ``sym`` and
+      ``step`` then fill in the symbols of every block at once, and the
+      first ``length`` are returned.
     * A one-state machine needs no table or walk: every symbol is
       ``sym[0, a]`` of its own draw's letter.
 
@@ -827,20 +827,14 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
     rank = np.searchsorted(cuts, cum) + 1 + letters * np.arange(n)[:, None]
     sym = np.bincount(rank.ravel(), minlength=n * letters).reshape(n, letters).cumsum(axis=1)
     if n == 1:
-        return _freeze(sym[0][_letters(rng.random(length), cuts)])
+        return _freeze(sym[0][_letters(rng.random(length), cuts, length)])
     step = g._delta[np.arange(n)[:, None], sym]
     m, jump = _jump_table(step)
 
-    out = _letters(rng.random(length), cuts)  # each letter is overwritten by its symbol once read
-    blocks = length // m
-    by_block = out[:blocks * m].reshape(blocks, m)
-    codes = by_block[:, 0].copy()
-    for i in range(1, m):
-        codes *= letters
-        codes += by_block[:, i]
-    starts = _stitched_starts(jump, codes, q)
-    if blocks:
-        q = int(jump[starts[-1], codes[-1]])
+    chunk = _STITCH_BLOCKS * m  # symbols per stitched chunk
+    out = _letters(rng.random(length), cuts, -(-length // chunk) * chunk)
+    by_block = out.reshape(-1, m)  # each letter is overwritten by its symbol once read
+    starts = _stitched_starts(jump, by_block @ letters ** np.arange(m - 1, -1, -1), q)
 
     sym_flat, step_flat = sym.ravel(), (step * letters).ravel()
     at = starts * letters  # row offsets into the flat tables
@@ -848,11 +842,7 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
         index = at + by_block[:, i]
         by_block[:, i] = sym_flat[index]
         at = step_flat[index]
-    for t in range(blocks * m, length):
-        a = out[t]
-        out[t] = sym[q, a]
-        q = step[q, a]
-    return _freeze(out)
+    return _freeze(out[:length])
 
 
 # ---------------------------------------------------------------------------

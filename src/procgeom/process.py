@@ -288,12 +288,14 @@ def _walk_symbols(seeds, walk_length: int, repeats: int, k: int):
     last one the rest), so memory does not grow with ``walk_length``; a
     generator's ``integers(0, k, size=a)`` followed by ``size=b`` returns
     the values of one call with ``size=a + b``, so the symbols do not
-    depend on the block size.
+    depend on the block size; a block stores them in the smallest type
+    that holds ``k - 1``, one byte for ``k <= 256``.
     """
     rngs = [np.random.default_rng(walk_seq)
             for pair_seq in seeds for walk_seq in pair_seq.spawn(repeats)]
+    dtype = np.min_scalar_type(k - 1)
     for start in range(0, walk_length, _WALK_BLOCK_STEPS):
-        block = np.empty((min(_WALK_BLOCK_STEPS, walk_length - start), len(rngs)), dtype=np.int64)
+        block = np.empty((min(_WALK_BLOCK_STEPS, walk_length - start), len(rngs)), dtype=dtype)
         for col, rng in enumerate(rngs):
             block[:, col] = rng.integers(0, k, size=block.shape[0])
         yield block
@@ -333,7 +335,7 @@ def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> n
     first, n = dict(zip(map(id, machines), offsets)), offsets[-1]
     delta = np.concatenate([g._delta + first[id(g)] for g in machines])
     lr = log_ratios(np.concatenate([g._morph for g in machines]))
-    term = np.einsum("rs,rs->r", np.repeat(lr, n, axis=0), np.tile(lr, (n, 1)))
+    term = np.einsum("as,bs->ab", lr, lr).ravel()
     m, hop = _jump_table(delta)
     inner = k ** (m - 1)
     hop = (hop * (k * inner)).ravel()  # successors as row offsets: q's row starts at q * k * inner
@@ -504,7 +506,7 @@ def inner_mc(
 
 def process_norm(p: ProcessHandle) -> float:
     """Norm induced by the process inner product: ``sqrt(<p, p>)``, exactly."""
-    return math.sqrt(max(inner_exact(p, p).value, 0.0))
+    return math.sqrt(inner_exact(p, p).value)
 
 
 def angle_mc_estimate(

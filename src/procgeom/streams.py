@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphabetMismatch, StreamTooShort, ZeroNorm
-from .pfsa import Pfsa, generate_sequence
+from .errors import StreamTooShort, ZeroNorm
+from .pfsa import Pfsa, check_same_alphabet, generate_sequence
 from .simplex import ProbVec, _freeze, log_ratios
 
 STREAM_ZERO_NORM_TOL = 1e-9
@@ -102,12 +102,17 @@ def write_stream(s: SymbolStream, path) -> None:
 
 
 def read_stream(path, alphabet=None) -> SymbolStream:
-    """Read a stream file; infer a sorted alphabet unless one is given."""
+    """Read a stream file; infer a sorted alphabet unless one is given.
+
+    Spaced if the line has a space or a given symbol is wider than one
+    character, as :func:`format_stream` writes it; compact otherwise.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         line = fh.read().strip("\n")
     if not line:
         raise StreamTooShort(f"stream file {path} is empty")
-    if " " in line:
+    alphabet = None if alphabet is None else tuple(alphabet)
+    if " " in line or (alphabet is not None and any(len(a) > 1 for a in alphabet)):
         tokens = line.split()
     else:
         tokens = list(line)
@@ -226,16 +231,19 @@ def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) ->
 # stream-level inner product and angle
 
 def table_inner(t1: DerivativeTable, t2: DerivativeTable) -> float:
-    """Uniform average over contexts of the log-ratio inner products."""
-    if t1.alphabet != t2.alphabet:
-        raise AlphabetMismatch(f"alphabets differ: {t1.alphabet} vs {t2.alphabet}")
+    """Uniform average over contexts of the log-ratio inner products:
+    ``inner_exact`` of the tables' de Bruijn machines, whose states are the
+    ``k ** d`` contexts, with ``delta(x, s) = x[1:] s`` and ``t.probs[x]``
+    the row of state ``x``.
+    """
+    check_same_alphabet(t1, t2)
     if t1.depth != t2.depth:
         raise ValueError(f"depths differ: {t1.depth} vs {t2.depth}")
     return float((log_ratios(t1.probs) * log_ratios(t2.probs)).sum() / t1.probs.shape[0])
 
 
 def table_norm(t: DerivativeTable) -> float:
-    return math.sqrt(max(table_inner(t, t), 0.0))
+    return math.sqrt(table_inner(t, t))
 
 
 def table_angle(t1: DerivativeTable, t2: DerivativeTable) -> float:
@@ -247,8 +255,7 @@ def table_angle(t1: DerivativeTable, t2: DerivativeTable) -> float:
 
 
 def stream_inner(s1: SymbolStream, s2: SymbolStream, depth: int, smoothing: float = 0.5) -> float:
-    if s1.alphabet != s2.alphabet:
-        raise AlphabetMismatch(f"alphabets differ: {s1.alphabet} vs {s2.alphabet}")
+    check_same_alphabet(s1, s2)
     return table_inner(
         estimate_derivatives(s1, depth, smoothing), estimate_derivatives(s2, depth, smoothing)
     )
@@ -263,8 +270,7 @@ def stream_angle(s1: SymbolStream, s2: SymbolStream, depth: int, smoothing: floa
     ------
     AlphabetMismatch, StreamTooShort, ZeroNorm
     """
-    if s1.alphabet != s2.alphabet:
-        raise AlphabetMismatch(f"alphabets differ: {s1.alphabet} vs {s2.alphabet}")
+    check_same_alphabet(s1, s2)
     return table_angle(
         estimate_derivatives(s1, depth, smoothing), estimate_derivatives(s2, depth, smoothing)
     )

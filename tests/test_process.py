@@ -28,7 +28,7 @@ from procgeom import (
     validate,
     zero_process,
 )
-from procgeom.process import _batched_pair_walks, _pair_state_walks
+from procgeom.process import _batched_pair_walks, _pair_state_walks, _walk_symbols
 from procgeom.simplex import log_ratios
 from conftest import make_feed3, make_single, make_t3, sink_components_loop
 
@@ -463,7 +463,7 @@ class TestInnerMc:
             assert walks.shape == (len(pairs), repeats)
             assert walks.tobytes() == means.tobytes()
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
     def test_pair_state_kernel_matches_scalar_walks(self, k):
         # p sits in two pairs and the zero process is one operand; lengths
         # around one block of m steps, a sub-block of 256 and a symbol block
@@ -478,6 +478,33 @@ class TestInnerMc:
                                       np.random.SeedSequence(walk_length).spawn(len(pairs)))
             expected = scalar_pair_walks(pairs, starts, walk_length, 2, walk_length)
             assert walks.tobytes() == expected.tobytes(), walk_length
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    def test_outer_term_table_equals_the_row_pair_table(self, k):
+        # the kernel's n x n table of lg_a . lh_b as one "as,bs->ab" einsum
+        # holds the bits of the per-row-pair dot products over repeated and
+        # tiled rows, which the scalar reference walks read
+        machines = [random_process(n, seed, k).machine for n, seed in ((60, 1), (50, 2), (9, 3))]
+        lr = log_ratios(np.concatenate([g._morph for g in machines]))
+        n = lr.shape[0]
+        assert lr.shape[1] == k - 1 and n > 40
+        rows = np.einsum("rs,rs->r", np.repeat(lr, n, axis=0), np.tile(lr, (n, 1)))
+        assert np.einsum("as,bs->ab", lr, lr).ravel().tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("k, itemsize", [(2, 1), (300, 2)])
+    def test_walk_symbols_are_stored_in_the_narrowest_type(self, k, itemsize):
+        # one byte a symbol on two symbols; 300 symbols need two bytes, and
+        # either way a block holds the int64 draws of each walk's generator
+        seeds = np.random.SeedSequence(9).spawn(2)
+        blocks = list(_walk_symbols(seeds, 5000, 3, k))
+        assert [b.shape for b in blocks] == [(4096, 6), (904, 6)]
+        assert all(b.itemsize == itemsize for b in blocks)
+        symbols = np.concatenate(blocks)
+        draws = [np.random.default_rng(walk_seq).integers(0, k, size=5000)
+                 for pair_seq in np.random.SeedSequence(9).spawn(2)
+                 for walk_seq in pair_seq.spawn(3)]
+        assert np.array_equal(symbols, np.stack(draws, axis=1))
+        assert symbols.max() == k - 1
 
     @pytest.mark.parametrize("entries, m", [(1, 1), (100, 2), (400, 4)])
     def test_pair_state_kernel_matches_scalar_walks_at_short_blocks(self, monkeypatch, entries, m):

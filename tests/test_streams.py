@@ -6,6 +6,7 @@ import pytest
 
 from procgeom import (
     AlphabetMismatch,
+    Pfsa,
     StreamTooShort,
     SymbolStream,
     ZeroNorm,
@@ -13,6 +14,7 @@ from procgeom import (
     belief_from_string,
     estimate_derivatives,
     format_stream,
+    inner_exact,
     pdist,
     read_stream,
     scale_process,
@@ -22,9 +24,11 @@ from procgeom import (
     stationary_distribution,
     stream_stats,
     symbolic_derivative,
+    table_inner,
+    table_norm,
     write_stream,
 )
-from conftest import make_g2, make_single
+from conftest import make_g2, make_single, make_t3
 
 
 class TestSymbolStream:
@@ -67,6 +71,18 @@ class TestSymbolStream:
         again = read_stream(path, alphabet=alphabet)
         np.testing.assert_array_equal(s.indices, again.indices)
         assert format_stream(SymbolStream.from_indices([], alphabet)) == "\n"
+
+    @pytest.mark.parametrize("alphabet", [("ab", "cd"), ("0", "1")])
+    @pytest.mark.parametrize("length", [1, 2, 10])
+    def test_round_trip_at_every_length(self, tmp_path, alphabet, length):
+        # one symbol over a wide alphabet has no space to mark it as spaced;
+        # the given alphabet's widest symbol decides the split
+        s = SymbolStream.from_indices(np.arange(length) % 2, alphabet)
+        path = tmp_path / "s.txt"
+        write_stream(s, path)
+        again = read_stream(path, alphabet=list(alphabet))
+        assert again.alphabet == alphabet
+        np.testing.assert_array_equal(s.indices, again.indices)
 
     def test_stats_map_symbols_to_indices(self):
         s = SymbolStream.from_symbols(list("0011"), alphabet=["0", "1"])
@@ -223,6 +239,21 @@ class TestStreamAngles:
         with pytest.raises(AlphabetMismatch):
             stream_angle(a, b, depth=1)
 
+    def test_alphabet_mismatch_comes_before_length_and_norm_errors(self):
+        # one symbol is too short for depth 2, and a balanced depth-0 table
+        # has zero norm; the alphabets are checked first
+        a = SymbolStream.from_indices([0], alphabet=["0", "1"])
+        b = SymbolStream.from_indices([0, 1], alphabet=["a", "b"])
+        for call in (stream_angle, stream_inner):
+            with pytest.raises(AlphabetMismatch, match="alphabets differ"):
+                call(a, b, depth=2)
+        flat = SymbolStream.from_symbols(list("01" * 4), alphabet=["0", "1"])
+        other = SymbolStream.from_symbols(list("ab" * 4), alphabet=["a", "b"])
+        with pytest.raises(AlphabetMismatch, match="alphabets differ"):
+            stream_angle(flat, other, depth=0)
+        with pytest.raises(AlphabetMismatch, match="alphabets differ"):
+            table_inner(estimate_derivatives(flat, 0), estimate_derivatives(other, 0))
+
     def test_exactly_balanced_stream_has_zero_norm(self):
         # the depth-0 table of a perfectly balanced stream is exactly
         # uniform, so its empirical norm vanishes and no angle exists
@@ -251,6 +282,37 @@ class TestStreamAngles:
                 exact = angle(family[i], family[j])
                 empirical = stream_angle(streams[i], streams[j], depth=4)
                 assert abs(empirical - exact) <= 0.3
+
+
+def de_bruijn(t):
+    # the order-d machine of a depth-d table: state x is the context, it
+    # emits t.probs[x] and moves to x[1:]s on symbol s
+    k = len(t.alphabet)
+    n = k ** t.depth
+    delta = (np.arange(n)[:, None] * k + np.arange(k)) % n
+    return Pfsa(t.alphabet, [f"c{i}" for i in range(n)], delta, t.probs)
+
+
+def test_table_inner_is_the_exact_inner_product_of_de_bruijn_machines():
+    rng = np.random.default_rng(12)
+    delta = rng.integers(0, 12, (12, 2))
+    delta[:, 0] = np.roll(np.arange(12), -1)
+    rows = np.maximum(rng.dirichlet([2.0, 2.0], 12), 1e-3)
+    bases = [make_g2(), Pfsa(["0", "1"], [f"s{i}" for i in range(12)], delta,
+                             rows / rows.sum(axis=1, keepdims=True)), make_t3()]
+    worst = 0.0
+    for b, base in enumerate(bases):
+        P = as_process(base, "P")
+        assert P.machine.n_states == (12 if b == 1 else base.n_states)
+        other = stream_from_model(P.machine, 20_000, 100 + b)
+        for a in (1.0, 0.1, -1.0):
+            s = stream_from_model(scale_process(a, P).machine, 20_000, 200 + b)
+            for depth in range(5):
+                t1, t2 = estimate_derivatives(s, depth), estimate_derivatives(other, depth)
+                exact = inner_exact(as_process(de_bruijn(t1)), as_process(de_bruijn(t2))).value
+                gap = abs(table_inner(t1, t2) - exact) / (table_norm(t1) * table_norm(t2))
+                worst = max(worst, gap)
+    assert worst <= 1e-12
 
 
 def test_two_streams_from_one_model_solve_it_once(monkeypatch):
