@@ -40,6 +40,8 @@ from .process import (
 )
 from .simplex import geodesic_intersection, geodesic_point, from_log_ratios, make_pvec
 from .streams import (
+    _compact,
+    _split_symbols,
     estimate_derivatives,
     read_stream,
     stream_from_model,
@@ -65,16 +67,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
-
-
-def _parse_word(g: Pfsa, word: str) -> list[str]:
-    if word == "":
-        return []
-    if " " in word:
-        return word.split()
-    if all(len(s) == 1 for s in g.alphabet):
-        return list(word)
-    return [word]
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +106,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_wordprob(args) -> int:
     g = _load_valid(args.model)
-    print(_fmt(word_probability(g, _parse_word(g, args.word))))
+    print(_fmt(word_probability(g, _split_symbols(args.word, g.alphabet))))
     return 0
 
 
@@ -233,7 +225,7 @@ def _cmd_estimate(args) -> int:
     table = estimate_derivatives(s, args.depth, args.smoothing)
     lines = [f"# depth={args.depth} smoothing={args.smoothing:g} stream={args.stream} length={len(s)}"]
     lines.append("context,count," + ",".join(f"p_{sym}" for sym in table.alphabet))
-    joiner = "" if all(len(x) == 1 for x in table.alphabet) else " "
+    joiner = "" if _compact(table.alphabet) else " "
     for i, ctx in enumerate(table.contexts):
         probs = ",".join(_fmt(x) for x in table.probs[i])
         lines.append(f"{joiner.join(ctx)},{int(table.counts[i])},{probs}")

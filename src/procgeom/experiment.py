@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DepthExceeded, NotErgodic, ZeroNorm
 from .pfsa import Pfsa
-from .process import ProcessHandle, _angle_from, as_process, inner_exact, scale_process
+from .process import ZERO_NORM_TOL, ProcessHandle, as_process, inner_exact, scale_process
+from .simplex import _angle_from
 from .streams import (
     _check_depth,
     _check_length,
@@ -122,7 +123,7 @@ class ExperimentReport:
         return "\n".join(out) + "\n"
 
 
-def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = ExperimentConfig()) -> ExperimentReport:
+def run_noise_experiment(base: Pfsa, config: ExperimentConfig = ExperimentConfig()) -> ExperimentReport:
     """Build the scaled model family, stream from it, and measure angles.
 
     Streams are sampled one at a time, in the seed order of
@@ -146,7 +147,7 @@ def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = 
     if config.stream_length < 0:
         raise ValueError("stream_length must be >= 0")
     _check_length(config.stream_length, config.depth)
-    base_p = base if isinstance(base, ProcessHandle) else as_process(base, label="G")
+    base_p = as_process(base, label="G")
     models = tuple(scale_process(a, base_p) for a in config.scales)
     labels = tuple(f"{a:g}G" for a in config.scales)
     n = len(models)
@@ -161,7 +162,8 @@ def run_noise_experiment(base: Pfsa | ProcessHandle, config: ExperimentConfig = 
             try:
                 model_angles[i, j] = model_angles[j, i] = _angle_from(
                     norms[i], norms[j],
-                    lambda: norms_sq[i] if i == j else inner_exact(models[i], models[j]).value)
+                    lambda: norms_sq[i] if i == j else inner_exact(models[i], models[j]).value,
+                    ZERO_NORM_TOL)
             except ZeroNorm:
                 undefined[i, j] = "zero norm"
             except (DepthExceeded, NotErgodic) as err:

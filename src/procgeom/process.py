@@ -24,6 +24,7 @@ recursion from an epsilon-synchronized start.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,16 +39,15 @@ from .pfsa import (
     _sink_components,
     _stationary,
     belief_from_string,
-    belief_update,
     canonicalize,
     check_same_alphabet,
     minimal_closed_restriction,
     minimize,
     require_valid,
-    stationary_distribution,
     structurally_equal,
+    word_probability,
 )
-from .simplex import log_ratios, pscale
+from .simplex import _angle_from, log_ratios, pscale
 from .sync import _pair_delta, _reset_word, joint_epsilon_synchronize
 
 ZERO_NORM_TOL = 1e-12
@@ -128,7 +128,7 @@ def scale_process(alpha: float, p: ProcessHandle) -> ProcessHandle:
     """
     g = p.machine
     scaled = Pfsa(g.alphabet, g.states, g._delta.copy(), pscale(alpha, g._morph))
-    return _normal_form(require_valid(scaled), label=f"{alpha:g}*{p.label}")
+    return _normal_form(scaled, label=f"{alpha:g}*{p.label}")
 
 
 def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
@@ -164,31 +164,16 @@ def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
 # ---------------------------------------------------------------------------
 # finite-dimensional-distribution comparison
 
-def _word_probabilities(g: Pfsa, max_len: int) -> dict[tuple[int, ...], float]:
-    """Probabilities of every word up to ``max_len``, sharing prefix work."""
-    out: dict[tuple[int, ...], float] = {(): 1.0}
-    b0 = stationary_distribution(g)
-    stack = [((), b0, 1.0)]
-    while stack:
-        word, belief, prob = stack.pop()
-        if len(word) == max_len:
-            continue
-        for j in range(g.n_symbols):
-            pj = prob * float(belief @ g._morph[:, j])
-            nxt = word + (j,)
-            out[nxt] = pj
-            stack.append((nxt, belief_update(g, belief, j), pj))
-    return out
-
 def fdd_distance(p: ProcessHandle, q: ProcessHandle, max_len: int = 5) -> float:
     """Largest word-probability gap over all words up to ``max_len``.
 
     Zero (up to tolerance) certifies process equality at desk scale.
+    Each word's probability is :func:`~procgeom.pfsa.word_probability`.
     """
-    check_same_alphabet(p.machine, q.machine)
-    wp = _word_probabilities(p.machine, max_len)
-    wq = _word_probabilities(q.machine, max_len)
-    return max(abs(wp[w] - wq[w]) for w in wp)
+    g, h = p.machine, q.machine
+    check_same_alphabet(g, h)
+    words = (w for n in range(max_len + 1) for w in itertools.product(range(g.n_symbols), repeat=n))
+    return max(abs(word_probability(g, w) - word_probability(h, w)) for w in words)
 
 
 # ---------------------------------------------------------------------------
@@ -561,21 +546,4 @@ def angle(p: ProcessHandle, q: ProcessHandle) -> float:
     ZeroNorm
         If either operand has norm below 1e-12 (the zero process).
     """
-    return _angle_from(process_norm(p), process_norm(q), lambda: inner_exact(p, q).value)
-
-
-def _angle_from(norm_p: float, norm_q: float, inner_pq) -> float:
-    """``acos`` of the clamped cosine ``inner_pq() / (norm_p * norm_q)``.
-
-    ``inner_pq`` returns the operands' inner product; it is called only
-    when both norms reach ``ZERO_NORM_TOL``.
-
-    Raises
-    ------
-    ZeroNorm
-        If either norm is below ``ZERO_NORM_TOL``.
-    """
-    if norm_p < ZERO_NORM_TOL or norm_q < ZERO_NORM_TOL:
-        raise ZeroNorm("angle undefined against a zero-norm process")
-    cos = inner_pq() / (norm_p * norm_q)
-    return math.acos(min(1.0, max(-1.0, cos)))
+    return _angle_from(process_norm(p), process_norm(q), lambda: inner_exact(p, q).value, ZERO_NORM_TOL)

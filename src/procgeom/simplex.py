@@ -19,6 +19,8 @@ All constructors return read-only arrays and all operations are pure.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -28,6 +30,7 @@ from .errors import (
     NonPositiveEntry,
     NotOrthogonal,
     Overflow,
+    ZeroNorm,
 )
 
 #: A probability vector: read-only 1-D float64 ndarray, strictly positive,
@@ -180,6 +183,25 @@ def pnorm(a: ProbVec) -> float:
 def pdist(a: ProbVec, b: ProbVec) -> float:
     """Distance induced by the norm: ``pnorm(a ⊖ b)``."""
     return pnorm(psum(a, pscale(-1.0, b)))
+
+
+def _angle_from(norm_p: float, norm_q: float, inner_pq, tol: float) -> float:
+    """``acos`` of the clamped cosine ``inner_pq() / (norm_p * norm_q)``.
+
+    The one "angle from two norms" rule of the exact and stream routes.
+    ``inner_pq`` returns the operands' inner product; it is called only
+    when both norms reach ``tol``: ``ZERO_NORM_TOL`` (1e-12) for processes,
+    ``STREAM_ZERO_NORM_TOL`` (1e-9) for context tables.
+
+    Raises
+    ------
+    ZeroNorm
+        If either norm is below ``tol``.
+    """
+    if norm_p < tol or norm_q < tol:
+        raise ZeroNorm(f"norm below {tol:g}; angle undefined")
+    cos = inner_pq() / (norm_p * norm_q)
+    return math.acos(min(1.0, max(-1.0, cos)))
 
 
 def geodesic_point(p0: ProbVec, p1: ProbVec, theta: float, *, extrapolate: bool = False) -> ProbVec:

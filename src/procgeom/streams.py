@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StreamTooShort, ZeroNorm
+from .errors import StreamTooShort
 from .pfsa import Pfsa, check_same_alphabet, generate_sequence
-from .simplex import ProbVec, _freeze, log_ratios
+from .simplex import ProbVec, _angle_from, _freeze, log_ratios
 
 STREAM_ZERO_NORM_TOL = 1e-9
 _COUNT_SLICE = 1 << 16  # windows per ``bincount`` call, unless the table has more bins
@@ -88,8 +88,22 @@ def stream_stats(s: SymbolStream) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # stream files: one line, space separated, or compact for 1-char symbols
 
+def _compact(alphabet) -> bool:
+    """Whether every symbol is one character, so text can hold one per character."""
+    return all(len(a) == 1 for a in alphabet)
+
+
+def _split_symbols(text: str, alphabet) -> list[str]:
+    """The symbols of ``text``: split on whitespace if it has a space or
+    ``alphabet`` (None if not given) has a symbol wider than one character,
+    as :func:`format_stream` writes it; one symbol per character otherwise."""
+    if " " in text or not _compact(alphabet or ()):
+        return text.split()
+    return list(text)
+
+
 def format_stream(s: SymbolStream) -> str:
-    if all(len(n) == 1 for n in s.alphabet):
+    if _compact(s.alphabet):
         # one UTF-32 code unit per symbol, decoded at once
         text = np.array(s.alphabet, dtype="<U1")[s.indices].tobytes().decode("utf-32-le")
         return text + "\n"
@@ -105,18 +119,15 @@ def read_stream(path, alphabet=None) -> SymbolStream:
     """Read a stream file; infer a sorted alphabet unless one is given.
 
     Spaced if the line has a space or a given symbol is wider than one
-    character, as :func:`format_stream` writes it; compact otherwise.
+    character, as :func:`format_stream` writes it; compact otherwise
+    (:func:`_split_symbols`).
     """
     with open(path, "r", encoding="utf-8") as fh:
         line = fh.read().strip("\n")
     if not line:
         raise StreamTooShort(f"stream file {path} is empty")
     alphabet = None if alphabet is None else tuple(alphabet)
-    if " " in line or (alphabet is not None and any(len(a) > 1 for a in alphabet)):
-        tokens = line.split()
-    else:
-        tokens = list(line)
-    return SymbolStream.from_symbols(tokens, alphabet)
+    return SymbolStream.from_symbols(_split_symbols(line, alphabet), alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +258,7 @@ def table_norm(t: DerivativeTable) -> float:
 
 
 def table_angle(t1: DerivativeTable, t2: DerivativeTable) -> float:
-    n1, n2 = table_norm(t1), table_norm(t2)
-    if n1 < STREAM_ZERO_NORM_TOL or n2 < STREAM_ZERO_NORM_TOL:
-        raise ZeroNorm("empirical norm below tolerance; angle undefined")
-    cos = table_inner(t1, t2) / (n1 * n2)
-    return math.acos(min(1.0, max(-1.0, cos)))
+    return _angle_from(table_norm(t1), table_norm(t2), lambda: table_inner(t1, t2), STREAM_ZERO_NORM_TOL)
 
 
 def stream_inner(s1: SymbolStream, s2: SymbolStream, depth: int, smoothing: float = 0.5) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from procgeom import format_pfsa, parse_pfsa, read_stream
+from procgeom import Pfsa, format_pfsa, parse_pfsa, read_stream
 from procgeom.cli import build_parser, main
 from conftest import make_feed3, make_redundant_g2, make_t3, make_two_sinks
 
@@ -117,6 +117,17 @@ class TestGenerateAndWordprob:
     def test_wordprob_empty_word(self, capsys, g2_path):
         code, out, _ = run(capsys, "wordprob", g2_path, "")
         assert code == 0 and float(out.strip()) == 1.0
+
+    @pytest.mark.parametrize("word, printed", [("ab", "0.59999999999999998"), ("ab cd", "0.12"), ("", "1")])
+    def test_wordprob_over_a_wide_alphabet(self, capsys, tmp_path, word, printed):
+        # g2's rows over the symbols ab and cd: a word with no space is one
+        # symbol, since a symbol is wider than one character
+        g = Pfsa(["ab", "cd"], ["A", "B"],
+                 {"A": {"ab": "A", "cd": "B"}, "B": {"ab": "A", "cd": "B"}},
+                 {"A": [0.8, 0.2], "B": [0.3, 0.7]})
+        path = tmp_path / "wide.pfsa"
+        path.write_text(format_pfsa(g), encoding="utf-8")
+        assert run(capsys, "wordprob", str(path), word) == (0, printed + "\n", "")
 
     @pytest.mark.parametrize("word, symbol", [("2", "'2'"), ("0 x", "'x'"), ("012", "'2'")])
     def test_wordprob_symbol_outside_alphabet_exits_two(self, capsys, g2_path, word, symbol):

@@ -8,6 +8,7 @@ import pytest
 from procgeom import (
     AlphabetMismatch,
     InvalidPfsa,
+    Overflow,
     Pfsa,
     ZeroNorm,
     angle,
@@ -30,7 +31,9 @@ from procgeom import (
 )
 from procgeom.process import _batched_pair_walks, _pair_state_walks, _walk_symbols
 from procgeom.simplex import log_ratios
-from conftest import make_feed3, make_single, make_t3, sink_components_loop
+from conftest import (
+    make_feed3, make_g2, make_m2, make_single, make_t3, make_u3, sink_components_loop,
+)
 
 
 @pytest.fixture
@@ -93,6 +96,28 @@ class TestScale:
 
     def test_composition(self, G):
         assert fdd_distance(scale_process(-0.3, G), scale_process(-1.0, scale_process(0.3, G)), 5) < 1e-9
+
+    @pytest.mark.parametrize("make", [make_g2, make_m2, make_t3, make_u3])
+    @pytest.mark.parametrize("alpha", [-1e3, -2.5, -1e-3, 1e-3, 0.37, 2.0, 1e3])
+    def test_result_is_valid_or_overflow(self, make, alpha):
+        # the scaled rows are pscale's, taken without a validation pass of
+        # their own: finite, positive and normalized, or Overflow is raised
+        try:
+            s = scale_process(alpha, as_process(make()))
+        except Overflow:
+            return
+        assert validate(s.machine).valid
+
+
+@pytest.mark.parametrize("p, q, pinned", [
+    (make_g2, lambda: scale_process(0.3, as_process(make_g2())), "0.1939495437308664"),
+    (make_m2, lambda: as_process(make_g2()), "0.19164000000000037"),
+    (make_t3, lambda: scale_process(2.0, as_process(make_t3())), "0.0872529888697319"),
+], ids=["g2-0.3g2", "m2-g2", "t3-2t3"])
+def test_fdd_distance_is_pinned(p, q, pinned):
+    # word probabilities are folded symbol by symbol from the stationary
+    # belief, multiplied in word order; the value is pinned to the bit
+    assert repr(fdd_distance(as_process(p()), q(), 5)) == pinned
 
 
 class TestSum:
