@@ -46,7 +46,10 @@ class NotErgodic(ProcgeomError):
 
 
 class ZeroMass(ProcgeomError):
-    """A belief update hit an all-zero posterior (impossible for valid machines)."""
+    """A belief update hit an all-zero posterior: the observed symbol has
+    probability 0 under the belief at working precision.  Machines that
+    :func:`~procgeom.pfsa.validate` accepts reach it: an emission entry of
+    5e-324 times a belief entry of 0.5 rounds to 0."""
 
 
 class AlphabetMismatch(ProcgeomError):

@@ -258,13 +258,8 @@ def matrices(g: Pfsa):
         adds each row's entries in alphabet order, so the event matrices,
         summed in that order, give ``pi`` exactly.
     """
-    n = g.n_states
-    rows = np.arange(n)
-    gamma = {}
-    for j, sym in enumerate(g.alphabet):
-        gm = np.zeros((n, n))
-        gm[rows, g._delta[:, j]] = g._morph[:, j]
-        gamma[sym] = _freeze(gm)
+    gamma = {sym: _freeze(_chain_matrix(g._delta[:, j:j + 1], g._morph[:, j:j + 1]))
+             for j, sym in enumerate(g.alphabet)}
     return _freeze(g._morph.copy()), transition_matrix(g), gamma
 
 
@@ -592,18 +587,31 @@ def symbolic_derivative(g: Pfsa, belief: np.ndarray) -> ProbVec:
     return _freeze(belief @ g._morph)
 
 
+def _extend_word(g: Pfsa, p: float, b: np.ndarray | None, j: int):
+    """Extend a word's (probability, belief) pair by the symbol of index ``j``.
+
+    The probability is multiplied by the symbol's next-symbol probability
+    under the belief, and the belief is conditioned on the symbol.  A
+    symbol whose probability under the belief is 0 at working precision
+    gives ``(0.0, None)``, and so does every extension of a pair without
+    a belief.  A positive probability has a positive posterior mass, since
+    both sum the same nonnegative products, so conditioning never raises.
+    """
+    q = 0.0 if b is None else float(b @ g._morph[:, j])
+    return (p * q, belief_update(g, b, j)) if q > 0.0 else (0.0, None)
+
+
 def word_probability(g: Pfsa, symbols) -> float:
     """Probability that the stationary process emits ``symbols`` as a prefix.
 
-    Folded from the stationary belief: each symbol contributes its current
-    next-symbol probability, then conditions the belief.  The empty word
-    has probability 1.
+    Folded by :func:`_extend_word` from the stationary belief: each symbol
+    contributes its current next-symbol probability, then conditions the
+    belief.  The empty word has probability 1; a word that cannot occur,
+    0.
     """
-    b = stationary_distribution(g)
-    p = 1.0
+    p, b = 1.0, stationary_distribution(g)
     for j in g.to_indices(symbols):
-        p *= float(b @ g._morph[:, j])
-        b = belief_update(g, b, int(j))
+        p, b = _extend_word(g, p, b, int(j))
     return p
 
 

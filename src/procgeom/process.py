@@ -24,7 +24,6 @@ recursion from an epsilon-synchronized start.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +32,7 @@ import numpy as np
 from .errors import MultipleRecurrentClasses, ZeroNorm
 from .pfsa import (
     Pfsa,
+    _extend_word,
     _jump_table,
     _reachable,
     _renumber,
@@ -44,10 +44,10 @@ from .pfsa import (
     minimal_closed_restriction,
     minimize,
     require_valid,
+    stationary_distribution,
     structurally_equal,
-    word_probability,
 )
-from .simplex import _angle_from, log_ratios, pscale
+from .simplex import _angle_from, log_ratios, pscale, psum
 from .sync import _pair_delta, _reset_word, joint_epsilon_synchronize
 
 ZERO_NORM_TOL = 1e-12
@@ -156,8 +156,7 @@ def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
     delta, keep = _pair_sink(g, h)
     i, j = np.divmod(keep, h.n_states)
     names = [f"({g.states[a]},{h.states[b]})" for a, b in zip(i.tolist(), j.tolist())]
-    w = g._morph[i] * h._morph[j]
-    pair = Pfsa(g.alphabet, names, _renumber(delta, keep), w / w.sum(axis=1, keepdims=True))
+    pair = Pfsa(g.alphabet, names, _renumber(delta, keep), psum(g._morph[i], h._morph[j]))
     return _normal_form(require_valid(pair), label=f"({p.label}+{q.label})")
 
 
@@ -168,12 +167,20 @@ def fdd_distance(p: ProcessHandle, q: ProcessHandle, max_len: int = 5) -> float:
     """Largest word-probability gap over all words up to ``max_len``.
 
     Zero (up to tolerance) certifies process equality at desk scale.
-    Each word's probability is :func:`~procgeom.pfsa.word_probability`.
+    Words are extended level by level, each prefix once, by the step that
+    :func:`~procgeom.pfsa.word_probability` folds over, so each word's
+    probability has the same bits as there.
     """
     g, h = p.machine, q.machine
     check_same_alphabet(g, h)
-    words = (w for n in range(max_len + 1) for w in itertools.product(range(g.n_symbols), repeat=n))
-    return max(abs(word_probability(g, w) - word_probability(h, w)) for w in words)
+    pairs = [((1.0, stationary_distribution(g)), (1.0, stationary_distribution(h)))]
+    gaps = []
+    for n in range(max_len + 1):
+        if n:
+            pairs = [(_extend_word(g, *a, j), _extend_word(h, *b, j))
+                     for a, b in pairs for j in range(g.n_symbols)]
+        gaps.extend(abs(a[0] - b[0]) for a, b in pairs)
+    return max(gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -107,11 +107,13 @@ def psum(a: ProbVec, b: ProbVec) -> ProbVec:
     """Group sum of probability vectors: normalized elementwise product.
 
     Commutative and associative; the uniform vector is the identity and
-    ``pscale(-1, a)`` is the inverse of ``a``.
+    ``pscale(-1, a)`` is the inverse of ``a``.  2-D ``a`` and ``b`` of one
+    shape are stacks of probability vectors, one per row, each row summed
+    with its partner as it would be alone.
     """
     _check_same_dim(a, b)
     w = a * b
-    return _freeze(w / w.sum())
+    return _freeze(w / w.sum(axis=-1, keepdims=True))
 
 
 def pscale(alpha: float, a: ProbVec) -> ProbVec:

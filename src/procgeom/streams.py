@@ -261,11 +261,15 @@ def table_angle(t1: DerivativeTable, t2: DerivativeTable) -> float:
     return _angle_from(table_norm(t1), table_norm(t2), lambda: table_inner(t1, t2), STREAM_ZERO_NORM_TOL)
 
 
-def stream_inner(s1: SymbolStream, s2: SymbolStream, depth: int, smoothing: float = 0.5) -> float:
+def _stream_tables(s1: SymbolStream, s2: SymbolStream, depth: int, smoothing: float):
+    """Both streams' derivative tables, once their alphabets are checked to
+    agree, so :class:`AlphabetMismatch` comes before any estimation error."""
     check_same_alphabet(s1, s2)
-    return table_inner(
-        estimate_derivatives(s1, depth, smoothing), estimate_derivatives(s2, depth, smoothing)
-    )
+    return estimate_derivatives(s1, depth, smoothing), estimate_derivatives(s2, depth, smoothing)
+
+
+def stream_inner(s1: SymbolStream, s2: SymbolStream, depth: int, smoothing: float = 0.5) -> float:
+    return table_inner(*_stream_tables(s1, s2, depth, smoothing))
 
 
 def stream_angle(s1: SymbolStream, s2: SymbolStream, depth: int, smoothing: float = 0.5) -> float:
@@ -277,7 +281,4 @@ def stream_angle(s1: SymbolStream, s2: SymbolStream, depth: int, smoothing: floa
     ------
     AlphabetMismatch, StreamTooShort, ZeroNorm
     """
-    check_same_alphabet(s1, s2)
-    return table_angle(
-        estimate_derivatives(s1, depth, smoothing), estimate_derivatives(s2, depth, smoothing)
-    )
+    return table_angle(*_stream_tables(s1, s2, depth, smoothing))

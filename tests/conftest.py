@@ -85,6 +85,31 @@ def make_two_sinks() -> Pfsa:
     )
 
 
+def make_vanishing2() -> Pfsa:
+    """Valid machine on which the word ``0`` has probability 0 at working
+    precision: its emission entry 5e-324 times the stationary 0.5 rounds
+    to 0."""
+    return Pfsa(
+        ["0", "1"],
+        ["a", "b"],
+        {"a": {"0": "a", "1": "b"}, "b": {"0": "b", "1": "a"}},
+        {"a": [5e-324, 1.0], "b": [5e-324, 1.0]},
+    )
+
+
+def make_vanishing3() -> Pfsa:
+    """Ternary 3-state machine, a normal form, whose symbol 0 has emission
+    entry 5e-324 in every state: the word ``0`` has probability 5e-324,
+    and ``1 0`` probability 0 at working precision."""
+    return Pfsa(
+        ["0", "1", "2"],
+        ["x", "y", "z"],
+        {"x": {"0": "y", "1": "z", "2": "x"}, "y": {"0": "z", "1": "x", "2": "y"},
+         "z": {"0": "x", "1": "y", "2": "z"}},
+        {"x": [5e-324, 0.6, 0.4], "y": [5e-324, 0.25, 0.75], "z": [5e-324, 0.7, 0.3]},
+    )
+
+
 def make_redundant_g2() -> Pfsa:
     """G2 with state B split into two interchangeable copies."""
     return Pfsa(

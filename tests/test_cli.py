@@ -5,7 +5,7 @@ import pytest
 
 from procgeom import Pfsa, format_pfsa, parse_pfsa, read_stream
 from procgeom.cli import build_parser, main
-from conftest import make_feed3, make_redundant_g2, make_t3, make_two_sinks
+from conftest import make_feed3, make_redundant_g2, make_t3, make_two_sinks, make_vanishing2
 
 
 @pytest.fixture
@@ -127,6 +127,12 @@ class TestGenerateAndWordprob:
                  {"A": [0.8, 0.2], "B": [0.3, 0.7]})
         path = tmp_path / "wide.pfsa"
         path.write_text(format_pfsa(g), encoding="utf-8")
+        assert run(capsys, "wordprob", str(path), word) == (0, printed + "\n", "")
+
+    @pytest.mark.parametrize("word, printed", [("0", "0"), ("10", "0"), ("01", "0"), ("1", "1")])
+    def test_wordprob_of_a_word_that_cannot_occur_prints_zero(self, capsys, tmp_path, word, printed):
+        path = tmp_path / "vanishing.pfsa"
+        path.write_text(format_pfsa(make_vanishing2()), encoding="utf-8")
         assert run(capsys, "wordprob", str(path), word) == (0, printed + "\n", "")
 
     @pytest.mark.parametrize("word, symbol", [("2", "'2'"), ("0 x", "'x'"), ("012", "'2'")])

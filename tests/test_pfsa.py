@@ -10,6 +10,7 @@ from procgeom import (
     NotErgodic,
     Pfsa,
     PfsaFormatError,
+    ZeroMass,
     as_process,
     belief_from_string,
     belief_update,
@@ -47,6 +48,8 @@ from conftest import (
     make_t3,
     make_two_sinks,
     make_u3,
+    make_vanishing2,
+    make_vanishing3,
     sink_components_loop,
 )
 
@@ -201,6 +204,19 @@ class TestMatrices:
             np.testing.assert_array_equal(sum(gamma.values()), pi)
             np.testing.assert_allclose(pi.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("maker", [make_g2, make_m2, make_t3, make_u3, make_single, make_feed3,
+                                       make_redundant_g2, make_two_sinks])
+    def test_event_matrices_are_the_per_symbol_assignment(self, maker):
+        # each event matrix holds the symbol's emission entry at (state,
+        # successor) and zeros elsewhere, to the bit
+        g = maker()
+        _, _, gamma = matrices(g)
+        rows = np.arange(g.n_states)
+        for j, sym in enumerate(g.alphabet):
+            expected = np.zeros((g.n_states, g.n_states))
+            expected[rows, g._delta[:, j]] = g._morph[:, j]
+            assert gamma[sym].tobytes() == expected.tobytes()
+
 
 class TestStationary:
     def test_g2_hand_value(self, g2):
@@ -290,6 +306,25 @@ class TestWordProbability:
             fold(g2, ["0", "x"])
         with pytest.raises(ValueError, match="symbol index out of range"):
             fold(g2, [0, 2])
+
+    @pytest.mark.parametrize("word", [["0"], ["1", "0"], ["0", "1"], ["1", "0", "1"]])
+    def test_word_that_cannot_occur_has_probability_zero(self, word):
+        # 0.5 * 5e-324 rounds to 0, so the symbol 0 has no mass under any
+        # belief the machine reaches; validate accepts the machine
+        g = make_vanishing2()
+        assert validate(g).valid
+        assert word_probability(g, word) == 0.0
+        assert word_probability(g, ["1"]) == 1.0
+
+    def test_word_that_cannot_occur_after_a_possible_prefix(self):
+        g = make_vanishing3()
+        assert word_probability(g, ["0"]) == 5e-324
+        assert word_probability(g, ["1", "0"]) == 0.0
+        assert word_probability(g, ["1", "0", "2"]) == 0.0
+
+    def test_conditioning_on_a_word_that_cannot_occur_raises_zero_mass(self):
+        with pytest.raises(ZeroMass, match=r"^observation '0' has zero probability under the belief$"):
+            belief_from_string(make_vanishing2(), ["1", "0"])
 
     @pytest.mark.parametrize("maker", [make_g2, make_t3, make_u3])
     def test_kolmogorov_consistency(self, maker):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from procgeom import (
     AlphabetMismatch,
     InvalidPfsa,
+    NotErgodic,
     Overflow,
     Pfsa,
     ZeroNorm,
@@ -27,12 +29,14 @@ from procgeom import (
     structurally_equal,
     sum_processes,
     validate,
+    word_probability,
     zero_process,
 )
 from procgeom.process import _batched_pair_walks, _pair_state_walks, _walk_symbols
 from procgeom.simplex import log_ratios
 from conftest import (
-    make_feed3, make_g2, make_m2, make_single, make_t3, make_u3, sink_components_loop,
+    make_feed3, make_g2, make_m2, make_single, make_t3, make_u3, make_vanishing3,
+    sink_components_loop,
 )
 
 
@@ -118,6 +122,44 @@ def test_fdd_distance_is_pinned(p, q, pinned):
     # word probabilities are folded symbol by symbol from the stationary
     # belief, multiplied in word order; the value is pinned to the bit
     assert repr(fdd_distance(as_process(p()), q(), 5)) == pinned
+
+
+def largest_word_gaps(p, q, max_len):
+    """Largest ``word_probability`` gap over all words up to each length."""
+    g, h = p.machine, q.machine
+    gaps, best = [], 0.0
+    for n in range(max_len + 1):
+        for w in itertools.product(range(g.n_symbols), repeat=n):
+            best = max(best, abs(word_probability(g, w) - word_probability(h, w)))
+        gaps.append(best)
+    return gaps
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_fdd_distance_is_the_largest_word_probability_gap(k):
+    # prefixes are extended once, level by level, with word_probability's
+    # multiplications in its order, so the maximum is equal to the bit
+    checked = 0
+    for n in range(1, 7):
+        try:
+            p = random_process(n, 2100 + n, k)
+        except NotErgodic:
+            continue
+        for alpha in (0.3, -2.0):
+            q = scale_process(alpha, p)
+            for max_len, gap in enumerate(largest_word_gaps(p, q, 5)):
+                assert fdd_distance(p, q, max_len) == gap
+                checked += 1
+    assert checked >= 48
+
+
+def test_fdd_distance_counts_a_word_that_cannot_occur_as_zero():
+    # "1 0" has probability 0 on the machine: each belief entry times
+    # 5e-324 rounds to 0
+    p = as_process(make_vanishing3())
+    assert p.machine.n_states == 3
+    q = scale_process(0.5, p)
+    assert fdd_distance(p, q, 3) == largest_word_gaps(p, q, 3)[-1]
 
 
 class TestSum:

@@ -83,6 +83,14 @@ class TestPsum:
         with pytest.raises(DimensionMismatch):
             psum(make_pvec([0.5, 0.5]), make_pvec([0.2, 0.3, 0.5]))
 
+    @pytest.mark.parametrize("m, k", [(1, 2), (2, 2), (5, 3), (9, 7)])
+    def test_stacks_are_summed_row_by_row(self, m, k):
+        rng = np.random.default_rng(m * 10 + k)
+        a = np.stack([random_pvec(rng, k, spread=2.0) for _ in range(m)])
+        b = np.stack([random_pvec(rng, k, spread=2.0) for _ in range(m)])
+        rows = np.stack([psum(x, y) for x, y in zip(a, b)])
+        assert psum(a, b).tobytes() == rows.tobytes()
+
 
 class TestPscale:
     def test_zero_gives_uniform(self):
