@@ -264,55 +264,7 @@ def matrices(g: Pfsa):
 
 
 # ---------------------------------------------------------------------------
-# graph structure: strongly connected components, closed restrictions
-
-def _tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components, iteratively (no recursion limit)."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-    return sccs
-
+# graph structure: sink components, closed restrictions
 
 def _sink_components(delta: np.ndarray) -> list[list[int]]:
     """Sink components of the graph ``v -> delta[v, s]``, sorted.
@@ -321,18 +273,29 @@ def _sink_components(delta: np.ndarray) -> list[list[int]]:
     breadth-first search from state 0 finds, the sink is unique and is the
     set reachable from ``x``.  Every sink component is closed and holds a
     state that reaches ``x``, so each holds ``x``.  The check is one backward
-    search; only a graph that fails it takes the Tarjan search.
+    search; only a graph that fails it takes the search in Kosaraju's order.
+
+    That search visits the states in reverse :func:`_finish_order`.  The
+    states not yet settled form a forward-closed set, so the first of them
+    in that order lies in a sink component (Kosaraju's lemma): its forward
+    search is that sink, and one backward search from the sink settles every
+    state that reaches it.  Each state is settled once, so the search costs
+    O(states * symbols).
     """
     x = _reachable(delta, 0)[-1]
     if _all_reach(delta, x):
         return [sorted(_reachable(delta, x))]
-    sccs = _tarjan_sccs(delta.tolist())
-    comp_of = np.empty(delta.shape[0], dtype=np.int64)
-    for ci, comp in enumerate(sccs):
-        comp_of[comp] = ci
-    leaving = np.zeros(len(sccs), dtype=bool)
-    leaving[comp_of[(comp_of[delta] != comp_of[:, None]).any(axis=1)]] = True
-    return sorted(comp for comp, out in zip(sccs, leaving.tolist()) if not out)
+    preds, bounds = _predecessors(delta)
+    succ = delta.tolist()
+    settled = [False] * len(succ)
+    sinks = []
+    for v in reversed(_finish_order(preds, bounds)):
+        if not settled[v]:
+            settled[v] = True
+            sink = _search_forward(succ, [v], settled)
+            sinks.append(sorted(sink))
+            _search_backward(preds, bounds, sink, settled)
+    return sorted(sinks)
 
 
 def sink_sccs(g: Pfsa) -> list[list[int]]:
@@ -340,13 +303,20 @@ def sink_sccs(g: Pfsa) -> list[list[int]]:
     return _sink_components(g._delta)
 
 
-def _reachable(delta: np.ndarray, start: int) -> list[int]:
-    """States reachable from ``start`` along ``delta``, ``start`` first, in
-    breadth-first discovery order with symbols explored in alphabet order."""
-    succ = delta.tolist()
-    seen = [False] * len(succ)
-    seen[start] = True
-    order = [start]
+def _predecessors(delta: np.ndarray) -> tuple[list[int], list[int]]:
+    """Predecessor index of the graph ``v -> delta[v, s]``: the predecessors
+    of state ``q`` are ``preds[bounds[q]:bounds[q + 1]]``, one run of a
+    stable argsort of the targets, one entry per edge."""
+    n, k = delta.shape
+    flat = delta.ravel()
+    by_target = np.argsort(flat, kind="stable")
+    return (by_target // k).tolist(), np.searchsorted(flat[by_target], np.arange(n + 1)).tolist()
+
+
+def _search_forward(succ: list[list[int]], order: list[int], seen: list[bool]) -> list[int]:
+    """Breadth-first search along ``succ`` from the states in ``order``,
+    which ``seen`` already marks; appends each unseen state it reaches,
+    symbols explored in alphabet order, and returns ``order``."""
     for q in order:  # also visits the states appended while it runs
         for t in succ[q]:
             if not seen[t]:
@@ -355,27 +325,56 @@ def _reachable(delta: np.ndarray, start: int) -> list[int]:
     return order
 
 
-def _all_reach(delta: np.ndarray, target: int) -> bool:
-    """Whether every state reaches ``target`` along ``delta``.
-
-    A breadth-first search backwards from ``target``: the predecessors of
-    each state are one run of a stable argsort of the targets, so the
-    search costs O(states * symbols) on any graph.
-    """
-    n, k = delta.shape
-    flat = delta.ravel()
-    by_target = np.argsort(flat, kind="stable")
-    preds = (by_target // k).tolist()
-    bounds = np.searchsorted(flat[by_target], np.arange(n + 1)).tolist()
-    seen = [False] * n
-    seen[target] = True
-    order = [target]
+def _search_backward(preds: list[int], bounds: list[int], order: list[int],
+                     seen: list[bool]) -> list[int]:
+    """:func:`_search_forward` against the edges, over the index of
+    :func:`_predecessors`, slicing each visited state's run as it goes."""
     for q in order:  # also visits the states appended while it runs
         for p in preds[bounds[q]:bounds[q + 1]]:
             if not seen[p]:
                 seen[p] = True
                 order.append(p)
-    return len(order) == n
+    return order
+
+
+def _finish_order(preds: list[int], bounds: list[int]) -> list[int]:
+    """States in the order an iterative depth-first search of the reversed
+    graph finishes them, over the index of :func:`_predecessors`."""
+    seen = [False] * (len(bounds) - 1)
+    finished = []
+    for root in range(len(seen)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(preds[bounds[root]:bounds[root + 1]]))]
+        while stack:
+            v, rest = stack[-1]
+            for p in rest:
+                if not seen[p]:
+                    seen[p] = True
+                    stack.append((p, iter(preds[bounds[p]:bounds[p + 1]])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    return finished
+
+
+def _reachable(delta: np.ndarray, start: int) -> list[int]:
+    """States reachable from ``start`` along ``delta``, ``start`` first, in
+    breadth-first discovery order with symbols explored in alphabet order."""
+    seen = [False] * delta.shape[0]
+    seen[start] = True
+    return _search_forward(delta.tolist(), [start], seen)
+
+
+def _all_reach(delta: np.ndarray, target: int) -> bool:
+    """Whether every state reaches ``target`` along ``delta``: one
+    breadth-first search backwards from ``target``, O(states * symbols) on
+    any graph."""
+    seen = [False] * delta.shape[0]
+    seen[target] = True
+    return len(_search_backward(*_predecessors(delta), [target], seen)) == delta.shape[0]
 
 
 def _renumber(delta: np.ndarray, keep) -> np.ndarray:

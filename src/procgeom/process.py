@@ -170,7 +170,14 @@ def fdd_distance(p: ProcessHandle, q: ProcessHandle, max_len: int = 5) -> float:
     Words are extended level by level, each prefix once, by the step that
     :func:`~procgeom.pfsa.word_probability` folds over, so each word's
     probability has the same bits as there.
+
+    Raises
+    ------
+    ValueError
+        If ``max_len`` is negative.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     g, h = p.machine, q.machine
     check_same_alphabet(g, h)
     pairs = [((1.0, stationary_distribution(g)), (1.0, stationary_distribution(h)))]

@@ -258,7 +258,16 @@ def table_norm(t: DerivativeTable) -> float:
 
 
 def table_angle(t1: DerivativeTable, t2: DerivativeTable) -> float:
-    return _angle_from(table_norm(t1), table_norm(t2), lambda: table_inner(t1, t2), STREAM_ZERO_NORM_TOL)
+    """Angle between two tables; two tables with equal ``probs`` give
+    exactly 0.0, where ``acos`` of their rounded cosine may not.
+
+    Raises
+    ------
+    ZeroNorm
+        If either table's norm is below ``STREAM_ZERO_NORM_TOL``.
+    """
+    theta = _angle_from(table_norm(t1), table_norm(t2), lambda: table_inner(t1, t2), STREAM_ZERO_NORM_TOL)
+    return 0.0 if np.array_equal(t1.probs, t2.probs) else theta
 
 
 def _stream_tables(s1: SymbolStream, s2: SymbolStream, depth: int, smoothing: float):

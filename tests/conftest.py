@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from procgeom import Pfsa, as_process
-from procgeom.pfsa import _tarjan_sccs
 
 
 def make_g2() -> Pfsa:
@@ -120,11 +119,60 @@ def make_redundant_g2() -> Pfsa:
     )
 
 
+def _tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components, iteratively (no recursion limit)."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            descended = False
+            for i in range(pi, len(succ[v])):
+                w = succ[v][i]
+                if index[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    descended = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(sorted(comp))
+    return sccs
+
+
 def sink_components_loop(delta):
     """Per-edge reference: a component is a sink if every edge stays in it.
 
-    Tarjan only, with no reachability shortcut, so tests of the certified
-    check in ``_sink_components`` compare against an independent answer.
+    Tarjan only, with no reachability shortcut and none of the search in
+    Kosaraju's order, so tests of ``_sink_components`` compare against an
+    independent answer.
     """
     succ = [sorted(set(row)) for row in delta.tolist()]
     sccs = _tarjan_sccs(succ)
@@ -139,17 +187,18 @@ def sink_components_loop(delta):
 
 @pytest.fixture
 def count_tarjan(monkeypatch):
-    """The sizes of the graphs the Tarjan search runs on, in call order."""
+    """The sizes of the graphs the fallback of ``_sink_components`` runs its
+    depth-first pass on, in call order."""
     import procgeom.pfsa as pfsa
 
     calls = []
-    tarjan = pfsa._tarjan_sccs
+    finish_order = pfsa._finish_order
 
-    def counted(succ):
-        calls.append(len(succ))
-        return tarjan(succ)
+    def counted(preds, bounds):
+        calls.append(len(bounds) - 1)
+        return finish_order(preds, bounds)
 
-    monkeypatch.setattr(pfsa, "_tarjan_sccs", counted)
+    monkeypatch.setattr(pfsa, "_finish_order", counted)
     return calls
 
 

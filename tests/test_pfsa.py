@@ -39,6 +39,7 @@ from procgeom.pfsa import (
     _reachable,
     _sink_components,
 )
+from procgeom.sync import _pair_delta
 from conftest import (
     make_feed3,
     make_g2,
@@ -346,22 +347,47 @@ class TestWordProbability:
 
 
 class TestSinkComponents:
-    def test_matches_per_edge_loop_on_random_graphs(self):
+    def test_matches_per_edge_loop_on_random_graphs(self, count_tarjan):
         rng = np.random.default_rng(11)
-        counts = []
-        for _ in range(200):
-            n, k = int(rng.integers(1, 60)), int(rng.integers(1, 4))
-            # a few closed blocks, each mapping into itself, plus states mapping anywhere
-            block = rng.integers(0, int(rng.integers(1, 6)), n)
+
+        def block_graph(n, k, blocks):
+            # closed blocks, each mapping into itself, plus states mapping anywhere
+            block = rng.integers(0, blocks, n)
             transient = rng.random(n) < 0.3
             delta = rng.integers(0, n, (n, k))
             for v in np.flatnonzero(~transient):
                 members = np.flatnonzero((block == block[v]) & ~transient)
                 delta[v] = rng.choice(members, k)
+            return delta
+
+        counts = []
+        for _ in range(200):
+            n, k = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+            delta = block_graph(n, k, int(rng.integers(1, 6)))
             expected = sink_components_loop(delta)
             assert _sink_components(delta) == expected
             counts.append(len(expected))
         assert max(counts) >= 4 and counts.count(1) < len(counts) // 2
+
+        # many sinks at scale: the fallback runs its depth-first pass once
+        big = []
+        for _ in range(20):
+            n = int(rng.integers(300, 3001))
+            delta = block_graph(n, int(rng.integers(2, 4)), int(rng.integers(10, 41)))
+            before = len(count_tarjan)
+            expected = sink_components_loop(delta)
+            assert _sink_components(delta) == expected
+            assert count_tarjan[before:] == [n]
+            big.append(len(expected))
+        assert min(big) >= 10
+
+        # pair graphs of non-synchronizing operands
+        for g, h, sinks in [(make_t3(), make_t3(), 3), (make_t3(), make_feed3(), 1),
+                            (make_feed3(), make_feed3(), 2)]:
+            delta = _pair_delta(g, h)
+            expected = sink_components_loop(delta)
+            assert _sink_components(delta) == expected
+            assert len(expected) == sinks
 
     def test_transient_candidate_takes_the_tarjan_search(self, count_tarjan):
         # breadth-first order from 0 is 0 3 1 5 4 2, and the last state, 2,
@@ -406,10 +432,10 @@ class TestSinkComponents:
             m.setattr(pfsa, "_all_reach", lambda delta, target: False)
             expected = [format_pfsa(as_process(g).machine) for g in machines]
 
-        def no_search(succ):
-            raise AssertionError("Tarjan search ran")
+        def no_search(preds, bounds):
+            raise AssertionError("component search ran")
 
-        monkeypatch.setattr(pfsa, "_tarjan_sccs", no_search)
+        monkeypatch.setattr(pfsa, "_finish_order", no_search)
         assert [format_pfsa(as_process(g).machine) for g in machines] == expected
 
 

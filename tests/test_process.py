@@ -162,6 +162,12 @@ def test_fdd_distance_counts_a_word_that_cannot_occur_as_zero():
     assert fdd_distance(p, q, 3) == largest_word_gaps(p, q, 3)[-1]
 
 
+@pytest.mark.parametrize("max_len", [-1, -5])
+def test_fdd_distance_rejects_a_negative_max_len(g2_process, max_len):
+    with pytest.raises(ValueError, match=f"^max_len must be >= 0, got {max_len}$"):
+        fdd_distance(g2_process, g2_process, max_len)
+
+
 class TestSum:
     def test_commutative_up_to_fdd(self, G, M):
         assert fdd_distance(sum_processes(G, M), sum_processes(M, G), 5) < 1e-12
@@ -715,6 +721,29 @@ class TestNormAndAngle:
         with pytest.raises(ZeroNorm):
             angle(G, zero_process(G.alphabet))
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+    def test_self_angle_is_exactly_zero(self, G, M):
+        # acos of the rounded cosine x / (sqrt(x) * sqrt(x)) is 1.5e-8 on M,
+        # 2.1e-8 on 0.5 G, and nonzero on 58 of these 200 random normal forms
+        processes = [G, M, scale_process(0.5, G)]
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 12))
+            # symbol 0 cycles through every state, so each machine is ergodic
+            delta = np.column_stack([(np.arange(n) + 1) % n, rng.integers(0, n, n)])
+            rows = np.maximum(rng.dirichlet([2.0, 2.0], n), 1e-3)
+            processes.append(as_process(Pfsa(["0", "1"], [f"s{i}" for i in range(n)], delta,
+                                             rows / rows.sum(axis=1, keepdims=True))))
+        assert [angle(p, p) for p in processes] == [0.0] * len(processes)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+    def test_positive_multiple_at_angle_zero(self):
+        # 2.1e-8 for 0.5 g2, 1.5e-8 for every multiple of m2
+        angles = [angle(p, scale_process(a, p))
+                  for p in (as_process(make()) for make in (make_g2, make_m2, make_u3))
+                  for a in (0.1, 0.5, 2.0)]
+        assert max(map(abs, angles)) <= 1e-12
+
     @pytest.mark.parametrize("alpha,beta", [(0.1, 0.5), (2.0, 0.1), (0.5, 2.0)])
     def test_positive_scaling_leaves_angle_invariant(self, G, M, alpha, beta):
         base = angle(G, M)
@@ -840,7 +869,7 @@ def forbid_component_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("component search ran")
 
-    monkeypatch.setattr(pfsa, "_tarjan_sccs", no_search)
+    monkeypatch.setattr(pfsa, "_finish_order", no_search)
     monkeypatch.setattr(process, "joint_epsilon_synchronize", no_search)
 
 
@@ -891,7 +920,7 @@ class TestCertifiedSinkRule:
     def test_synchronizing_pair_with_a_transient_candidate(self, count_tarjan):
         # breadth-first order from pair state 0 is 0 3 5 1 4 2, so the
         # candidate is 2, but the only sink is {1, 3, 4}: the check fails on
-        # a synchronizing pair, and the Tarjan search finds the sink
+        # a synchronizing pair, and the fallback search finds the sink
         import procgeom.process as process
         from procgeom.pfsa import _reachable
         from procgeom.sync import _pair_delta, reset_word
