@@ -29,6 +29,7 @@ from .pfsa import (
     word_probability,
 )
 from .process import (
+    DEFAULT_MC_EPS,
     ProcessHandle,
     angle,
     angle_mc_estimate,
@@ -133,7 +134,7 @@ def _cmd_sum(args) -> int:
     return 0
 
 
-_MC_DEFAULTS = {"eps": 1e-6, "walk_length": 100_000, "repeats": 20, "seed": 42}
+_MC_DEFAULTS = {"eps": DEFAULT_MC_EPS, "walk_length": 100_000, "repeats": 20, "seed": 42}
 _MC_HEADER = "# seed={seed} eps={eps:g} walk_length={walk_length} repeats={repeats}"
 
 

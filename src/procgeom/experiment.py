@@ -135,14 +135,16 @@ def run_noise_experiment(base: Pfsa, config: ExperimentConfig = ExperimentConfig
     Raises
     ------
     ValueError
-        If ``config.depth`` or ``config.stream_length`` is negative, or
-        ``config.smoothing`` is not a finite positive number; checked
-        before any model is built or sampled.
+        If ``config.depth`` or ``config.stream_length`` is negative, the
+        depth gives more than :data:`~procgeom.streams.MAX_CONTEXTS`
+        contexts over the base's alphabet, or ``config.smoothing`` is not a
+        finite positive number; checked before any model is built or
+        sampled.
     StreamTooShort
         If ``config.stream_length <= config.depth``, so a stream has no
         window of ``depth + 1`` symbols; checked at the same point.
     """
-    _check_depth(config.depth)
+    _check_depth(config.depth, base.n_symbols)
     _check_smoothing(config.smoothing)
     if config.stream_length < 0:
         raise ValueError("stream_length must be >= 0")

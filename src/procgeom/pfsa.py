@@ -191,9 +191,12 @@ def structurally_equal(a: Pfsa, b: Pfsa) -> bool:
     )
 
 
-def check_same_alphabet(a, b) -> None:
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatch(f"alphabets differ: {a.alphabet} vs {b.alphabet}")
+def check_same_alphabet(a, *others) -> None:
+    """Raise :class:`AlphabetMismatch` unless each of ``others`` (machines,
+    tables or streams) has the alphabet of ``a``."""
+    for b in others:
+        if a.alphabet != b.alphabet:
+            raise AlphabetMismatch(f"alphabets differ: {a.alphabet} vs {b.alphabet}")
 
 
 # ---------------------------------------------------------------------------
@@ -493,31 +496,23 @@ def _power_iterate(block: np.ndarray, w: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _stationary(delta: np.ndarray, weights, keep) -> np.ndarray:
-    """Stationary vector of the chain of :func:`_chain_matrix`, carried by
-    the closed component ``keep`` (zero elsewhere).
+def _stationary(block: np.ndarray, weights) -> np.ndarray:
+    """Stationary vector of the chain of :func:`_chain_matrix` on ``block``,
+    a closed chain of its own (a sink component renumbered by
+    :func:`_renumber`, or a whole machine that is one).
 
-    Only the ``keep`` block is solved: ``keep`` is closed, so its rows
-    renumbered by :func:`_renumber` form a chain of their own, and nothing
-    over the other states is allocated.  Blocks of more than
-    ``_POWER_MIN_STATES`` states are solved by the certified lazy power
-    iteration of :func:`_power_iterate` (steps weighted by
-    ``_POWER_STEP_WEIGHT``, the residual tested every
+    Blocks of more than ``_POWER_MIN_STATES`` states are solved by the
+    certified lazy power iteration of :func:`_power_iterate` (steps
+    weighted by ``_POWER_STEP_WEIGHT``, the residual tested every
     ``_POWER_TEST_STEPS`` steps) in O(m k) memory.
     Smaller blocks, and any block the iteration does not certify within
     its step cap (a slowly mixing chain), are solved densely as the
     consistent linear system ``p (P - I) = 0``, ``sum(p) = 1``, whose
-    residual on the block must come out below 1e-12 with every entry on
-    ``keep`` positive.
+    residual must come out below 1e-12 with every entry positive.
     """
-    block = _renumber(delta, keep)
-    w = np.broadcast_to(weights, delta.shape)[keep]
-    sol = _power_iterate(block, w) if len(keep) > _POWER_MIN_STATES else None
-    if sol is None:
-        sol = _dense_stationary(_chain_matrix(block, w))
-    out = np.zeros(delta.shape[0])
-    out[keep] = sol
-    return out
+    w = np.broadcast_to(weights, block.shape)
+    sol = _power_iterate(block, w) if block.shape[0] > _POWER_MIN_STATES else None
+    return _dense_stationary(_chain_matrix(block, w)) if sol is None else sol
 
 
 def _dense_stationary(sub: np.ndarray) -> np.ndarray:
@@ -550,7 +545,9 @@ def stationary_distribution(g: Pfsa) -> np.ndarray:
         sinks = sink_sccs(g)
         if len(sinks) != 1:
             raise NotErgodic(f"{len(sinks)} sink components; stationary distribution not unique")
-        g._pi = _freeze(_stationary(g._delta, g._morph, sinks[0]))
+        pi = np.zeros(g.n_states)
+        pi[sinks[0]] = _stationary(_renumber(g._delta, sinks[0]), g._morph[sinks[0]])
+        g._pi = _freeze(pi)
     return g._pi
 
 

@@ -152,11 +152,10 @@ def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
         If no jointly synchronizing string is found to pin the start.
     """
     g, h = p.machine, q.machine
-    check_same_alphabet(g, h)
-    delta, keep = _pair_sink(g, h)
+    block, keep = _pair_sink(g, h)
     i, j = np.divmod(keep, h.n_states)
     names = [f"({g.states[a]},{h.states[b]})" for a, b in zip(i.tolist(), j.tolist())]
-    pair = Pfsa(g.alphabet, names, _renumber(delta, keep), psum(g._morph[i], h._morph[j]))
+    pair = Pfsa(g.alphabet, names, block, psum(g._morph[i], h._morph[j]))
     return _normal_form(require_valid(pair), label=f"({p.label}+{q.label})")
 
 
@@ -173,9 +172,13 @@ def fdd_distance(p: ProcessHandle, q: ProcessHandle, max_len: int = 5) -> float:
 
     Raises
     ------
+    TypeError
+        If ``max_len`` is not an integer (``bool`` included).
     ValueError
         If ``max_len`` is negative.
     """
+    if isinstance(max_len, bool) or not isinstance(max_len, (int, np.integer)):
+        raise TypeError(f"max_len must be an int, got {max_len!r}")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     g, h = p.machine, q.machine
@@ -194,32 +197,36 @@ def fdd_distance(p: ProcessHandle, q: ProcessHandle, max_len: int = 5) -> float:
 # exact inner product via the uniformly driven pair chain
 
 def _pair_sink(g: Pfsa, h: Pfsa):
-    """Transition table of the pair states and the closed component the
-    uniformly driven walk settles in, by the rules of :func:`inner_exact`.
+    """The closed component the uniformly driven pair walk settles in, by
+    the rules of :func:`inner_exact`: its transition table, renumbered to a
+    chain of its own, and its pair-state indices ``i * nh + j``.
+
+    A self pair builds no pair table: its diagonal moves like the machine
+    itself, so the machine's own table is the diagonal's, entry for entry.
 
     Raises
     ------
+    AlphabetMismatch
     MultipleRecurrentClasses
         If several sink components are reachable from the start.
     DepthExceeded
         If the joint synchronization fails.
     """
-    delta = _pair_delta(g, h)
+    check_same_alphabet(g, h)
     if g is h or structurally_equal(g, h):
-        return delta, [i * h.n_states + i for i in range(g.n_states)]
+        return g._delta, [i * h.n_states + i for i in range(g.n_states)]
+    delta = _pair_delta(g, h)
     sinks = _sink_components(delta)
-    if len(sinks) == 1:
-        return delta, sinks[0]
-    rg, rh, _ = joint_epsilon_synchronize(g, h, DEFAULT_MC_EPS)
-    seen = np.zeros(delta.shape[0], dtype=bool)
-    seen[_reachable(delta, g.state_index(rg.state) * h.n_states + h.state_index(rh.state))] = True
-    reachable = [s for s in sinks if seen[s].any()]
-    if len(reachable) != 1:
-        raise MultipleRecurrentClasses(
-            f"{len(reachable)} recurrent classes reachable from the "
-            "synchronized start; the walk average is path dependent"
-        )
-    return delta, reachable[0]
+    if len(sinks) > 1:
+        rg, rh, _ = joint_epsilon_synchronize(g, h, DEFAULT_MC_EPS)
+        seen = set(_reachable(delta, g.state_index(rg.state) * h.n_states + h.state_index(rh.state)))
+        sinks = [s for s in sinks if not seen.isdisjoint(s)]
+        if len(sinks) != 1:
+            raise MultipleRecurrentClasses(
+                f"{len(sinks)} recurrent classes reachable from the "
+                "synchronized start; the walk average is path dependent"
+            )
+    return _renumber(delta, sinks[0]), sinks[0]
 
 
 def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
@@ -232,10 +239,10 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
     The component averaged over is picked by the first rule that applies
     (:func:`sum_processes` uses the same rules):
 
-    1. a process paired with itself: the diagonal, with no component
-       search.  Operands are in normal form, so strongly connected, which
-       makes the diagonal closed: the single sink if the process
-       synchronizes, where the synchronized walk begins if not;
+    1. a process paired with itself: the diagonal, with no pair table and
+       no component search.  Operands are in normal form, so strongly
+       connected, which makes the diagonal closed: the single sink if the
+       process synchronizes, where the synchronized walk begins if not;
     2. a single sink component of the pair graph, found by
        :func:`procgeom.pfsa._sink_components` (the routine that also
        serves ``clx``, ``stationary`` and normal forms);
@@ -265,9 +272,9 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
         If the disambiguating joint synchronization fails.
     """
     g, h = p.machine, q.machine
-    check_same_alphabet(g, h)
-    delta, keep = _pair_sink(g, h)
-    rho = _stationary(delta, 1.0 / g.n_symbols, keep)
+    block, keep = _pair_sink(g, h)
+    rho = np.zeros(g.n_states * h.n_states)
+    rho[keep] = _stationary(block, 1.0 / g.n_symbols)
     pairwise = log_ratios(g._morph) @ log_ratios(h._morph).T
     value = float(np.sum(rho.reshape(g.n_states, h.n_states) * pairwise))
     return InnerEstimate(value=value, std_error=0.0, mode="exact", walks=0, walk_length=0)

@@ -37,6 +37,9 @@ from .errors import (
 #: summing to 1.  Functions below document it as ``ProbVec``.
 ProbVec = np.ndarray
 
+#: Largest direction cosine :func:`geodesic_intersection` accepts as orthogonal.
+ORTHO_TOL = 1e-9
+
 
 def _freeze(values: np.ndarray) -> ProbVec:
     values.flags.writeable = False
@@ -226,8 +229,6 @@ def geodesic_intersection(
     p1: ProbVec,
     q0: ProbVec,
     q1: ProbVec,
-    *,
-    ortho_tol: float = 1e-9,
 ) -> tuple[float, ProbVec]:
     """Intersection of two orthogonal geodesics.
 
@@ -247,7 +248,7 @@ def geodesic_intersection(
         If ``p0`` and ``p1`` coincide (zero-length first curve).
     NotOrthogonal
         If the normalized inner product of the two directions exceeds
-        ``ortho_tol``.
+        ``ORTHO_TOL``.
     """
     for v in (p1, q0, q1):
         _check_same_dim(p0, v)
@@ -259,8 +260,8 @@ def geodesic_intersection(
     np_q = pnorm(d_q)
     if np_q > 1e-12:
         cos = log_inner(d_p, d_q) / (np_p * np_q)
-        if abs(cos) > ortho_tol:
-            raise NotOrthogonal(f"direction cosine {cos:.3e} exceeds tolerance {ortho_tol:.1e}")
+        if abs(cos) > ORTHO_TOL:
+            raise NotOrthogonal(f"direction cosine {cos:.3e} exceeds tolerance {ORTHO_TOL:.1e}")
     theta_star = log_inner(psum(p1, pscale(-1.0, q1)), psum(p1, pscale(-1.0, p0))) / (np_p * np_p)
     p_star = geodesic_point(p0, p1, theta_star, extrapolate=True)
     return theta_star, p_star

@@ -26,6 +26,7 @@ from .simplex import ProbVec, _angle_from, _freeze, log_ratios
 
 STREAM_ZERO_NORM_TOL = 1e-9
 _COUNT_SLICE = 1 << 16  # windows per ``bincount`` call, unless the table has more bins
+MAX_CONTEXTS = 1 << 20  # largest context table, ``k ** depth`` rows, that estimation builds
 
 
 @dataclass(frozen=True)
@@ -176,9 +177,13 @@ def _check_smoothing(smoothing: float) -> None:
         raise ValueError(f"smoothing must be finite and > 0, got {smoothing!r}")
 
 
-def _check_depth(depth: int) -> None:
+def _check_depth(depth: int, k: int) -> None:
+    """Reject a negative depth, or one whose ``k ** depth`` contexts exceed
+    ``MAX_CONTEXTS``: its count tables could not be allocated."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if k ** depth > MAX_CONTEXTS:
+        raise ValueError(f"depth {depth} gives {k}**{depth} contexts, more than {MAX_CONTEXTS}")
 
 
 def _check_length(n: int, depth: int) -> None:
@@ -197,14 +202,14 @@ def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) ->
     Raises
     ------
     ValueError
-        If ``depth`` is negative or ``smoothing`` is not a finite positive
-        number.
+        If ``depth`` is negative or gives more than ``MAX_CONTEXTS``
+        contexts, or ``smoothing`` is not a finite positive number.
     StreamTooShort
         If the stream has no window of length ``depth + 1``.
     """
-    _check_depth(depth)
-    _check_smoothing(smoothing)
     k = len(s.alphabet)
+    _check_depth(depth, k)
+    _check_smoothing(smoothing)
     n = len(s)
     _check_length(n, depth)
     # window codes in base k, first symbol most significant, by Horner's

@@ -105,8 +105,7 @@ def reset_word(*machines: Pfsa) -> tuple[str, ...] | None:
     """
     if not machines:
         raise ValueError("need at least one machine")
-    for m in machines[1:]:
-        check_same_alphabet(machines[0], m)
+    check_same_alphabet(*machines)
     return _reset_word(machines, {})
 
 
@@ -169,8 +168,7 @@ def _frontier_search(machines: tuple, eps: float, max_depth: int | None):
     read off the beliefs each entry carries, folded by
     :func:`belief_update` from the stationary start.
     """
-    for m in machines[1:]:
-        check_same_alphabet(machines[0], m)
+    check_same_alphabet(*machines)
     if max_depth is None:
         max_depth = 64 * max(m.n_states for m in machines)
     if not 0.0 < eps < 1.0:

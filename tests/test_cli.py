@@ -278,6 +278,13 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", str(stream), "--depth", "1")
         assert code == 1 and "StreamTooShort" in err
 
+    def test_depth_beyond_the_context_limit_exits_two(self, capsys, tmp_path):
+        stream = tmp_path / "s.txt"
+        stream.write_text("01" * 50 + "\n")
+        code, out, err = run(capsys, "estimate", str(stream), "--depth", "40")
+        assert (code, out) == (2, "")
+        assert err == "error: depth 40 gives 2**40 contexts, more than 1048576\n"
+
     @pytest.mark.parametrize("smoothing", ["nan", "inf", "-inf"])
     def test_non_finite_smoothing_exits_two(self, capsys, tmp_path, smoothing):
         stream = tmp_path / "s.txt"
@@ -326,6 +333,13 @@ class TestExperiment:
                              f"--smoothing={smoothing}", "--outdir", str(outdir))
         assert (code, out) == (2, "")
         assert err == f"error: smoothing must be finite and > 0, got {float(smoothing)!r}\n"
+        assert not outdir.exists()
+
+    def test_depth_beyond_the_context_limit_exits_two(self, capsys, g2_path, tmp_path):
+        outdir = tmp_path / "exp"
+        code, out, err = run(capsys, "experiment", g2_path, "--depth", "40", "--outdir", str(outdir))
+        assert (code, out) == (2, "")
+        assert err == "error: depth 40 gives 2**40 contexts, more than 1048576\n"
         assert not outdir.exists()
 
     def test_mc_angle_at_defaults_is_unchanged(self, capsys, g2_path, tmp_path):

@@ -50,10 +50,11 @@ class TestNoiseExperiment:
         (dict(smoothing=math.nan), ValueError, "smoothing must be finite and > 0"),
         (dict(smoothing=math.inf), ValueError, "smoothing must be finite and > 0"),
         (dict(depth=-1), ValueError, "depth must be >= 0"),
+        (dict(depth=40), ValueError, r"depth 40 gives 2\*\*40 contexts"),
         (dict(stream_length=-1), ValueError, "stream_length must be >= 0"),
         (dict(stream_length=4, depth=4), StreamTooShort, "stream length 4 <= depth 4"),
         (dict(stream_length=0), StreamTooShort, "stream length 0 <= depth 4"),
-    ], ids=["nan-smoothing", "inf-smoothing", "negative-depth", "negative-length",
+    ], ids=["nan-smoothing", "inf-smoothing", "negative-depth", "huge-depth", "negative-length",
             "length-at-depth", "empty-streams"])
     def test_bad_config_rejected_before_any_work(self, g2, monkeypatch, bad, error, message):
         import procgeom.experiment as experiment
@@ -92,11 +93,11 @@ class TestNoiseExperiment:
         solved = []
         solve = pfsa._stationary
 
-        def counted(delta, weights, keep):
+        def counted(block, weights):
             # a machine's solve weights by its rows, an inner product by 1/k
             if np.ndim(weights) == 2:
                 solved.append(1)
-            return solve(delta, weights, keep)
+            return solve(block, weights)
 
         monkeypatch.setattr(pfsa, "_stationary", counted)
         rep = run_noise_experiment(g2, small_config(stream_length=2_000))

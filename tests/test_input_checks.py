@@ -61,6 +61,8 @@ CHECKS = [
                  ValueError, "stream index out of alphabet range", id="stream-index-range"),
     pytest.param(lambda: table(2).estimate(("0",)),
                  KeyError, "context length 1 != depth 2", id="context-length"),
+    pytest.param(lambda: table(40),
+                 ValueError, "depth 40 gives 2**40 contexts, more than 1048576", id="depth-contexts"),
     pytest.param(lambda: table_inner(table(1), table(2)),
                  ValueError, "depths differ: 1 vs 2", id="table-depths"),
     pytest.param(lambda: epsilon_synchronize(make_g2(), 0.1, max_depth=0),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 import tracemalloc
 
@@ -166,6 +167,19 @@ def test_fdd_distance_counts_a_word_that_cannot_occur_as_zero():
 def test_fdd_distance_rejects_a_negative_max_len(g2_process, max_len):
     with pytest.raises(ValueError, match=f"^max_len must be >= 0, got {max_len}$"):
         fdd_distance(g2_process, g2_process, max_len)
+
+
+@pytest.mark.parametrize("max_len", [2.5, "3", True, np.bool_(False), None])
+def test_fdd_distance_rejects_a_max_len_that_is_not_an_int(g2_process, max_len):
+    # unchecked, True ran as max_len 1, and 2.5 and "3" failed inside range and <
+    half = scale_process(0.5, g2_process)
+    with pytest.raises(TypeError, match=re.escape(f"max_len must be an int, got {max_len!r}")):
+        fdd_distance(g2_process, half, max_len)
+
+
+def test_fdd_distance_takes_a_numpy_integer_max_len(g2_process):
+    half = scale_process(0.5, g2_process)
+    assert fdd_distance(g2_process, half, np.int64(3)) == fdd_distance(g2_process, half, 3)
 
 
 class TestSum:
@@ -1038,13 +1052,11 @@ class TestLargePairChains:
         # one dense 1,256-state block alone takes 12.6 MB
         assert peak < 3e6
 
-        delta, keep = process._pair_sink(g, h)
+        block, keep = process._pair_sink(g, h)
         m = len(keep)
         assert m == 1256
-        remap = np.full(delta.shape[0], -1)
-        remap[keep] = np.arange(m)
         chain = np.zeros((m, m))
-        np.add.at(chain, (np.arange(m)[:, None], remap[delta[keep]]), 0.5)
+        np.add.at(chain, (np.arange(m)[:, None], block), 0.5)
         a = chain.T - np.eye(m)
         a[-1] = 1.0
         rhs = np.zeros(m)
@@ -1078,11 +1090,10 @@ class TestLargePairChains:
         import procgeom.process as process
 
         p, q = random_process(24, 6), random_process(24, 11)
-        delta, keep = process._pair_sink(p.machine, q.machine)
+        block, keep = process._pair_sink(p.machine, q.machine)
         assert len(keep) == 266
         value = inner_exact(p, q).value
         assert count_dense == []
-        block = pfsa._renumber(delta, keep)
         steps = []
         bincount = np.bincount
 
@@ -1198,9 +1209,9 @@ class TestLargePairChains:
         cases = []
         for seeds in ((1, 2), (6, 11), (3, 4)):
             p, q = random_process(24, seeds[0]), random_process(24, seeds[1])
-            delta, keep = process._pair_sink(p.machine, q.machine)
+            block, keep = process._pair_sink(p.machine, q.machine)
             assert len(keep) > pfsa._POWER_MIN_STATES
-            cases.append((pfsa._renumber(delta, keep), np.full((len(keep), 2), 0.5)))
+            cases.append((block, np.full((len(keep), 2), 0.5)))
         cases.append((p.machine._delta, p.machine._morph))  # a machine's chain, weighted by its rows
         slow = slow_cycle_process().machine
         diagonal = [i * slow.n_states + i for i in range(slow.n_states)]
@@ -1233,3 +1244,89 @@ class TestLargePairChains:
         monkeypatch.setattr(np, "bincount", counted)
         assert pfsa._power_iterate(block, np.full(block.shape, 0.5)) is None
         assert 0 < len(steps) <= 2000
+
+
+def reference_stationary(delta, weights, keep):
+    """The stationary vector as solved over a whole transition table: the
+    sink ``keep`` renumbered, its block solved by the certified power
+    iteration above 128 states or densely, and scattered to full length."""
+    import procgeom.pfsa as pfsa
+
+    block = pfsa._renumber(delta, keep)
+    w = np.broadcast_to(weights, delta.shape)[keep]
+    sol = pfsa._power_iterate(block, w) if len(keep) > pfsa._POWER_MIN_STATES else None
+    if sol is None:
+        sol = pfsa._dense_stationary(pfsa._chain_matrix(block, w))
+    out = np.zeros(delta.shape[0])
+    out[keep] = sol
+    return out
+
+
+def reference_inner(p, q):
+    """``<p, q>`` from the whole pair table, its sink renumbered and solved."""
+    import procgeom.process as process
+    from procgeom.sync import _pair_delta
+
+    g, h = p.machine, q.machine
+    keep = process._pair_sink(g, h)[1]
+    rho = reference_stationary(_pair_delta(g, h), 1.0 / g.n_symbols, keep)
+    pairwise = log_ratios(g._morph) @ log_ratios(h._morph).T
+    return float(np.sum(rho.reshape(g.n_states, h.n_states) * pairwise))
+
+
+class TestSolvedOnTheSinkOwnTable:
+    @pytest.fixture
+    def processes(self):
+        return [as_process(make(), make.__name__[5:])
+                for make in (make_g2, make_m2, make_t3, make_u3)] + [random_process(12, 2)]
+
+    def test_self_pairs_build_no_pair_table(self, processes, monkeypatch):
+        import procgeom.process as process
+        import procgeom.sync as sync
+
+        def no_table(g, h):
+            raise AssertionError("a pair table was built")
+
+        monkeypatch.setattr(process, "_pair_delta", no_table)
+        monkeypatch.setattr(sync, "_pair_delta", no_table)
+        for p in processes:
+            assert inner_exact(p, p).value > 0.0
+            assert process_norm(p) > 0.0
+            assert validate(sum_processes(p, p).machine).valid
+
+    def test_self_pair_table_is_the_machines_own(self, processes):
+        import procgeom.pfsa as pfsa
+        import procgeom.process as process
+        from procgeom.sync import _pair_delta
+
+        for p in processes + [random_process(200, 1)]:
+            g = p.machine
+            block, keep = process._pair_sink(g, g)
+            assert block is g._delta
+            assert np.array_equal(pfsa._renumber(_pair_delta(g, g), keep), block)
+
+    def test_stationary_vectors_equal_the_whole_table_solve_bit_for_bit(self, processes):
+        from procgeom import stationary_distribution
+        from procgeom.pfsa import sink_sccs
+
+        raw = [make() for make in (make_g2, make_m2, make_t3, make_u3, make_feed3)]
+        assert stationary_distribution(raw[-1])[2] == 0.0  # feed3's transient state c
+        for g in raw + [p.machine for p in processes] + [random_process(200, 1).machine]:
+            (sink,) = sink_sccs(g)
+            ref = reference_stationary(g._delta, g._morph, sink)
+            assert stationary_distribution(g).tobytes() == ref.tobytes()
+
+    def test_inner_products_equal_the_whole_table_solve_bit_for_bit(self, processes):
+        import procgeom.process as process
+
+        t3 = processes[2]
+        renamed = as_process(Pfsa(t3.alphabet, ["u", "v", "w"], t3.machine._delta,
+                                  t3.machine._morph), "S")
+        binary = [p for p in processes if p.machine.n_symbols == 2]
+        pairs = [(p, q) for p in binary for q in binary]
+        pairs += [(processes[3], processes[3]), (t3, renamed), (renamed, t3)]
+        large = [(random_process(24, a), random_process(24, b)) for a, b in ((1, 2), (6, 11), (3, 4))]
+        assert all(len(process._pair_sink(p.machine, q.machine)[1]) > 128 for p, q in large)
+        big = random_process(200, 1)
+        for p, q in pairs + large + [(big, big)]:
+            assert repr(inner_exact(p, q).value) == repr(reference_inner(p, q))

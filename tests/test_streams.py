@@ -132,6 +132,20 @@ class TestEstimateDerivatives:
         with pytest.raises(StreamTooShort):
             estimate_derivatives(s, depth=4, smoothing=0.5)
 
+    def test_depth_beyond_the_context_limit_is_rejected_before_any_table(self, monkeypatch):
+        # at depth 40 the table used to be allocated: 2**41 int64 counts, 16 TiB
+        import procgeom.streams as streams
+
+        s = SymbolStream.from_indices(np.random.default_rng(7).integers(0, 2, 100), ("0", "1"))
+        with pytest.raises(ValueError, match=r"^depth 40 gives 2\*\*40 contexts, more than 1048576$"):
+            estimate_derivatives(s, 40)
+        monkeypatch.setattr(streams, "MAX_CONTEXTS", 8)
+        assert len(estimate_derivatives(s, 3).contexts) == 8
+        with pytest.raises(ValueError, match=r"^depth 4 gives 2\*\*4 contexts, more than 8$"):
+            estimate_derivatives(s, 4)
+        with pytest.raises(ValueError, match=r"^depth 4 gives 2\*\*4 contexts"):
+            stream_angle(s, s, 4)
+
     @pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf, 0.0, -0.5])
     def test_smoothing_must_be_finite_and_positive(self, g2, smoothing):
         # a NaN smoothing used to give a table of NaN, and the angle of a
