@@ -625,7 +625,9 @@ def minimize(g: Pfsa, tol: float = 1e-9) -> Pfsa:
     member, with the row averaged over members (they agree within ``tol``).
 
     Expects a machine equal to its minimal closed restriction; the quotient
-    then emits every word with the same probability as the input.
+    then emits every word with the same probability as the input.  When
+    every state ends in a block of its own, the quotient is the input
+    itself (same names, order, targets and rows), and ``g`` is returned.
 
     Raises
     ------
@@ -647,7 +649,7 @@ def minimize(g: Pfsa, tol: float = 1e-9) -> Pfsa:
             block_of[q] = n_blocks
             n_blocks += 1
 
-    while True:
+    while n_blocks < n:  # a discrete partition is already stable
         signatures = np.column_stack([block_of, block_of[g._delta]])
         _, refined = np.unique(signatures, axis=0, return_inverse=True)
         refined = refined.reshape(n)
@@ -655,6 +657,8 @@ def minimize(g: Pfsa, tol: float = 1e-9) -> Pfsa:
         if n_refined == n_blocks:
             break
         block_of, n_blocks = refined, n_refined
+    if n_blocks == n:
+        return g
 
     # relabel blocks by first member
     _, first = np.unique(block_of, return_index=True)
@@ -682,11 +686,13 @@ def canonicalize(g: Pfsa) -> Pfsa:
     Breadth-first order, exploring symbols in alphabet order; unreachable
     states (possible before restriction) follow in name order.  Gives
     deterministic file round-trips independent of construction history.
+    When that order is the machine's own (a normal form, normalized again),
+    ``g`` is returned.
     """
     order = _reachable(g._delta, g.state_index(min(g.states)))
     seen = set(order)
     order += [q for q in sorted(range(g.n_states), key=g.states.__getitem__) if q not in seen]
-    return _restrict(g, order)
+    return g if order == list(range(g.n_states)) else _restrict(g, order)
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +888,9 @@ def parse_pfsa(text: str) -> Pfsa:
     if len(set(alphabet)) != len(alphabet):
         raise PfsaFormatError("alphabet symbols must be distinct")
 
-    state_names: list[str] = []
-    trans: dict[str, list[tuple[str, str, float]]] = {}
+    index: dict[str, int] = {}  # state name -> position, in declaration order
+    targets: list[str] = []
+    probs: list[float] = []
     i = 2
     while i < len(lines):
         line = lines[i]
@@ -892,10 +899,9 @@ def parse_pfsa(text: str) -> Pfsa:
         name = line[len("state "):-1]
         if not name or name.split() != [name]:
             raise PfsaFormatError(f"line {i + 1}: bad state name {name!r}")
-        if name in trans:
+        if name in index:
             raise PfsaFormatError(f"line {i + 1}: duplicate state {name!r}")
-        state_names.append(name)
-        trans[name] = []
+        index[name] = len(index)
         i += 1
         for sym in alphabet:
             if i >= len(lines):
@@ -911,27 +917,39 @@ def parse_pfsa(text: str) -> Pfsa:
                     f"line {i + 1}: expected symbol {sym!r} (alphabet order), got {parts[0]!r}"
                 )
             try:
-                prob = float(parts[3])
+                probs.append(float(parts[3]))
             except ValueError:
                 raise PfsaFormatError(f"line {i + 1}: bad probability {parts[3]!r}") from None
-            trans[name].append((sym, parts[2], prob))
+            targets.append(parts[2])
             i += 1
 
-    if not state_names:
+    if not index:
         raise PfsaFormatError("no states declared")
-    for name, rows in trans.items():
-        for _, target, _ in rows:
-            if target not in trans:
-                raise PfsaFormatError(f"state {name!r}: transition to unknown state {target!r}")
-
-    delta = {q: {sym: t for sym, t, _ in trans[q]} for q in state_names}
-    morph = {q: [p for _, _, p in trans[q]] for q in state_names}
-    return Pfsa(alphabet, state_names, delta, morph)
+    delta = [index.get(t, -1) for t in targets]
+    if -1 in delta:
+        at = delta.index(-1)
+        raise PfsaFormatError(
+            f"state {list(index)[at // len(alphabet)]!r}: transition to unknown state {targets[at]!r}"
+        )
+    shape = (len(index), len(alphabet))
+    return Pfsa(alphabet, list(index), np.reshape(delta, shape), np.reshape(probs, shape))
 
 
 def read_pfsa(path) -> Pfsa:
+    """Read and parse a ``pfsa v1`` file.
+
+    Raises
+    ------
+    PfsaFormatError
+        If the file is not UTF-8 text, naming the path, or if
+        :func:`parse_pfsa` rejects it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_pfsa(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise PfsaFormatError(f"{path}: not UTF-8 text ({err})") from None
+    return parse_pfsa(text)
 
 
 def write_pfsa(g: Pfsa, path) -> None:

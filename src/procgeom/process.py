@@ -140,7 +140,9 @@ def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
     structure that :func:`inner_exact` averages over, picked by the rules
     stated there.  Names ``(a,b)``, rows and validation are built for its
     pair states only; a row is the :func:`~procgeom.simplex.psum` of the
-    operand rows.
+    operand rows.  Names that contain a comma can make two pairs print
+    alike (``(a,b,c)``); then every pair state is named ``(i,j)`` by the
+    operands' state indices instead.
 
     Raises
     ------
@@ -154,7 +156,10 @@ def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
     g, h = p.machine, q.machine
     block, keep = _pair_sink(g, h)
     i, j = np.divmod(keep, h.n_states)
-    names = [f"({g.states[a]},{h.states[b]})" for a, b in zip(i.tolist(), j.tolist())]
+    pairs = list(zip(i.tolist(), j.tolist()))
+    names = [f"({g.states[a]},{h.states[b]})" for a, b in pairs]
+    if len(set(names)) < len(names):
+        names = [f"({a},{b})" for a, b in pairs]
     pair = Pfsa(g.alphabet, names, block, psum(g._morph[i], h._morph[j]))
     return _normal_form(require_valid(pair), label=f"({p.label}+{q.label})")
 

@@ -39,6 +39,12 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1 and "PfsaFormatError" in err
 
+    def test_a_file_that_is_not_utf8_is_a_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "bin.pfsa"
+        path.write_bytes(b"\xff\xfe\x00\x01")
+        code, _, err = run(capsys, "angle", str(path), str(path))
+        assert code == 1 and "PfsaFormatError" in err and str(path) in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/x.pfsa")
         assert code == 1 and "error" in err
@@ -98,6 +104,16 @@ class TestModelTransforms:
         code, out, _ = run(capsys, "sum", g2_path, str(neg))
         assert code == 0
         assert parse_pfsa(out).n_states == 1
+
+    def test_sum_of_operands_whose_state_names_hold_a_comma(self, capsys, tmp_path):
+        ga, hb = tmp_path / "ga.pfsa", tmp_path / "hb.pfsa"
+        ga.write_text("pfsa v1\nalphabet: 0 1\nstate a,b:\n  0 -> a 0.3\n  1 -> a,b 0.7\n"
+                      "state a:\n  0 -> a,b 0.6\n  1 -> a 0.4\n")
+        hb.write_text("pfsa v1\nalphabet: 0 1\nstate c:\n  0 -> b,c 0.2\n  1 -> b,c 0.8\n"
+                      "state b,c:\n  0 -> c 0.55\n  1 -> c 0.45\n")
+        code, out, err = run(capsys, "sum", str(ga), str(hb))
+        assert code == 0 and err == ""
+        assert parse_pfsa(out).states == ("(0,0)", "(1,1)", "(0,1)", "(1,0)")
 
 
 class TestGenerateAndWordprob:

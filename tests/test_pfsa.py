@@ -465,11 +465,32 @@ class TestMinimalClosedRestriction:
         assert abs(mass - 1.0) < 1e-12
 
 
+def normal_forms():
+    """Normal forms of the fixtures and of random recipe machines (delta
+    uniform, rows dirichlet([2] * k) floored at 1e-3), 1 to 60 states."""
+    forms = [as_process(make()).machine
+             for make in (make_g2, make_m2, make_t3, make_u3, make_single, make_vanishing3)]
+    rng = np.random.default_rng(24)
+    for n in (1, 2, 5, 12, 24, 60):
+        for k in (2, 3):
+            rows = np.maximum(rng.dirichlet([2.0] * k, n), 1e-3)
+            g = Pfsa([str(s) for s in range(k)], [f"s{i}" for i in range(n)],
+                     rng.integers(0, n, (n, k)), rows / rows.sum(axis=1, keepdims=True))
+            forms.append(as_process(g).machine)
+    return forms
+
+
 class TestMinimize:
     def test_duplicate_states_merged(self):
         g = make_redundant_g2()
         h = minimize(g)
         assert h.n_states == 2
+
+    def test_a_machine_with_nothing_to_merge_is_returned_as_is(self):
+        # a discrete partition is stable, and its quotient is the machine itself
+        for g in normal_forms():
+            assert minimize(g) is g
+        assert minimize(make_redundant_g2()).n_states == 2
 
     def test_g2_unchanged(self, g2):
         assert structurally_equal(minimize(g2), g2)
@@ -580,6 +601,13 @@ class TestCanonicalize:
     def test_idempotent(self, u3):
         once = canonicalize(u3)
         assert structurally_equal(once, canonicalize(once))
+
+    def test_a_machine_in_canonical_order_is_returned_as_is(self, u3):
+        for g in normal_forms():
+            assert canonicalize(g) is g
+        shuffled = Pfsa(u3.alphabet, ["z", "y", "x"], u3._delta, u3._morph)
+        once = canonicalize(shuffled)
+        assert once is not shuffled and canonicalize(once) is once
 
     def test_unreachable_states_follow_in_name_order(self):
         g = Pfsa(
@@ -837,12 +865,23 @@ class TestTextFormat:
             write_pfsa(again, tmp_path / "model2.pfsa")
             assert (tmp_path / "model.pfsa").read_bytes() == (tmp_path / "model2.pfsa").read_bytes()
 
+    def test_round_trip_of_random_machines_is_bit_identical(self):
+        rng = np.random.default_rng(24)
+        for n in (1, 2, 7, 40, 200):
+            for k in (2, 3, 4):
+                rows = rng.dirichlet([0.5] * k, n)
+                g = Pfsa([f"x{j}" for j in range(k)], [f"q{i}" for i in rng.permutation(n)],
+                         rng.integers(0, n, (n, k)), rows)
+                again = parse_pfsa(format_pfsa(g))
+                assert structurally_equal(g, again)
+                assert again._delta.dtype == np.int64 and again._morph.dtype == np.float64
+
     def test_seventeen_digit_probabilities(self, g2):
         text = format_pfsa(g2)
         assert "0.80000000000000004" in text
 
     def test_bad_header(self):
-        with pytest.raises(PfsaFormatError):
+        with pytest.raises(PfsaFormatError, match=r"^first line must be exactly 'pfsa v1'$"):
             parse_pfsa("pfsa v2\nalphabet: 0 1\n")
 
     def test_unknown_directive(self, g2):
@@ -852,22 +891,28 @@ class TestTextFormat:
 
     def test_missing_transition(self):
         text = "pfsa v1\nalphabet: 0 1\nstate A:\n  0 -> A 0.5\n"
-        with pytest.raises(PfsaFormatError):
+        with pytest.raises(PfsaFormatError, match=r"^state 'A': missing transition for '1'$"):
             parse_pfsa(text)
 
     def test_out_of_order_transitions(self):
         text = "pfsa v1\nalphabet: 0 1\nstate A:\n  1 -> A 0.5\n  0 -> A 0.5\n"
-        with pytest.raises(PfsaFormatError):
+        with pytest.raises(PfsaFormatError,
+                           match=r"^line 4: expected symbol '0' \(alphabet order\), got '1'$"):
             parse_pfsa(text)
 
     def test_unknown_target_state(self):
         text = "pfsa v1\nalphabet: 0 1\nstate A:\n  0 -> A 0.5\n  1 -> Z 0.5\n"
-        with pytest.raises(PfsaFormatError):
+        with pytest.raises(PfsaFormatError, match=r"^state 'A': transition to unknown state 'Z'$"):
+            parse_pfsa(text)
+        # the message names the state whose line holds the unknown target
+        text = ("pfsa v1\nalphabet: 0 1\nstate A:\n  0 -> B 0.5\n  1 -> A 0.5\n"
+                "state B:\n  0 -> A 0.5\n  1 -> Y 0.5\n")
+        with pytest.raises(PfsaFormatError, match=r"^state 'B': transition to unknown state 'Y'$"):
             parse_pfsa(text)
 
     def test_state_name_with_whitespace(self):
         text = "pfsa v1\nalphabet: 0 1\nstate a b:\n  0 -> a 0.5\n  1 -> a 0.5\n"
-        with pytest.raises(PfsaFormatError, match="bad state name"):
+        with pytest.raises(PfsaFormatError, match=r"^line 3: bad state name 'a b'$"):
             parse_pfsa(text)
 
     def test_duplicate_state(self):
@@ -876,13 +921,19 @@ class TestTextFormat:
             "state A:\n  0 -> A 0.5\n  1 -> A 0.5\n"
             "state A:\n  0 -> A 0.5\n  1 -> A 0.5\n"
         )
-        with pytest.raises(PfsaFormatError):
+        with pytest.raises(PfsaFormatError, match=r"^line 6: duplicate state 'A'$"):
             parse_pfsa(text)
 
     def test_bad_probability_token(self):
         text = "pfsa v1\nalphabet: 0 1\nstate A:\n  0 -> A half\n  1 -> A 0.5\n"
-        with pytest.raises(PfsaFormatError):
+        with pytest.raises(PfsaFormatError, match=r"^line 4: bad probability 'half'$"):
             parse_pfsa(text)
+
+    def test_a_file_that_is_not_utf8_is_a_format_error_naming_it(self, tmp_path):
+        path = tmp_path / "bin.pfsa"
+        path.write_bytes(b"\xff\xfe\x00pfsa v1\n")
+        with pytest.raises(PfsaFormatError, match=r"bin\.pfsa: not UTF-8 text"):
+            read_pfsa(path)
 
     def test_interior_blank_line_rejected(self, g2):
         lines = format_pfsa(g2).split("\n")

@@ -317,6 +317,18 @@ class TestSumOnThePairSink:
                 for sym in g.alphabet:
                     assert pair.next_state(name, sym) == f"({g.next_state(a, sym)},{h.next_state(b, sym)})"
 
+    def test_state_names_holding_a_comma_still_give_distinct_pair_names(self):
+        # pairs (a, b,c) and (a,b, c) would both print as (a,b,c)
+        ga = Pfsa(["0", "1"], ["a,b", "a"], [[1, 0], [0, 1]], [[0.3, 0.7], [0.6, 0.4]])
+        hb = Pfsa(["0", "1"], ["c", "b,c"], [[1, 1], [0, 0]], [[0.2, 0.8], [0.55, 0.45]])
+        plain = [Pfsa(g.alphabet, [q.replace(",", "") for q in g.states], g._delta, g._morph)
+                 for g in (ga, hb)]
+        total = sum_processes(as_process(ga), as_process(hb))
+        assert total.machine.states == ("(0,0)", "(1,1)", "(0,1)", "(1,0)")
+        reference = sum_processes(*(as_process(g) for g in plain))
+        assert np.array_equal(total.machine._delta, reference.machine._delta)
+        assert np.array_equal(total.machine._morph, reference.machine._morph)
+
 
 class TestVectorSpaceLaws:
     @pytest.mark.parametrize("alpha", [-2.0, -1.0, 0.1, 0.5, 2.0])
