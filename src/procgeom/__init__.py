@@ -21,6 +21,7 @@ from .errors import (
     PfsaFormatError,
     ProcgeomError,
     StreamTooShort,
+    UnknownKey,
     ZeroMass,
     ZeroNorm,
 )

@@ -52,6 +52,15 @@ class ZeroMass(ProcgeomError):
     5e-324 times a belief entry of 0.5 rounds to 0."""
 
 
+class UnknownKey(ProcgeomError, KeyError):
+    """A lookup names a symbol, state, index or context that the machine or
+    table does not have.  Also a :class:`KeyError`, so ``except KeyError``
+    still catches it; unlike a plain ``KeyError``, its message prints
+    without quotes."""
+
+    __str__ = Exception.__str__
+
+
 class AlphabetMismatch(ProcgeomError):
     """Two machines do not share the same ordered alphabet."""
 

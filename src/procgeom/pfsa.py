@@ -24,6 +24,7 @@ from .errors import (
     InvalidPfsa,
     NotErgodic,
     PfsaFormatError,
+    UnknownKey,
     ZeroMass,
 )
 from .simplex import ProbVec, _freeze
@@ -106,21 +107,24 @@ class Pfsa:
             if set(morph) != set(self.states):
                 raise InvalidPfsa("morph map states differ from the state set")
             morph = [morph[q] for q in self.states]
+        # An integer array is checked as it is; anything else goes through
+        # float64, where a non-integer target shows.
+        integer = isinstance(delta, np.ndarray) and delta.dtype.kind in "iu"
         try:
-            d = np.array(delta, dtype=np.float64)
+            d = delta.astype(np.int64) if integer else np.array(delta, dtype=np.float64)
             m = np.array(morph, dtype=np.float64)
         except (TypeError, ValueError) as err:
             raise InvalidPfsa(f"delta or morph is not a numeric table: {err}") from None
         if d.shape != (n, k):
             raise InvalidPfsa(f"delta shape {d.shape} != ({n}, {k})")
-        if not np.all(d == np.floor(d)):
+        if not integer and not np.all(d == np.floor(d)):
             raise InvalidPfsa("delta holds a non-integer state index")
         if d.min() < 0 or d.max() >= n:
             raise InvalidPfsa("delta targets an unknown state")
         if m.shape != (n, k):
             raise InvalidPfsa(f"morph shape {m.shape} != ({n}, {k})")
 
-        self._delta = _freeze(d.astype(np.int64))
+        self._delta = _freeze(d.astype(np.int64, copy=False))
         self._morph = _freeze(m)
         self._pi = None  # stationary vector, solved on first use
 
@@ -133,18 +137,26 @@ class Pfsa:
         return len(self.alphabet)
 
     def symbol_index(self, sigma) -> int:
+        """Index of a symbol name, or of an index in range; else :class:`UnknownKey`."""
         if isinstance(sigma, (int, np.integer)):
             if not 0 <= int(sigma) < self.n_symbols:
-                raise KeyError(f"symbol index {sigma} out of range")
+                raise UnknownKey(f"symbol index {sigma} out of range")
             return int(sigma)
-        return self._sym_index[sigma]
+        try:
+            return self._sym_index[sigma]
+        except KeyError:
+            raise UnknownKey(f"symbol {sigma!r} not in alphabet {' '.join(self.alphabet)}") from None
 
     def state_index(self, q) -> int:
+        """Index of a state name, or of an index in range; else :class:`UnknownKey`."""
         if isinstance(q, (int, np.integer)):
             if not 0 <= int(q) < self.n_states:
-                raise KeyError(f"state index {q} out of range")
+                raise UnknownKey(f"state index {q} out of range")
             return int(q)
-        return self._state_index[q]
+        try:
+            return self._state_index[q]
+        except KeyError:
+            raise UnknownKey(f"state {q!r} not in the machine's states") from None
 
     def next_state(self, q, sigma) -> str:
         """State reached from ``q`` on symbol ``sigma``."""
@@ -746,27 +758,50 @@ def _stitched_starts(jump: np.ndarray, codes: np.ndarray, q: int) -> np.ndarray:
     ("Data-Parallel Finite-State Machines", 2014): ``codes`` holds whole
     chunks of ``_STITCH_BLOCKS`` blocks, and every chunk is walked from
     every state at once, one gather per block over an (n, chunks) array.
-    One Python pass over the chunks links each chunk's start to the end of
-    the one before it, and a second vectorised pass writes every block's
-    start over its code, so the result is ``codes`` itself.  The gathers
-    cost n times the work of a walk from one state.
+    The gathers cost n times the work of a walk from one state, so the
+    walk stops early by their "convergence": walks that meet stay together.
+
+    * After blocks 1, 2, 4, ..., 32 the walk tests whether the n walks of
+      every chunk end in one state, first on chunk 0 alone, so a machine
+      whose walks rarely agree pays about n comparisons per test.  Once
+      they agree after block ``j``, one walk per chunk finishes blocks
+      ``j + 1`` onwards and writes each block's start over its code.
+    * A chunk's head is the end of the chunk before it, all chunks in one
+      vectorised shift.  Only the chunks whose walks still differ after the
+      last block are linked one by one in Python, in order.
+    * A last vectorised pass from the heads writes the starts of blocks
+      0..``j`` over their codes, so the result is ``codes`` itself.
     """
     n, width = jump.shape
     by_chunk = codes.reshape(-1, _STITCH_BLOCKS)  # row c: chunk c's codes
     offsets = (jump * width).ravel()  # a successor as its row offset in the flat table
+
+    def walk(at, blocks):
+        """One walk per chunk through ``blocks``; each code read is
+        overwritten by its block's start.  Returns where the walks end."""
+        for i in blocks:
+            index = at + by_chunk[:, i]
+            by_chunk[:, i] = at
+            at = offsets[index]
+        return at
+
     ends = np.repeat(np.arange(n) * width, len(by_chunk)).reshape(n, -1)  # [p, c]: chunk c from p
+    differ = []
     for j in range(_STITCH_BLOCKS):
         ends += by_chunk[:, j].copy()  # contiguous, so it broadcasts fast over the n walks
         ends = offsets[ends]
-    heads = []
-    for row in (ends // width).T.tolist():
-        heads.append(q)
-        q = row[q]
-    at = np.array(heads, dtype=np.int64) * width
-    for j in range(_STITCH_BLOCKS):
-        index = at + by_chunk[:, j]
-        by_chunk[:, j] = at  # each code is overwritten by its block's start once read
-        at = offsets[index]
+        if j & (j + 1) == 0 and (ends[:, :1] == ends[0, :1]).all() and (ends == ends[0]).all():
+            break
+    else:
+        differ = np.flatnonzero((ends != ends[0]).any(axis=0)).tolist()
+    # at[c]: chunk c's head, the end of chunk c - 1 whenever that chunk's walks agree
+    at = np.concatenate(([q * width], walk(ends[0], range(j + 1, _STITCH_BLOCKS))))
+    if differ:  # states, not offsets, so the lists hold Python's cached small ints
+        heads = (at // width).tolist()
+        for c, row in zip(differ, (ends[:, differ] // width).T.tolist()):
+            heads[c + 1] = row[heads[c]]
+        at = np.array(heads, dtype=np.int64) * width
+    walk(at[:-1], range(j + 1))
     codes //= width
     return codes
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StreamTooShort
+from .errors import StreamTooShort, UnknownKey
 from .pfsa import Pfsa, check_same_alphabet, generate_sequence
 from .simplex import ProbVec, _angle_from, _freeze, log_ratios
 
@@ -154,10 +154,13 @@ class DerivativeTable:
     def _context_index(self, context) -> int:
         context = tuple(context)
         if len(context) != self.depth:
-            raise KeyError(f"context length {len(context)} != depth {self.depth}")
+            raise UnknownKey(f"context length {len(context)} != depth {self.depth}")
         lookup = {s: i for i, s in enumerate(self.alphabet)}
         code = 0
         for sym in context:
+            if sym not in lookup:
+                raise UnknownKey(f"context {context!r}: symbol {sym!r} not in alphabet "
+                                 f"{' '.join(self.alphabet)}")
             code = code * len(self.alphabet) + lookup[sym]
         return code
 

@@ -9,12 +9,16 @@ from procgeom import (
     InvalidPfsa,
     PfsaFormatError,
     Pfsa,
+    ProcgeomError,
     SymbolStream,
+    UnknownKey,
+    belief_update,
     epsilon_synchronize,
     estimate_derivatives,
     make_pvec,
     parse_pfsa,
     smooth,
+    stationary_distribution,
     table_inner,
     uniform_pvec,
 )
@@ -35,9 +39,17 @@ CHECKS = [
     pytest.param(lambda: Pfsa(["0", "1"], ["A"], [[0, 0]], [[0.5, 0.3, 0.2]]),
                  InvalidPfsa, "morph shape (1, 3) != (1, 2)", id="pfsa-morph-shape"),
     pytest.param(lambda: make_g2().symbol_index(2),
-                 KeyError, "symbol index 2 out of range", id="symbol-index-range"),
+                 UnknownKey, "symbol index 2 out of range", id="symbol-index-range"),
     pytest.param(lambda: make_g2().state_index(-1),
-                 KeyError, "state index -1 out of range", id="state-index-range"),
+                 UnknownKey, "state index -1 out of range", id="state-index-range"),
+    pytest.param(lambda: make_g2().symbol_index("x"),
+                 UnknownKey, "symbol 'x' not in alphabet 0 1", id="symbol-name"),
+    pytest.param(lambda: make_g2().state_index("nope"),
+                 UnknownKey, "state 'nope' not in the machine's states", id="state-name"),
+    pytest.param(lambda: make_g2().next_state("nope", "0"),
+                 UnknownKey, "state 'nope' not in the machine's states", id="next-state-name"),
+    pytest.param(lambda: belief_update(make_g2(), stationary_distribution(make_g2()), "x"),
+                 UnknownKey, "symbol 'x' not in alphabet 0 1", id="belief-update-symbol"),
     pytest.param(lambda: parse_pfsa("pfsa v1\nsymbols: 0 1\n"),
                  PfsaFormatError, "second line must be 'alphabet: <symbols>'", id="parse-second-line"),
     pytest.param(lambda: parse_pfsa("pfsa v1\nalphabet: 0\n"),
@@ -60,7 +72,9 @@ CHECKS = [
     pytest.param(lambda: SymbolStream.from_indices([0, 2], ("0", "1")),
                  ValueError, "stream index out of alphabet range", id="stream-index-range"),
     pytest.param(lambda: table(2).estimate(("0",)),
-                 KeyError, "context length 1 != depth 2", id="context-length"),
+                 UnknownKey, "context length 1 != depth 2", id="context-length"),
+    pytest.param(lambda: table(2).estimate(("0", "x")),
+                 UnknownKey, "context ('0', 'x'): symbol 'x' not in alphabet 0 1", id="context-symbol"),
     pytest.param(lambda: table(40),
                  ValueError, "depth 40 gives 2**40 contexts, more than 1048576", id="depth-contexts"),
     pytest.param(lambda: table_inner(table(1), table(2)),
@@ -76,3 +90,10 @@ def test_input_check_raises_its_type_and_message(call, error, message):
         call()
     assert type(caught.value) is error
     assert caught.value.args[0].startswith(message)
+    assert str(caught.value) == caught.value.args[0]  # no quotes added, as KeyError's str() would
+
+
+def test_unknown_key_is_a_key_error_and_a_procgeom_error():
+    for base in (KeyError, ProcgeomError):
+        with pytest.raises(base):
+            make_g2().symbol_index("x")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -22,6 +23,7 @@ from procgeom import (
     minimize,
     parse_pfsa,
     read_pfsa,
+    scale_process,
     sink_sccs,
     stationary_distribution,
     structurally_equal,
@@ -38,6 +40,7 @@ from procgeom.pfsa import (
     _all_reach,
     _reachable,
     _sink_components,
+    _stitched_starts,
 )
 from procgeom.sync import _pair_delta
 from conftest import (
@@ -115,6 +118,27 @@ class TestConstruction:
         assert Pfsa(["a", "b", "c"], ["A", "B"], self.GOOD_DELTA, self.GOOD_MORPH)
         with pytest.raises(InvalidPfsa):
             Pfsa(["a", "b", "c"], ["A", "B"], delta, morph)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.uint64])
+    def test_integer_array_delta_is_checked_as_integers(self, dtype):
+        # the same machine and messages as the list path; the caller's array
+        # is copied, not frozen or shared
+        rows = [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]
+        delta = np.array([[0, 1, 0], [1, 0, 1]], dtype=dtype)
+        g = Pfsa(["a", "b", "c"], ["A", "B"], delta, rows)
+        assert structurally_equal(g, Pfsa(["a", "b", "c"], ["A", "B"], delta.tolist(), rows))
+        assert g._delta.dtype == np.int64 and delta.flags.writeable
+        delta[0, 0] = 1
+        assert g._delta[0, 0] == 0
+        for bad, message in [(delta[:, :2], "delta shape (2, 2) != (2, 3)"),
+                             (delta + 1, "delta targets an unknown state"),
+                             (np.full((2, 3), np.iinfo(dtype).max, dtype=dtype),
+                              "delta targets an unknown state")]:
+            with pytest.raises(InvalidPfsa, match=re.escape(message)):
+                Pfsa(["a", "b", "c"], ["A", "B"], bad, rows)
+        if np.iinfo(dtype).min < 0:
+            with pytest.raises(InvalidPfsa, match="delta targets an unknown state"):
+                Pfsa(["a", "b", "c"], ["A", "B"], delta - 2, rows)
 
 
 class TestValidate:
@@ -834,6 +858,53 @@ class TestGenerate:
                     length = blocks * m + tail
                     assert np.array_equal(generate_sequence(g, length, 4),
                                           self.sample_by_index(g, length, 4)), length
+
+    @staticmethod
+    def stitch_case(name, chunks):
+        """A hand-built 5-state jump table and codes whose walks from every
+        state first agree where ``name`` says: code 0 rotates the states,
+        code 1 resets them all to state 3, code 2 merges state 0 into 1."""
+        rotate = [1, 2, 3, 4, 0]
+        jump = np.array([rotate, [3] * 5, [1, 1, 2, 3, 4]]).T
+        rng = np.random.default_rng(chunks)
+        codes = rng.integers(0, 3, (chunks, _STITCH_BLOCKS))
+        if name == "never":  # a permutation table: no two walks ever meet
+            jump = np.array([rotate, [1, 0, 2, 3, 4], [0, 1, 2, 3, 4]]).T
+        else:
+            reset = {"block-1": 0, "middle": 11, "block-32": _STITCH_BLOCKS - 1, "mixed": 0}[name]
+            codes[:, :reset] = 0
+            codes[:, reset] = 1
+            if name == "mixed":  # odd chunks only rotate, so their walks never meet
+                codes[1::2] = 0
+        return jump, codes.ravel()
+
+    @pytest.mark.parametrize("chunks", [0, 1, 3])
+    @pytest.mark.parametrize("name", ["block-1", "middle", "block-32", "never", "mixed"])
+    def test_stitched_starts_match_per_block_loop(self, name, chunks):
+        jump, codes = self.stitch_case(name, chunks)
+        for q in range(jump.shape[0]):
+            expected, p = [], q
+            for c in codes.tolist():
+                expected.append(p)
+                p = int(jump[p, c])
+            got = codes.copy()
+            assert _stitched_starts(jump, got, q) is got
+            assert got.tolist() == expected, q
+
+    @pytest.mark.parametrize("n, seed", [(4, 2), (4, 4), (8, 4), (8, 6)])
+    def test_scaled_recipe_models_match_reference_loop(self, n, seed):
+        # the noise experiment's nonzero scales of recipe bases: at (4, 2)
+        # no chunk's walks ever agree, at (4, 4) they all agree after blocks
+        # 1 to 16, and at 8 states some models end with a few chunks whose
+        # walks still differ
+        rng = np.random.default_rng(seed)
+        rows = np.maximum(rng.dirichlet([2.0, 2.0], n), 1e-3)
+        base = as_process(Pfsa(["0", "1"], [f"s{i}" for i in range(n)], rng.integers(0, n, (n, 2)),
+                               rows / rows.sum(axis=1, keepdims=True)))
+        for alpha in (1.0, -1.0, 0.1, -0.1):
+            g = scale_process(alpha, base).machine
+            assert np.array_equal(generate_sequence(g, 100_000, 7),
+                                  self.sample_by_index(g, 100_000, 7)), alpha
 
     def test_draw_above_a_sum_rounding_below_one_emits_last_symbol(self):
         # ten rows of 0.1 add up to 1 - 2**-53; a draw in [that sum, 1) lies
