@@ -44,6 +44,22 @@ print("|0.1 G|  =", process_norm(tiny), " (norms scale linearly)")
 print("\nangle(G, -G)    =", angle(G, negG), " (pi =", math.pi, ")")
 print("angle(G, 0.1G)  =", angle(G, tiny), " (scaling does not rotate)")
 
+# orthogonal processes by Gram-Schmidt: take from M its component along G,
+# R = M + (-c) G with c = <M, G> / <G, G>; R is orthogonal to G
+M = as_process(
+    Pfsa(
+        ["0", "1"],
+        ["a", "b"],
+        {"a": {"0": "a", "1": "b"}, "b": {"0": "a", "1": "b"}},
+        {"a": [0.9, 0.1], "b": [0.2, 0.8]},
+    ),
+    label="M",
+)
+R = sum_processes(M, scale_process(-inner_exact(M, G).value / inner_exact(G, G).value, G))
+print("\nangle(M, G)     =", angle(M, G))
+print("<R, G>          =", inner_exact(R, G).value)
+print("angle(R, G)     =", angle(R, G), " (pi/2 =", math.pi / 2, ")")
+
 # Monte Carlo route: drive both machines with the same uniform random
 # symbols after a joint synchronizing string, and average
 est = inner_mc(G, G, walk_length=20_000, repeats=10, seed=1)

@@ -12,15 +12,13 @@ serving as the "angle from self" diagnostic (ideally zero).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DepthExceeded, NotErgodic, ZeroNorm
 from .pfsa import Pfsa
-from .process import ZERO_NORM_TOL, ProcessHandle, as_process, inner_exact, scale_process
-from .simplex import _angle_from
+from .process import ProcessHandle, _exact_angle, as_process, inner_exact, scale_process
 from .streams import (
     _check_depth,
     _check_length,
@@ -154,18 +152,16 @@ def run_noise_experiment(base: Pfsa, config: ExperimentConfig = ExperimentConfig
     labels = tuple(f"{a:g}G" for a in config.scales)
     n = len(models)
 
-    # each norm once; a diagonal cell reuses its norm's inner product
-    norms_sq = [inner_exact(m, m).value for m in models]
-    norms = [math.sqrt(v) for v in norms_sq]
+    # each norm once; a diagonal cell reads its norm's own pair chain
+    selfs = [inner_exact(m, m) for m in models]
     model_angles = np.full((n, n), np.nan)
     undefined = {}
     for i in range(n):
         for j in range(i, n):
             try:
-                model_angles[i, j] = model_angles[j, i] = _angle_from(
-                    norms[i], norms[j],
-                    lambda: norms_sq[i] if i == j else inner_exact(models[i], models[j]).value,
-                    ZERO_NORM_TOL)
+                model_angles[i, j] = model_angles[j, i] = _exact_angle(
+                    selfs[i].value, selfs[j].value,
+                    lambda: selfs[i] if i == j else inner_exact(models[i], models[j]))
             except ZeroNorm:
                 undefined[i, j] = "zero norm"
             except (DepthExceeded, NotErgodic) as err:

@@ -25,7 +25,7 @@ recursion from an epsilon-synchronized start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .pfsa import (
     stationary_distribution,
     structurally_equal,
 )
-from .simplex import _angle_from, log_ratios, pscale, psum
+from .simplex import log_ratios, pscale, psum
 from .sync import _pair_delta, _reset_word, joint_epsilon_synchronize
 
 ZERO_NORM_TOL = 1e-12
@@ -72,7 +72,13 @@ class ProcessHandle:
 class InnerEstimate:
     """Inner-product value with its sampling uncertainty.
 
-    Exact evaluations carry ``std_error`` 0 and zero walk counts.
+    Exact evaluations carry ``std_error`` 0, zero walk counts and
+    ``chain``, the pair-chain record the value is reduced from: a tuple
+    ``(rho, lg, lh)`` of the stationary vector of the uniformly driven pair
+    chain on the sink's own states and, row ``t`` for sink state ``(i, j)``,
+    the operands' log-ratio rows ``lg[t] = log_ratios(g)[i]`` and
+    ``lh[t] = log_ratios(h)[j]``.  Monte Carlo estimates carry ``None``.
+    ``chain`` is left out of ``repr`` and ``==``.
     """
 
     value: float
@@ -80,6 +86,7 @@ class InnerEstimate:
     mode: str  # "exact" or "monte-carlo"
     walks: int
     walk_length: int
+    chain: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -154,8 +161,7 @@ def sum_processes(p: ProcessHandle, q: ProcessHandle) -> ProcessHandle:
         If no jointly synchronizing string is found to pin the start.
     """
     g, h = p.machine, q.machine
-    block, keep = _pair_sink(g, h)
-    i, j = np.divmod(keep, h.n_states)
+    block, i, j = _pair_sink(g, h)
     pairs = list(zip(i.tolist(), j.tolist()))
     names = [f"({g.states[a]},{h.states[b]})" for a, b in pairs]
     if len(set(names)) < len(names):
@@ -203,11 +209,15 @@ def fdd_distance(p: ProcessHandle, q: ProcessHandle, max_len: int = 5) -> float:
 
 def _pair_sink(g: Pfsa, h: Pfsa):
     """The closed component the uniformly driven pair walk settles in, by
-    the rules of :func:`inner_exact`: its transition table, renumbered to a
-    chain of its own, and its pair-state indices ``i * nh + j``.
+    the rules of :func:`inner_exact`, as ``(block, i, j)``: its transition
+    table, renumbered to a chain of its own, and the operands' state-index
+    arrays, state ``t`` of ``block`` being the pair ``(i[t], j[t])``.  This
+    is the one place the flat pair index ``i * nh + j`` of the pair table
+    is decoded.
 
     A self pair builds no pair table: its diagonal moves like the machine
-    itself, so the machine's own table is the diagonal's, entry for entry.
+    itself, so the machine's own table is the diagonal's, entry for entry,
+    and ``i`` and ``j`` are both ``arange(n)``.
 
     Raises
     ------
@@ -219,7 +229,7 @@ def _pair_sink(g: Pfsa, h: Pfsa):
     """
     check_same_alphabet(g, h)
     if g is h or structurally_equal(g, h):
-        return g._delta, [i * h.n_states + i for i in range(g.n_states)]
+        return g._delta, np.arange(g.n_states), np.arange(g.n_states)
     delta = _pair_delta(g, h)
     sinks = _sink_components(delta)
     if len(sinks) > 1:
@@ -231,7 +241,7 @@ def _pair_sink(g: Pfsa, h: Pfsa):
                 f"{len(sinks)} recurrent classes reachable from the "
                 "synchronized start; the walk average is path dependent"
             )
-    return _renumber(delta, sinks[0]), sinks[0]
+    return (_renumber(delta, sinks[0]), *np.divmod(np.asarray(sinks[0]), h.n_states))
 
 
 def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
@@ -261,7 +271,11 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
     only synchronize approximately keep a wandering belief residue, which
     the Monte Carlo route measures and this formula ignores.
 
-    The stationary vector is solved on the chosen component only.  Above
+    The stationary vector ``rho`` is solved on the chosen component only,
+    and the value is ``sum_t rho[t] * (lg[i[t]] . lh[j[t]])`` over its
+    pair states ``(i[t], j[t])``, with ``lg`` and ``lh`` the operands'
+    log-ratio rows; that record rides on the estimate as ``chain``, and
+    nothing the size of the whole pair table is built.  Above
     128 pair states it comes from a certified power iteration in memory
     linear in the component size, so pair chains of tens of thousands of
     states fit; smaller components, and chains mixing too slowly to
@@ -277,12 +291,11 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
         If the disambiguating joint synchronization fails.
     """
     g, h = p.machine, q.machine
-    block, keep = _pair_sink(g, h)
-    rho = np.zeros(g.n_states * h.n_states)
-    rho[keep] = _stationary(block, 1.0 / g.n_symbols)
-    pairwise = log_ratios(g._morph) @ log_ratios(h._morph).T
-    value = float(np.sum(rho.reshape(g.n_states, h.n_states) * pairwise))
-    return InnerEstimate(value=value, std_error=0.0, mode="exact", walks=0, walk_length=0)
+    block, i, j = _pair_sink(g, h)
+    rho = _stationary(block, 1.0 / g.n_symbols)
+    lg, lh = log_ratios(g._morph)[i], log_ratios(h._morph)[j]
+    return InnerEstimate(value=float(rho @ (lg * lh).sum(axis=1)), std_error=0.0, mode="exact",
+                         walks=0, walk_length=0, chain=(rho, lg, lh))
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +576,40 @@ def angle_mc_estimate(
     )
 
 
+def _exact_angle(norm_sq_p: float, norm_sq_q: float, cross) -> float:
+    """Angle from the operands' squared norms and their cross pair chain.
+
+    With ``(rho, lg, lh)`` the ``chain`` record of the exact estimate that
+    ``cross()`` returns, ``u = lg / |p|`` and ``v = lh / |q|``, the angle is
+    ``2 atan2(sqrt(sum_t rho[t] |u[t] - v[t]|^2), sqrt(sum_t rho[t] |u[t] + v[t]|^2))``
+    (Kahan, "How futile are mindless assessments of roundoff", 2006).
+    Unlike ``acos`` of a rounded cosine it stays exact near 0 and pi: a
+    self pair gives ``u == v`` and so exactly 0.  :func:`angle` and the
+    noise experiment's model matrix both read their angles here.
+
+    Raises
+    ------
+    ZeroNorm
+        If either squared norm is below ``ZERO_NORM_TOL ** 2``; checked
+        before ``cross`` is called, so no cross pair chain is solved.
+    """
+    if min(norm_sq_p, norm_sq_q) < ZERO_NORM_TOL**2:
+        raise ZeroNorm(f"norm below {ZERO_NORM_TOL:g}; angle undefined")
+    rho, lg, lh = cross().chain
+    u, v = lg / math.sqrt(norm_sq_p), lh / math.sqrt(norm_sq_q)
+    return 2.0 * math.atan2(math.sqrt(rho @ ((u - v) ** 2).sum(axis=1)),
+                            math.sqrt(rho @ ((u + v) ** 2).sum(axis=1)))
+
+
 def angle(p: ProcessHandle, q: ProcessHandle) -> float:
     """Angle between two processes, in radians, from closed-form inner
-    products (:func:`angle_mc_estimate` is the Monte Carlo route).
+    products (:func:`angle_mc_estimate` is the Monte Carlo route): the
+    squared norms from each operand's own chain, the angle from the cross
+    pair chain's record by :func:`_exact_angle`.
 
     Raises
     ------
     ZeroNorm
         If either operand has norm below 1e-12 (the zero process).
     """
-    return _angle_from(process_norm(p), process_norm(q), lambda: inner_exact(p, q).value, ZERO_NORM_TOL)
+    return _exact_angle(inner_exact(p, p).value, inner_exact(q, q).value, lambda: inner_exact(p, q))

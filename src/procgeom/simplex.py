@@ -193,10 +193,14 @@ def pdist(a: ProbVec, b: ProbVec) -> float:
 def _angle_from(norm_p: float, norm_q: float, inner_pq, tol: float) -> float:
     """``acos`` of the clamped cosine ``inner_pq() / (norm_p * norm_q)``.
 
-    The one "angle from two norms" rule of the exact and stream routes.
-    ``inner_pq`` returns the operands' inner product; it is called only
-    when both norms reach ``tol``: ``ZERO_NORM_TOL`` (1e-12) for processes,
-    ``STREAM_ZERO_NORM_TOL`` (1e-9) for context tables.
+    The stream route's "angle from two norms" rule, used by
+    :func:`~procgeom.streams.table_angle` only, whose outputs (the
+    experiment's ``stream_angles.csv`` among them) keep these bits.  The
+    exact route reads its angle from the cross pair chain instead
+    (:func:`procgeom.process._exact_angle`), which stays exact near 0 and
+    pi, where this rounded cosine does not.  ``inner_pq`` returns the
+    operands' inner product; it is called only when both norms reach
+    ``tol``, ``STREAM_ZERO_NORM_TOL`` (1e-9) for context tables.
 
     Raises
     ------

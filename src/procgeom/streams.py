@@ -147,9 +147,16 @@ class DerivativeTable:
     alphabet: tuple[str, ...]
     depth: int
     smoothing: float
-    contexts: tuple[tuple[str, ...], ...]
     counts: np.ndarray
     probs: np.ndarray
+
+    @property
+    def contexts(self) -> tuple[tuple[str, ...], ...]:
+        """Every context, in index order, built on each read: the table
+        keeps only its arrays, since ``k ** depth`` tuples of symbols take
+        eight to ten times the memory of ``counts`` and ``probs`` (13.1
+        against 1.57 MB at depth 16 on two symbols)."""
+        return tuple(itertools.product(self.alphabet, repeat=self.depth))
 
     def _context_index(self, context) -> int:
         context = tuple(context)
@@ -235,12 +242,10 @@ def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) ->
     joint = joint.reshape(k**depth, k)
     counts = joint.sum(axis=1)
     probs = (joint + smoothing) / (counts[:, None] + smoothing * k)
-    contexts = tuple(itertools.product(s.alphabet, repeat=depth))
     return DerivativeTable(
         alphabet=s.alphabet,
         depth=depth,
         smoothing=smoothing,
-        contexts=contexts,
         counts=_freeze(counts),
         probs=_freeze(probs),
     )

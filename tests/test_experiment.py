@@ -172,13 +172,13 @@ class TestNoiseExperiment:
 # streams are the per-symbol loop's, whatever route the sampler takes
 PINNED_OUTPUTS = {
     "g2": {
-        "model_angles.csv": "0bac268e07e633d92d73e02ae561a360f671dabef3f9f5d9bcf9e65029927ba1",
+        "model_angles.csv": "d75f4fe9a787b0bca451350bc1184e7cb8cb3f48602b76a601d6127a67a7a0e5",
         "stream_angles.csv": "3c09cfec2af677d3aa538689e9c1f37861cfd86546354b283bd5848149dcd165",
         "stream_stats.csv": "02217684d5d2030bfdc69a3f0f78499100e672c2589eecc8a03b040104ab58a3",
         "summary.txt": "fa04b2d604147af6dc2bba00aa25c4556ca1816a079badc16f30fc964857f885",
     },
     "r6": {
-        "model_angles.csv": "9a2a009421359b01f09f6baae9890c2a9d3850e8b1b3c774692efc7be1ab74a9",
+        "model_angles.csv": "2c4eebb4ed476486101935f31f4f36faa2461720983a8e5512dec2d29ee9e3ff",
         "stream_angles.csv": "e072cd70f79361b0e150f6c519c36099e492857254c7d18f2d1c521a976916ba",
         "stream_stats.csv": "64ef1240302df9eb4a8eeeecbed0c2a9f69d206e78f0537b0fc390e7e8b14c30",
         "summary.txt": "65d29063a73856b7c4457ca0a1fe759cac801ae1f892797ec87870518692702b",

@@ -9,10 +9,14 @@ closed form is the walk average itself.  The sum enters through
 
 Tolerances are relative to the Cauchy-Schwarz scale of each side, the
 product of the operands' norms, so an inner product near zero is not
-held to a relative error of its own size.
+held to a relative error of its own size.  Angles are held to ``REL_TOL``
+in radians: the paper's orthogonal complement by Gram-Schmidt, and the
+scale law that scaling by a positive factor leaves an angle alone and a
+negative one reflects it to ``pi`` minus it.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ import pytest
 from procgeom import (
     NotErgodic,
     Pfsa,
+    angle,
     as_process,
     inner_exact,
     process_norm,
@@ -32,6 +37,7 @@ from procgeom import (
 TRIPLES = 20
 REL_TOL = 1e-12
 SCALES = (0.37, -1.0, -2.5)
+SCALE_PAIRS = ((0.37, 2.0), (-1.0, -2.5), (0.37, -1.0), (-2.5, 2.0), (2.0, 2.0))
 
 
 def random_machine(rng, k):
@@ -100,3 +106,21 @@ class TestInnerProductLaws:
                     assert inner(x, x) > 0.0, x.label
         zero = zero_process(triples(k)[0][0].alphabet)
         assert inner(zero, zero) == 0.0
+
+    def test_gram_schmidt_gives_an_orthogonal_process(self, k):
+        # r = p + (-c) q with c = <p, q> / <q, q> is orthogonal to q
+        for p, q, _ in triples(k):
+            r = sum_processes(p, scale_process(-inner(p, q) / inner(q, q), q))
+            assert abs(inner(r, q)) <= REL_TOL, (p.label, q.label)
+            assert abs(angle(r, q) - math.pi / 2) <= REL_TOL, (p.label, q.label)
+
+    @pytest.mark.parametrize("a, b", SCALE_PAIRS)
+    def test_scaling_keeps_or_reflects_the_angle(self, k, a, b):
+        # angle(a p, b q) is angle(p, q) for a b > 0 and pi minus it for
+        # a b < 0, with q = p among the cases: 0 stays 0 and becomes pi
+        for p, q, _ in triples(k):
+            for x, y in ((p, q), (p, p)):
+                base = angle(x, y)
+                expected = base if a * b > 0 else math.pi - base
+                scaled = angle(scale_process(a, x), scale_process(b, y))
+                assert abs(scaled - expected) <= REL_TOL, (x.label, y.label, scaled, expected)

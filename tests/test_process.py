@@ -250,10 +250,18 @@ class TestSum:
             sum_processes(u, u)
 
 
+def sink_keep(g, h):
+    """The pair sink's flat pair-table indices ``i * nh + j``, rebuilt from
+    the operands' state-index arrays ``_pair_sink`` returns."""
+    import procgeom.process as process
+
+    _, i, j = process._pair_sink(g, h)
+    return (i * h.n_states + j).tolist()
+
+
 def reference_sum(p, q):
     """The sum as built over every pair state: all ng * nh names, one
     ``psum`` row per pair, restricted to the pair sink, then normal form."""
-    import procgeom.process as process
     from procgeom.pfsa import _restrict
     from procgeom.sync import _pair_delta
 
@@ -261,8 +269,7 @@ def reference_sum(p, q):
     names = [f"({a},{b})" for a in g.states for b in h.states]
     rows = [psum(rg, rh) for rg in g._morph for rh in h._morph]
     full = Pfsa(g.alphabet, names, _pair_delta(g, h), rows)
-    _, keep = process._pair_sink(g, h)
-    return as_process(_restrict(full, keep), "reference")
+    return as_process(_restrict(full, sink_keep(g, h)), "reference")
 
 
 def reference_sum_pairs(request):
@@ -308,7 +315,7 @@ class TestSumOnThePairSink:
             built.clear()
             sum_processes(p, q)
             (pair,) = built
-            keep = process._pair_sink(g, h)[1]
+            keep = sink_keep(g, h)
             assert pair.states == tuple(f"({g.states[i // h.n_states]},{h.states[i % h.n_states]})"
                                         for i in keep)
             for name in pair.states:
@@ -747,10 +754,10 @@ class TestNormAndAngle:
         with pytest.raises(ZeroNorm):
             angle(G, zero_process(G.alphabet))
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
     def test_self_angle_is_exactly_zero(self, G, M):
-        # acos of the rounded cosine x / (sqrt(x) * sqrt(x)) is 1.5e-8 on M,
-        # 2.1e-8 on 0.5 G, and nonzero on 58 of these 200 random normal forms
+        # acos of the rounded cosine x / (sqrt(x) * sqrt(x)) was 1.5e-8 on M,
+        # 2.1e-8 on 0.5 G, and nonzero on 58 of these 200 random normal
+        # forms; the atan2 form of the pair record gives u == v, so 0
         processes = [G, M, scale_process(0.5, G)]
         for seed in range(200):
             rng = np.random.default_rng(seed)
@@ -762,9 +769,9 @@ class TestNormAndAngle:
                                              rows / rows.sum(axis=1, keepdims=True))))
         assert [angle(p, p) for p in processes] == [0.0] * len(processes)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
     def test_positive_multiple_at_angle_zero(self):
-        # 2.1e-8 for 0.5 g2, 1.5e-8 for every multiple of m2
+        # acos of the rounded cosine gave 2.1e-8 for 0.5 g2 and 1.5e-8 for
+        # every multiple of m2
         angles = [angle(p, scale_process(a, p))
                   for p in (as_process(make()) for make in (make_g2, make_m2, make_u3))
                   for a in (0.1, 0.5, 2.0)]
@@ -901,7 +908,6 @@ def forbid_component_search(monkeypatch):
 
 class TestCertifiedSinkRule:
     def test_keep_is_the_single_sink_component(self, request, monkeypatch):
-        import procgeom.process as process
         from procgeom.sync import _pair_delta
 
         pairs = sink_rule_pairs(request)
@@ -911,16 +917,15 @@ class TestCertifiedSinkRule:
             assert len(sinks) == 1
             expected.append(sinks[0])
         forbid_component_search(monkeypatch)
-        assert [process._pair_sink(g, h)[1] for g, h in pairs] == expected
+        assert [sink_keep(g, h) for g, h in pairs] == expected
 
     def test_failed_check_falls_back_to_the_same_keep(self, request, monkeypatch):
         import procgeom.pfsa as pfsa
-        import procgeom.process as process
 
         pairs = sink_rule_pairs(request)
-        certified = [process._pair_sink(g, h)[1] for g, h in pairs]
+        certified = [sink_keep(g, h) for g, h in pairs]
         monkeypatch.setattr(pfsa, "_all_reach", lambda delta, target: False)
-        assert [process._pair_sink(g, h)[1] for g, h in pairs] == certified
+        assert [sink_keep(g, h) for g, h in pairs] == certified
 
     @pytest.mark.parametrize("pair", [("g2", "m2"), (12, 4), (24, 6), (36, 8)])
     def test_synchronizing_pairs_need_no_component_search(self, request, monkeypatch, pair):
@@ -947,7 +952,6 @@ class TestCertifiedSinkRule:
         # breadth-first order from pair state 0 is 0 3 5 1 4 2, so the
         # candidate is 2, but the only sink is {1, 3, 4}: the check fails on
         # a synchronizing pair, and the fallback search finds the sink
-        import procgeom.process as process
         from procgeom.pfsa import _reachable
         from procgeom.sync import _pair_delta, reset_word
 
@@ -967,7 +971,7 @@ class TestCertifiedSinkRule:
         expected = sink_components_loop(delta)
         assert expected == [[1, 3, 4]]
 
-        assert process._pair_sink(g, h)[1] == expected[0]
+        assert sink_keep(g, h) == expected[0]
         assert count_tarjan == [6]
 
         value = inner_exact(p, q).value
@@ -1064,7 +1068,8 @@ class TestLargePairChains:
         # one dense 1,256-state block alone takes 12.6 MB
         assert peak < 3e6
 
-        block, keep = process._pair_sink(g, h)
+        block, i, j = process._pair_sink(g, h)
+        keep = i * h.n_states + j
         m = len(keep)
         assert m == 1256
         chain = np.zeros((m, m))
@@ -1102,7 +1107,8 @@ class TestLargePairChains:
         import procgeom.process as process
 
         p, q = random_process(24, 6), random_process(24, 11)
-        block, keep = process._pair_sink(p.machine, q.machine)
+        block, i, j = process._pair_sink(p.machine, q.machine)
+        keep = i * q.machine.n_states + j
         assert len(keep) == 266
         value = inner_exact(p, q).value
         assert count_dense == []
@@ -1221,7 +1227,8 @@ class TestLargePairChains:
         cases = []
         for seeds in ((1, 2), (6, 11), (3, 4)):
             p, q = random_process(24, seeds[0]), random_process(24, seeds[1])
-            block, keep = process._pair_sink(p.machine, q.machine)
+            block, i, j = process._pair_sink(p.machine, q.machine)
+            keep = i * q.machine.n_states + j
             assert len(keep) > pfsa._POWER_MIN_STATES
             cases.append((block, np.full((len(keep), 2), 0.5)))
         cases.append((p.machine._delta, p.machine._morph))  # a machine's chain, weighted by its rows
@@ -1275,15 +1282,17 @@ def reference_stationary(delta, weights, keep):
 
 
 def reference_inner(p, q):
-    """``<p, q>`` from the whole pair table, its sink renumbered and solved."""
+    """``<p, q>`` from the whole pair table, its sink renumbered and solved,
+    then reduced over the sink's own pair states ``(i, j)`` as
+    ``rho . (lg[i] . lh[j])``, the reduction ``inner_exact`` makes."""
     import procgeom.process as process
     from procgeom.sync import _pair_delta
 
     g, h = p.machine, q.machine
-    keep = process._pair_sink(g, h)[1]
-    rho = reference_stationary(_pair_delta(g, h), 1.0 / g.n_symbols, keep)
-    pairwise = log_ratios(g._morph) @ log_ratios(h._morph).T
-    return float(np.sum(rho.reshape(g.n_states, h.n_states) * pairwise))
+    _, i, j = process._pair_sink(g, h)
+    keep = i * h.n_states + j
+    rho = reference_stationary(_pair_delta(g, h), 1.0 / g.n_symbols, keep)[keep]
+    return float(rho @ (log_ratios(g._morph)[i] * log_ratios(h._morph)[j]).sum(axis=1))
 
 
 class TestSolvedOnTheSinkOwnTable:
@@ -1313,7 +1322,8 @@ class TestSolvedOnTheSinkOwnTable:
 
         for p in processes + [random_process(200, 1)]:
             g = p.machine
-            block, keep = process._pair_sink(g, g)
+            block, i, j = process._pair_sink(g, g)
+            keep = i * g.n_states + j
             assert block is g._delta
             assert np.array_equal(pfsa._renumber(_pair_delta(g, g), keep), block)
 
@@ -1342,3 +1352,46 @@ class TestSolvedOnTheSinkOwnTable:
         big = random_process(200, 1)
         for p, q in pairs + large + [(big, big)]:
             assert repr(inner_exact(p, q).value) == repr(reference_inner(p, q))
+
+    def test_record_reproduces_the_value(self, processes):
+        # the exact estimate carries (rho, lg, lh) over the sink's own pair
+        # states, and reducing it gives the value bit for bit; the record
+        # is left out of repr and ==, and Monte Carlo estimates carry none
+        import procgeom.process as process
+
+        binary = [p for p in processes if p.machine.n_symbols == 2]
+        pairs = [(p, q) for p in binary for q in binary] + [(processes[3], processes[3])]
+        pairs += [(random_process(24, 1), random_process(24, 2))]
+        for p, q in pairs:
+            g, h = p.machine, q.machine
+            est = inner_exact(p, q)
+            rho, lg, lh = est.chain
+            block, i, j = process._pair_sink(g, h)
+            assert rho.shape == (block.shape[0],) and rho.sum() == pytest.approx(1.0, abs=1e-14)
+            assert np.array_equal(lg, log_ratios(g._morph)[i])
+            assert np.array_equal(lh, log_ratios(h._morph)[j])
+            assert float(rho @ (lg * lh).sum(axis=1)) == est.value
+            bare = process.InnerEstimate(est.value, 0.0, "exact", 0, 0)
+            assert est == bare and repr(est) == repr(bare)
+        assert inner_mc(processes[0], processes[1], walk_length=50, repeats=2, seed=3).chain is None
+
+    def test_self_pair_record_is_the_diagonal(self, processes, monkeypatch):
+        # a self pair's record is the machine's own chain: both rows of
+        # sink state t are the machine's row t, and rho is the stationary
+        # vector of its own uniformly driven table; no pair table is built
+        import procgeom.pfsa as pfsa
+        import procgeom.process as process
+        import procgeom.sync as sync
+
+        def no_table(g, h):
+            raise AssertionError("a pair table was built")
+
+        monkeypatch.setattr(process, "_pair_delta", no_table)
+        monkeypatch.setattr(sync, "_pair_delta", no_table)
+        for p in processes + [random_process(200, 1)]:
+            g = p.machine
+            block, i, j = process._pair_sink(g, g)
+            assert np.array_equal(i, np.arange(g.n_states)) and np.array_equal(j, i)
+            rho, lg, lh = inner_exact(p, p).chain
+            assert np.array_equal(lg, log_ratios(g._morph)) and np.array_equal(lh, lg)
+            assert np.array_equal(rho, pfsa._stationary(g._delta, 1.0 / g.n_symbols))
