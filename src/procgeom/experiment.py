@@ -17,14 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DepthExceeded, NotErgodic, ZeroNorm
-from .pfsa import Pfsa
+from .pfsa import Pfsa, _sampler
 from .process import ProcessHandle, _exact_angle, as_process, inner_exact, scale_process
+from .simplex import _check_int
 from .streams import (
+    SymbolStream,
     _check_depth,
     _check_length,
     _check_smoothing,
     estimate_derivatives,
-    stream_from_model,
     stream_stats,
     table_angle,
 )
@@ -128,10 +129,15 @@ def run_noise_experiment(base: Pfsa, config: ExperimentConfig = ExperimentConfig
     ``SeedSequence(config.seed).spawn(n_models)`` and then two children per
     model; each is reduced to its mean, std and context table before the
     next is sampled, so peak memory holds about two streams of
-    ``8 * config.stream_length`` bytes, not all of them.
+    ``8 * config.stream_length`` bytes, not all of them.  Each model's
+    sampling tables are built once, serve both of its streams, and are
+    freed before the next model's are built.
 
     Raises
     ------
+    TypeError
+        If ``config.depth`` or ``config.stream_length`` is not an integer
+        (``bool`` included); checked before any model is built or sampled.
     ValueError
         If ``config.depth`` or ``config.stream_length`` is negative, the
         depth gives more than :data:`~procgeom.streams.MAX_CONTEXTS`
@@ -144,6 +150,7 @@ def run_noise_experiment(base: Pfsa, config: ExperimentConfig = ExperimentConfig
     """
     _check_depth(config.depth, base.n_symbols)
     _check_smoothing(config.smoothing)
+    _check_int(config.stream_length, "stream_length")
     if config.stream_length < 0:
         raise ValueError("stream_length must be >= 0")
     _check_length(config.stream_length, config.depth)
@@ -174,11 +181,12 @@ def run_noise_experiment(base: Pfsa, config: ExperimentConfig = ExperimentConfig
     stds = np.empty((n, 2))
     tables = []
     for i, m in enumerate(models):
-        per_model = []
+        draw, per_model = _sampler(m.machine), []
         for s, seed in enumerate(seeds[i].spawn(2)):
-            stream = stream_from_model(m.machine, config.stream_length, seed)
+            stream = SymbolStream(draw(config.stream_length, seed), m.machine.alphabet)
             means[i, s], stds[i, s] = stream_stats(stream)
             per_model.append(estimate_derivatives(stream, config.depth, config.smoothing))
+        del draw  # frees this model's sampling tables before the next model's are built
         tables.append(per_model)
 
     empirical = np.full((n, n), np.nan)

@@ -27,7 +27,7 @@ from .errors import (
     UnknownKey,
     ZeroMass,
 )
-from .simplex import ProbVec, _freeze
+from .simplex import ProbVec, _check_int, _freeze
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-12
@@ -711,23 +711,22 @@ def canonicalize(g: Pfsa) -> Pfsa:
 # sampling
 
 def _letters(draws: np.ndarray, cuts: np.ndarray, size: int) -> np.ndarray:
-    """Letter of each draw: the number of ``cuts`` at or below it, in an
-    array of ``size`` letters that holds 0 past the draws (the padding).
+    """Letter of each draw, one byte each: the number of ``cuts`` at or
+    below it, in an array of ``size`` letters that holds 0 past the draws
+    (the padding).
 
-    One vectorised comparison per cut, added up in a byte: the tabulated
-    sampler admits at most 255 cuts, since a block of two letters fits its
-    table only if ``L <= 256``.  The int64 letters are made here, before
-    the caller's temporary draws are freed: of three allocation orders
-    tried this one made ``experiment`` ops about 12% faster than the
-    others, the difference landing in the later estimation's allocations.
+    One vectorised comparison per cut, added up in a byte.  The sampler
+    passes at most 255 cuts: a block of two letters fits its tables only if
+    ``n * L ** 2 <= 2 ** 16``, so at most 180 cuts on two or more states,
+    and a one-state machine passes its own ``k - 1 <= 255`` thresholds,
+    whose count is its symbol.
     """
     count = np.zeros(size, dtype=np.uint8)
     above = np.empty(draws.size, dtype=bool)
     for c in cuts.tolist():
         np.greater_equal(draws, c, out=above)
         count[:draws.size] += above.view(np.uint8)
-    del above
-    return count.astype(np.int64)
+    return count
 
 
 def _jump_table(step: np.ndarray) -> tuple[int, np.ndarray]:
@@ -806,6 +805,99 @@ def _stitched_starts(jump: np.ndarray, codes: np.ndarray, q: int) -> np.ndarray:
     return codes
 
 
+def _block_tables(step: np.ndarray, sym: np.ndarray, k: int):
+    """Block length ``m``, and the state after, the symbols of and the
+    digits of every ``m``-letter block.
+
+    ``step[q, a]`` and ``sym[q, a]`` are the state ``q`` moves to and the
+    symbol it emits on letter ``a``, for ``n`` states, ``width`` letters and
+    ``k`` symbols.  ``jump[q, code]`` is the state after the ``m`` letters of
+    ``code`` (base ``width``, first letter most significant), as
+    :func:`_jump_table` builds it, and ``emit[q, code]`` holds the ``m``
+    symbols emitted on the way, packed in base ``k`` in the same order.
+    Both grow by the same ``m - 1`` row gathers, one letter put in front
+    each time: letter ``a`` moves ``q`` to ``step[q, a]``, where the rest
+    of the block goes on, and puts ``sym[q, a]`` in front of its symbols.
+    Row ``e`` of ``digits`` holds the ``m`` symbols that ``e`` packs.
+
+    ``m`` is the longest block whose tables each hold at most
+    ``_JUMP_TABLE_ENTRIES`` entries: ``n * width ** m`` for ``jump`` and
+    ``emit``, ``m * k ** m`` for ``digits``.  The caller makes sure that
+    blocks of two fit.
+    """
+    n, width = step.shape
+    m = 2
+    while n * width ** (m + 1) <= _JUMP_TABLE_ENTRIES and (m + 1) * k ** (m + 1) <= _JUMP_TABLE_ENTRIES:
+        m += 1
+    jump, emit = step, sym
+    for j in range(1, m):
+        emit = np.take(emit, step, axis=0)
+        emit += (sym * k ** j)[:, :, None]
+        emit = emit.reshape(n, -1)
+        jump = np.take(jump, step, axis=0).reshape(n, -1)
+    digits = np.ascontiguousarray(np.indices((k,) * m).reshape(m, -1).T)
+    return m, jump, emit, digits
+
+
+def _sampler(g: Pfsa):
+    """Build the sampling tables of ``g`` once; returns ``draw(length,
+    seed)``, which samples from them as :func:`generate_sequence` does.
+
+    The tables live as long as ``draw``, so a caller that samples several
+    streams of one machine builds them once and frees them with ``draw``.
+    ``length`` is not checked here.
+    """
+    pi = stationary_distribution(g)
+    n, k = g.n_states, g.n_symbols
+    cum = np.cumsum(g._morph, axis=1)[:, :-1]
+    cuts = np.unique(cum)
+    letters = cuts.size + 1
+    if n == 1 and k <= 256:
+        def fill(q, length, rng):
+            # the symbol is the number of the row's thresholds at or below the draw
+            return _letters(rng.random(length), cum[0], length).astype(np.int64)
+    elif n > 1 and n * letters ** 2 <= _JUMP_TABLE_ENTRIES and 2 * k ** 2 <= _JUMP_TABLE_ENTRIES:
+        # sym[q, a] counts the thresholds of row q at or below cuts[a - 1]
+        rank = np.searchsorted(cuts, cum) + 1 + letters * np.arange(n)[:, None]
+        sym = np.bincount(rank.ravel(), minlength=n * letters).reshape(n, letters).cumsum(axis=1)
+        m, jump, emit, digits = _block_tables(g._delta[np.arange(n)[:, None], sym], sym, k)
+        emit, span = emit.ravel(), jump.shape[1]
+        chunk = _STITCH_BLOCKS * m  # symbols per stitched chunk
+
+        def fill(q, length, rng):
+            size = -(-length // chunk) * chunk
+            by_block = _letters(rng.random(length), cuts, size).reshape(-1, m)
+            codes = by_block[:, 0].astype(np.int64)  # in base ``letters`` by Horner's rule
+            for i in range(1, m):
+                codes *= letters
+                codes += by_block[:, i]
+            del by_block
+            codes += _stitched_starts(jump, codes.copy(), q) * span  # each block's cell of ``emit``
+            codes = emit[codes]  # each block's symbols, packed
+            out = np.empty(size, dtype=np.int64)
+            # every code is in range; "clip" writes straight into ``out``, where
+            # "raise" would fill a buffered copy of it first
+            np.take(digits, codes, axis=0, out=out.reshape(-1, m), mode="clip")
+            return out[:length]
+    else:
+        cum_rows, delta_rows = cum.tolist(), g._delta.tolist()
+
+        def fill(q, length, rng):
+            out = []
+            for x in memoryview(rng.random(length)):
+                s = bisect_right(cum_rows[q], x)
+                out.append(s)
+                q = delta_rows[q][s]
+            return np.array(out, dtype=np.int64)
+
+    def draw(length, seed):
+        rng = np.random.default_rng(seed)
+        q = int(rng.choice(n, p=pi))
+        return _freeze(fill(q, length, rng))
+
+    return draw
+
+
 def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
     """Sample ``length`` symbols from the stationary process (index array).
 
@@ -824,70 +916,49 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
 
     * The distinct thresholds ``cuts`` of all rows split [0, 1) into
       ``L = cuts.size + 1`` letters; draw ``u`` is letter ``a``, the
-      number of cuts at or below ``u``, counted by one vectorised
-      comparison per cut.  Every ``cum[q, j]`` is a cut, so
+      number of cuts at or below ``u``, counted in a byte by one
+      vectorised comparison per cut.  Every ``cum[q, j]`` is a cut, so
       ``cum[q, j] <= u`` exactly when ``cum[q, j] <= cuts[a - 1]``: the
       letter fixes every state's symbol ``sym[q, a]`` by the same float
       comparisons the loop makes, and its successor
       ``step[q, a] = delta[q, sym[q, a]]``.
-    * ``jump[q, code]`` is the state after the ``m`` letters of ``code``,
-      built from ``step`` by :func:`_jump_table`.  ``m`` is the longest
-      block whose table has at most ``_JUMP_TABLE_ENTRIES`` entries
-      (``n * L ** m``), so ``m >= 2`` needs ``L <= 256`` and a letter fits
-      a byte.
+    * :func:`_block_tables` builds, from ``step`` and ``sym``, the state
+      ``jump[q, code]`` after the ``m`` letters of ``code`` and the
+      symbols ``emit[q, code]`` emitted on the way, packed in base ``k``.
+      ``m`` is the longest block whose tables hold at most
+      ``_JUMP_TABLE_ENTRIES`` entries (``n * L ** m``, and ``m * k ** m``
+      for the table that unpacks ``emit``), so ``m >= 2`` needs
+      ``L <= 256`` and a letter fits a byte.
     * The letters are padded with 0 to whole chunks of ``_STITCH_BLOCKS``
-      blocks, and a block's code is its ``m`` letters in base ``L``.  Each
-      block's start state comes from the codes by stitching chunks walked
-      from every state at once (:func:`_stitched_starts`), so Python takes
-      one step per chunk.  ``m`` vectorised gathers of ``sym`` and
-      ``step`` then fill in the symbols of every block at once, and the
+      blocks, and a block's code is its ``m`` letters in base ``L``, folded
+      by Horner's rule.  Each block's start state comes from the codes by
+      stitching chunks walked from every state at once
+      (:func:`_stitched_starts`), so Python takes one step per chunk.  One
+      gather of ``emit`` at every block's start and code, and one lookup
+      of its digits, then write the symbols of all blocks at once, and the
       first ``length`` are returned.
-    * A one-state machine needs no table or walk: every symbol is
-      ``sym[0, a]`` of its own draw's letter.
+    * A one-state machine of at most 256 symbols needs no table or walk:
+      every symbol is the number of the row's thresholds at or below its
+      draw, counted in a byte the same way.
 
-    When no block of two letters fits the cap (from about 40 states on
-    two symbols), the loop bisects every symbol as written above: the
-    one-step tables hold ``n * L`` entries with ``L`` up to
-    ``n * (k - 1) + 1``, and a step through them costs more than a
-    bisection of the state's own row.
+    When no block of two fits the cap (from about 40 states on two
+    symbols, or past 181 symbols on several states), and on one state
+    past 256 symbols, the loop bisects
+    every symbol as written above: the one-step tables hold ``n * L``
+    entries with ``L`` up to ``n * (k - 1) + 1``, and a step through them
+    costs more than a bisection of the state's own row.
+
+    Raises
+    ------
+    TypeError
+        If ``length`` is not an integer (``bool`` included).
+    ValueError
+        If ``length`` is negative.
     """
+    _check_int(length, "length")
     if length < 0:
         raise ValueError("length must be >= 0")
-    rng = np.random.default_rng(seed)
-    q = int(rng.choice(g.n_states, p=stationary_distribution(g)))
-    n = g.n_states
-    cum = np.cumsum(g._morph, axis=1)[:, :-1]
-    cuts = np.unique(cum)
-    letters = cuts.size + 1
-    if n * letters ** 2 > _JUMP_TABLE_ENTRIES:
-        cum_rows, delta_rows = cum.tolist(), g._delta.tolist()
-        out = []
-        for x in memoryview(rng.random(length)):
-            s = bisect_right(cum_rows[q], x)
-            out.append(s)
-            q = delta_rows[q][s]
-        return _freeze(np.array(out, dtype=np.int64))
-
-    # sym[q, a] counts the thresholds of row q at or below cuts[a - 1]
-    rank = np.searchsorted(cuts, cum) + 1 + letters * np.arange(n)[:, None]
-    sym = np.bincount(rank.ravel(), minlength=n * letters).reshape(n, letters).cumsum(axis=1)
-    if n == 1:
-        return _freeze(sym[0][_letters(rng.random(length), cuts, length)])
-    step = g._delta[np.arange(n)[:, None], sym]
-    m, jump = _jump_table(step)
-
-    chunk = _STITCH_BLOCKS * m  # symbols per stitched chunk
-    out = _letters(rng.random(length), cuts, -(-length // chunk) * chunk)
-    by_block = out.reshape(-1, m)  # each letter is overwritten by its symbol once read
-    starts = _stitched_starts(jump, by_block @ letters ** np.arange(m - 1, -1, -1), q)
-
-    sym_flat, step_flat = sym.ravel(), (step * letters).ravel()
-    at = starts * letters  # row offsets into the flat tables
-    for i in range(m):
-        index = at + by_block[:, i]
-        by_block[:, i] = sym_flat[index]
-        at = step_flat[index]
-    return _freeze(out[:length])
+    return _sampler(g)(length, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .pfsa import (
     stationary_distribution,
     structurally_equal,
 )
-from .simplex import log_ratios, pscale, psum
+from .simplex import _check_int, log_ratios, pscale, psum
 from .sync import _pair_delta, _reset_word, joint_epsilon_synchronize
 
 ZERO_NORM_TOL = 1e-12
@@ -188,8 +188,7 @@ def fdd_distance(p: ProcessHandle, q: ProcessHandle, max_len: int = 5) -> float:
     ValueError
         If ``max_len`` is negative.
     """
-    if isinstance(max_len, bool) or not isinstance(max_len, (int, np.integer)):
-        raise TypeError(f"max_len must be an int, got {max_len!r}")
+    _check_int(max_len, "max_len")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     g, h = p.machine, q.machine

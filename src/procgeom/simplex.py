@@ -46,6 +46,13 @@ def _freeze(values: np.ndarray) -> ProbVec:
     return values
 
 
+def _check_int(value, name: str) -> None:
+    """Reject a count that is not an integer (``bool`` included) by name,
+    before a float or a flag reaches numpy or ``range``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def make_pvec(values) -> ProbVec:
     """Validate and normalize ``values`` into a probability vector.
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import StreamTooShort, UnknownKey
 from .pfsa import Pfsa, check_same_alphabet, generate_sequence
-from .simplex import ProbVec, _angle_from, _freeze, log_ratios
+from .simplex import ProbVec, _angle_from, _check_int, _freeze, log_ratios
 
 STREAM_ZERO_NORM_TOL = 1e-9
 _COUNT_SLICE = 1 << 16  # windows per ``bincount`` call, unless the table has more bins
@@ -188,8 +188,10 @@ def _check_smoothing(smoothing: float) -> None:
 
 
 def _check_depth(depth: int, k: int) -> None:
-    """Reject a negative depth, or one whose ``k ** depth`` contexts exceed
-    ``MAX_CONTEXTS``: its count tables could not be allocated."""
+    """Reject a depth that is not an integer or is negative, or one whose
+    ``k ** depth`` contexts exceed ``MAX_CONTEXTS``: its count tables could
+    not be allocated."""
+    _check_int(depth, "depth")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if k ** depth > MAX_CONTEXTS:
@@ -211,6 +213,8 @@ def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) ->
 
     Raises
     ------
+    TypeError
+        If ``depth`` is not an integer (``bool`` included).
     ValueError
         If ``depth`` is negative or gives more than ``MAX_CONTEXTS``
         contexts, or ``smoothing`` is not a finite positive number.

@@ -54,8 +54,11 @@ class TestNoiseExperiment:
         (dict(stream_length=-1), ValueError, "stream_length must be >= 0"),
         (dict(stream_length=4, depth=4), StreamTooShort, "stream length 4 <= depth 4"),
         (dict(stream_length=0), StreamTooShort, "stream length 0 <= depth 4"),
+        (dict(stream_length=2000.0), TypeError, "stream_length must be an int, got 2000.0"),
+        (dict(depth=2.0), TypeError, "depth must be an int, got 2.0"),
+        (dict(depth=True), TypeError, "depth must be an int, got True"),
     ], ids=["nan-smoothing", "inf-smoothing", "negative-depth", "huge-depth", "negative-length",
-            "length-at-depth", "empty-streams"])
+            "length-at-depth", "empty-streams", "float-length", "float-depth", "bool-depth"])
     def test_bad_config_rejected_before_any_work(self, g2, monkeypatch, bad, error, message):
         import procgeom.experiment as experiment
 
@@ -63,7 +66,7 @@ class TestNoiseExperiment:
             raise AssertionError("the experiment ran")
 
         monkeypatch.setattr(experiment, "inner_exact", no_work)
-        monkeypatch.setattr(experiment, "stream_from_model", no_work)
+        monkeypatch.setattr(experiment, "_sampler", no_work)
         with pytest.raises(error, match=message):
             run_noise_experiment(g2, small_config(**bad))
 
@@ -104,6 +107,29 @@ class TestNoiseExperiment:
         # five models, two streams each
         assert len(solved) == 5
         assert [m.machine.n_states for m in rep.models] == [2, 2, 2, 2, 1]
+
+    def test_each_model_builds_its_sampler_tables_once(self, g2, monkeypatch):
+        import procgeom.experiment as experiment
+        import procgeom.pfsa as pfsa
+
+        calls = {"_sampler": [], "_block_tables": [], "_stitched_starts": []}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def call(*args):
+                calls[name].append(1)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(experiment, "_sampler")
+        counted(pfsa, "_block_tables")
+        counted(pfsa, "_stitched_starts")
+        run_noise_experiment(g2, small_config(stream_length=2_000))
+        # five models, the four of two states tabulate blocks; two streams each
+        assert {name: len(c) for name, c in calls.items()} == {
+            "_sampler": 5, "_block_tables": 4, "_stitched_starts": 8}
 
     def test_each_norm_and_each_pair_solved_once(self, g2, monkeypatch):
         import procgeom.experiment as experiment

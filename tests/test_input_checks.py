@@ -6,6 +6,7 @@ import pytest
 
 from procgeom import (
     DimensionTooSmall,
+    ExperimentConfig,
     InvalidPfsa,
     PfsaFormatError,
     Pfsa,
@@ -15,8 +16,10 @@ from procgeom import (
     belief_update,
     epsilon_synchronize,
     estimate_derivatives,
+    generate_sequence,
     make_pvec,
     parse_pfsa,
+    run_noise_experiment,
     smooth,
     stationary_distribution,
     table_inner,
@@ -81,6 +84,18 @@ CHECKS = [
                  ValueError, "depths differ: 1 vs 2", id="table-depths"),
     pytest.param(lambda: epsilon_synchronize(make_g2(), 0.1, max_depth=0),
                  ValueError, "max_depth must be >= 1", id="sync-max-depth"),
+    pytest.param(lambda: generate_sequence(make_g2(), 10.0, 0),
+                 TypeError, "length must be an int, got 10.0", id="generate-float-length"),
+    pytest.param(lambda: generate_sequence(make_g2(), True, 0),
+                 TypeError, "length must be an int, got True", id="generate-bool-length"),
+    pytest.param(lambda: run_noise_experiment(make_g2(), ExperimentConfig(stream_length=2000.0)),
+                 TypeError, "stream_length must be an int, got 2000.0", id="experiment-float-length"),
+    pytest.param(lambda: run_noise_experiment(make_g2(), ExperimentConfig(stream_length=2000, depth=2.0)),
+                 TypeError, "depth must be an int, got 2.0", id="experiment-float-depth"),
+    pytest.param(lambda: table(2.0),
+                 TypeError, "depth must be an int, got 2.0", id="estimate-float-depth"),
+    pytest.param(lambda: table(True),
+                 TypeError, "depth must be an int, got True", id="estimate-bool-depth"),
 ]
 
 

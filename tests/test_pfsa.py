@@ -39,6 +39,7 @@ from procgeom.pfsa import (
     ROW_SUM_TOL,
     _all_reach,
     _reachable,
+    _sampler,
     _sink_components,
     _stitched_starts,
 )
@@ -905,6 +906,89 @@ class TestGenerate:
             g = scale_process(alpha, base).machine
             assert np.array_equal(generate_sequence(g, 100_000, 7),
                                   self.sample_by_index(g, 100_000, 7)), alpha
+
+    @staticmethod
+    def recipe_machines(n, count=3):
+        """The benchmark's recipe on two symbols, kept when one sink holds
+        all ``n`` states."""
+        rng = np.random.default_rng(n)
+        found = []
+        while len(found) < count:
+            delta = rng.integers(0, n, (n, 2))
+            rows = np.maximum(rng.dirichlet([2.0, 2.0], n), 1e-3)
+            g = Pfsa(["0", "1"], [f"s{i}" for i in range(n)], delta, rows / rows.sum(axis=1, keepdims=True))
+            sinks = sink_sccs(g)
+            if len(sinks) == 1 and len(sinks[0]) == n:
+                found.append(g)
+        return found
+
+    @classmethod
+    def digit_cases(cls):
+        # two states with identical rows have L = k letters, so the digit
+        # table's m * k ** m entries bound the block: m = 12 on two symbols
+        # (the jump table alone would admit 15), 8 on three, 6 on four
+        cases = {}
+        for k, row in ((2, [0.3, 0.7]), (3, [0.2, 0.3, 0.5]), (4, [0.1, 0.2, 0.3, 0.4])):
+            cases[f"k{k}"] = (Pfsa([str(j) for j in range(k)], ["a", "b"],
+                                   [[1] + [0] * (k - 1), [0] + [1] * (k - 1)], [row, row]),
+                              {2: 12, 3: 8, 4: 6}[k])
+        for n in (24, 32, 39):  # the largest machines that still tabulate blocks of two
+            for i, g in enumerate(cls.recipe_machines(n)):
+                cases[f"r{n}-{i}"] = (g, 2)
+        return cases
+
+    @pytest.mark.parametrize("name", ["k2", "k3", "k4", "r24-0", "r24-1", "r24-2", "r32-0", "r32-1",
+                                      "r32-2", "r39-0", "r39-1", "r39-2"])
+    def test_block_tables_at_their_caps_match_reference_loop(self, name, monkeypatch):
+        import procgeom.pfsa as pfsa
+
+        g, m = self.digit_cases()[name]
+        built = []
+        tables = pfsa._block_tables
+
+        def kept(*args):
+            built.append(tables(*args))
+            return built[-1]
+
+        monkeypatch.setattr(pfsa, "_block_tables", kept)
+        for length in (0, 1, 7, 100_003):
+            assert np.array_equal(generate_sequence(g, length, 9),
+                                  self.sample_by_index(g, length, 9)), length
+        assert len(built) == 4 and built[0][0] == m
+        # no table the sampler builds holds more than the cap
+        assert all(t.size <= _JUMP_TABLE_ENTRIES for t in built[0][1:])
+
+    @pytest.mark.parametrize("n, k, tabled", [(1, 256, 0), (1, 257, 0), (2, 181, 1), (2, 182, 0)])
+    def test_wide_alphabets_with_tied_thresholds_match_reference_loop(self, n, k, tabled, monkeypatch):
+        # tiny middle entries tie every running sum at the first entry, so L
+        # stays small while k grows: one state counts its k - 1 thresholds in
+        # a byte up to 256 symbols, and on two states the digit table's
+        # 2 * k ** 2 entries fit the cap up to 181 symbols; past either the
+        # loop bisects
+        import procgeom.pfsa as pfsa
+
+        built = []
+        tables = pfsa._block_tables
+        monkeypatch.setattr(pfsa, "_block_tables", lambda *args: built.append(1) or tables(*args))
+        rows = np.full((n, k), 1e-20)
+        rows[:, 0] = [0.5, 0.3][:n]
+        rows[:, -1] = 1.0 - rows[:, :-1].sum(axis=1)
+        delta = np.ones((n, k), dtype=np.int64) * np.arange(n)[:, None]
+        delta[:, 0] = np.arange(n)[::-1]
+        g = Pfsa([f"x{j}" for j in range(k)], [f"s{i}" for i in range(n)], delta, rows)
+        assert validate(g).valid
+        for seed in (0, 1):
+            out = generate_sequence(g, 20_001, seed)
+            assert np.array_equal(out, self.sample_by_index(g, 20_001, seed))
+            assert out.max() == k - 1
+        assert len(built) == 2 * tabled
+
+    def test_streams_of_one_table_build_equal_separate_calls(self):
+        # one state, stitched blocks, and the per-symbol loop of 200 states
+        for g in (make_single(), make_g2(), self.random_machine(7, 3, 1), self.random_machine(200, 2, 5)):
+            draw = _sampler(g)
+            for seed in (3, 4):
+                assert np.array_equal(draw(10_001, seed), generate_sequence(g, 10_001, seed))
 
     def test_draw_above_a_sum_rounding_below_one_emits_last_symbol(self):
         # ten rows of 0.1 add up to 1 - 2**-53; a draw in [that sum, 1) lies
