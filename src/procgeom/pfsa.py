@@ -749,9 +749,14 @@ def _jump_table(step: np.ndarray) -> tuple[int, np.ndarray]:
     return m, jump
 
 
-def _stitched_starts(jump: np.ndarray, codes: np.ndarray, q: int) -> np.ndarray:
+def _stitched_starts(offsets: np.ndarray, width: int, codes: np.ndarray, q: int) -> np.ndarray:
     """Start state of every block when the first block starts at ``q`` and
     a block of code ``c`` moves its start ``p`` to ``jump[p, c]``.
+
+    ``offsets`` is ``(jump * width).ravel()`` for a jump table of ``width``
+    codes: a successor as its row offset in the flat table, so one gather
+    at ``p * width + c`` steps a block.  The caller builds it once per
+    table, however many streams it stitches.
 
     The enumerative data-parallel walk of Mytkowicz, Musuvathi and Schulte
     ("Data-Parallel Finite-State Machines", 2014): ``codes`` holds whole
@@ -771,9 +776,8 @@ def _stitched_starts(jump: np.ndarray, codes: np.ndarray, q: int) -> np.ndarray:
     * A last vectorised pass from the heads writes the starts of blocks
       0..``j`` over their codes, so the result is ``codes`` itself.
     """
-    n, width = jump.shape
+    n = offsets.size // width
     by_chunk = codes.reshape(-1, _STITCH_BLOCKS)  # row c: chunk c's codes
-    offsets = (jump * width).ravel()  # a successor as its row offset in the flat table
 
     def walk(at, blocks):
         """One walk per chunk through ``blocks``; each code read is
@@ -844,7 +848,9 @@ def _sampler(g: Pfsa):
     seed)``, which samples from them as :func:`generate_sequence` does.
 
     The tables live as long as ``draw``, so a caller that samples several
-    streams of one machine builds them once and frees them with ``draw``.
+    streams of one machine builds them once and frees them with ``draw``;
+    the block walk keeps its jump table only as the flat offsets that
+    :func:`_stitched_starts` reads.
     ``length`` is not checked here.
     """
     pi = stationary_distribution(g)
@@ -862,6 +868,7 @@ def _sampler(g: Pfsa):
         sym = np.bincount(rank.ravel(), minlength=n * letters).reshape(n, letters).cumsum(axis=1)
         m, jump, emit, digits = _block_tables(g._delta[np.arange(n)[:, None], sym], sym, k)
         emit, span = emit.ravel(), jump.shape[1]
+        offsets = (jump * span).ravel()  # a block's end as its row offset, for the stitched walk
         chunk = _STITCH_BLOCKS * m  # symbols per stitched chunk
 
         def fill(q, length, rng):
@@ -872,7 +879,8 @@ def _sampler(g: Pfsa):
                 codes *= letters
                 codes += by_block[:, i]
             del by_block
-            codes += _stitched_starts(jump, codes.copy(), q) * span  # each block's cell of ``emit``
+            # each block's cell of ``emit``
+            codes += _stitched_starts(offsets, span, codes.copy(), q) * span
             codes = emit[codes]  # each block's symbols, packed
             out = np.empty(size, dtype=np.int64)
             # every code is in range; "clip" writes straight into ``out``, where

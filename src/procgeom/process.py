@@ -312,16 +312,18 @@ def _walk_symbols(seeds, walk_length: int, repeats: int, k: int):
     generator's ``integers(0, k, size=a)`` followed by ``size=b`` returns
     the values of one call with ``size=a + b``, so the symbols do not
     depend on the block size; a block stores them in the smallest type
-    that holds ``k - 1``, one byte for ``k <= 256``.
+    that holds ``k - 1``, one byte for ``k <= 256``.  Each generator fills
+    one contiguous row of the block's transpose, so a block is a
+    transposed view.
     """
     rngs = [np.random.default_rng(walk_seq)
             for pair_seq in seeds for walk_seq in pair_seq.spawn(repeats)]
     dtype = np.min_scalar_type(k - 1)
     for start in range(0, walk_length, _WALK_BLOCK_STEPS):
-        block = np.empty((min(_WALK_BLOCK_STEPS, walk_length - start), len(rngs)), dtype=dtype)
-        for col, rng in enumerate(rngs):
-            block[:, col] = rng.integers(0, k, size=block.shape[0])
-        yield block
+        walks = np.empty((len(rngs), min(_WALK_BLOCK_STEPS, walk_length - start)), dtype=dtype)
+        for row, rng in zip(walks, rngs):
+            row[:] = rng.integers(0, k, size=walks.shape[1])
+        yield walks.T
 
 
 def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> np.ndarray:
@@ -346,6 +348,13 @@ def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> n
     stays a running sum in time order: one ``np.add.reduce`` along the
     steps of a buffer whose first row is the sum carried in.
 
+    The tables and the state, code and term-index buffers are int32
+    whenever a term index ``a * k * n + b * k`` stays below ``2**31``
+    (int64 otherwise), which halves the memory a call touches.  Only the
+    indices of the per-step gathers of ``step`` go to an int64 buffer,
+    which ``take`` reads without first converting it: that measured
+    faster than int32 there.
+
     Symbols come from :func:`_walk_symbols` as in :func:`_batched_pair_walks`,
     and from the same one-hot start the two kernels agree bit for bit: the
     belief kernel's next-symbol row of a point mass is the state's own row,
@@ -356,7 +365,9 @@ def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> n
     machines = list({id(g): g for pair in pairs for g in pair}.values())
     offsets = np.cumsum([0] + [g.n_states for g in machines]).tolist()
     first, n = dict(zip(map(id, machines), offsets)), offsets[-1]
-    delta = np.concatenate([g._delta + first[id(g)] for g in machines])
+    # offsets stay below n * k, or below the jump table's cap, and term indices below k * n * n
+    itype = np.int32 if k * n * n < 2**31 else np.int64
+    delta = np.concatenate([g._delta + first[id(g)] for g in machines], dtype=itype)
     lr = log_ratios(np.concatenate([g._morph for g in machines]))
     term = np.einsum("as,bs->ab", lr, lr).ravel()
     m, hop = _jump_table(delta)
@@ -368,14 +379,14 @@ def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> n
     # Every state below is held times k, as its row offset in ``step``.
     # x[side, walk] is the walk's current g-state (side 0) or h-state (side 1).
     x = k * np.array([[first[id(pair[side])] + start[side] for pair, start in zip(pairs, starts)
-                       for _ in range(repeats)] for side in (0, 1)], dtype=np.int64)
+                       for _ in range(repeats)] for side in (0, 1)], dtype=itype)
     blocks = _WALK_SUB_STEPS // m + 1  # a sub-block's blocks; the last one runs past its end
     pad = np.zeros((blocks * m, walks), dtype=np.int64)  # a sub-block's symbols, then padding
     by_block = pad.reshape(blocks, m, walks)
-    codes = np.empty((blocks, 2, walks), dtype=np.int64)
-    states = np.empty((m, blocks, 2, walks), dtype=np.int64)  # [i, j]: at step j * m + i
-    fill = np.empty((blocks, 2, walks), dtype=np.int64)
-    index = np.empty((blocks, m, walks), dtype=np.int64)  # term index of every step, in time order
+    codes = np.empty((blocks, 2, walks), dtype=itype)
+    states = np.empty((m, blocks, 2, walks), dtype=itype)  # [i, j]: at step j * m + i
+    fill = np.empty((blocks, 2, walks), dtype=np.int64)  # indices into ``step``
+    index = np.empty((blocks, m, walks), dtype=itype)  # term index of every step, in time order
     buf = np.zeros((_WALK_SUB_STEPS + 1, walks))  # row 0: the running sums carried in
     # Indices are in range by construction; mode="clip" lets take write to ``out`` unbuffered.
     for block in _walk_symbols(seeds, walk_length, repeats, k):

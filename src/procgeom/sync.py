@@ -60,9 +60,12 @@ def _merge_table(g: Pfsa):
     Backward breadth-first search from the diagonal of the pair graph:
     pair (i, j) is column ``i * n + j`` of the transposed pair table
     ``pdT`` (``pdT[s]`` holds every pair's successor on symbol ``s``), and
-    is ``dist`` symbols from the diagonal; ``first`` holds the smallest
-    symbol that starts a shortest merging word (-1 on the diagonal).  None
-    means some pair never merges, so no word merges all states.
+    is ``dist[i, j]`` symbols from the diagonal; the diagonal itself holds
+    ``n * n``, more than any pair's distance, so that the closest pair of a
+    set of states is the ``argmin`` of a gather of ``dist``.  ``first``
+    holds the smallest symbol that starts a shortest merging word of each
+    pair (-1 on the diagonal).  None means some pair never merges, so no
+    word merges all states.
     """
     n = g.n_states
     pdT = np.ascontiguousarray(_pair_delta(g, g).T)
@@ -79,7 +82,8 @@ def _merge_table(g: Pfsa):
         dist[level] = depth
     if (dist < 0).any():
         return None
-    return pdT, dist, first
+    dist[:: n + 1] = n * n
+    return pdT, dist.reshape(n, n), first
 
 
 def reset_word(*machines: Pfsa) -> tuple[str, ...] | None:
@@ -109,36 +113,67 @@ def reset_word(*machines: Pfsa) -> tuple[str, ...] | None:
     return _reset_word(machines, {})
 
 
+def _greedy_merge(g: Pfsa, image: np.ndarray, table, word: list[int]) -> list[int]:
+    """Extend ``word`` by Eppstein's greedy merging until it sends the
+    sorted distinct states ``image`` of ``g`` to one state; returns ``word``.
+
+    Each merge reads the distances of every pair of the image with one
+    gather of the rows and one of the columns of the table's ``dist``, takes
+    the closest pair by ``argmin`` (the first in row order on ties), and
+    follows that pair's shortest merging word for its known ``dist``
+    symbols, moving the image along.  The image is then sorted and made
+    distinct again through a mask of ``g``'s states.
+    """
+    pdT, dist, first = table
+    n = g.n_states
+    after = list(g._delta.T)  # after[s][q]: where state q goes on symbol s
+    seen = np.zeros(n, dtype=bool)
+    while image.size > 1:
+        d = dist.take(image, axis=0).take(image, axis=1)
+        at = d.argmin().item()
+        a, b = divmod(at, image.size)
+        pair = image.item(a) * n + image.item(b)
+        for _ in range(d.item(at)):
+            s = first.item(pair)
+            word.append(s)
+            image = after[s][image]
+            pair = pdT.item(s, pair)
+        seen[:] = False
+        seen[image] = True
+        image = np.flatnonzero(seen)
+    return word
+
+
 def _reset_word(machines, tables: dict) -> tuple[str, ...] | None:
-    """:func:`reset_word` of machines sharing one alphabet, taking each
-    machine's :func:`_merge_table` from ``tables`` (keyed by machine) and
-    storing there the ones it builds, so callers can share them."""
+    """:func:`reset_word` of machines sharing one alphabet.
+
+    ``tables`` maps a machine to its :func:`_merge_table` and its own
+    greedy word, the word :func:`_greedy_merge` builds from all of its
+    states (None until a call needs it).  Callers share the dict, so a
+    machine's table is built once, and a machine that leads a call reads
+    its own word from an earlier call; only the machines after it continue
+    that word.
+    """
     word: list[int] = []
     for g in machines:
-        n = g.n_states
-        image = np.arange(n)
+        image = np.arange(g.n_states)
         for s in word:
             image = g._delta[image, s]
         image = np.unique(image)
         if image.size == 1:
             continue
         if g not in tables:
-            tables[g] = _merge_table(g)
-        table = tables[g]
+            tables[g] = _merge_table(g), None
+        table, own = tables[g]
         if table is None:
             return None
-        pdT, dist, first = table
-        while image.size > 1:
-            d = dist[image[:, None] * n + image]
-            np.fill_diagonal(d, n * n)
-            a, b = divmod(int(np.argmin(d)), image.size)
-            pair = int(image[a]) * n + int(image[b])
-            while dist[pair] > 0:
-                s = int(first[pair])
-                word.append(s)
-                image = g._delta[image, s]
-                pair = int(pdT[s, pair])
-            image = np.unique(image)
+        if word:
+            _greedy_merge(g, image, table, word)
+        else:  # no symbol yet: g's own word, kept for later calls
+            if own is None:
+                own = tuple(_greedy_merge(g, image, table, []))
+                tables[g] = table, own
+            word = list(own)
     return tuple(machines[0].alphabet[s] for s in word)
 
 

@@ -185,6 +185,54 @@ def sink_components_loop(delta):
     return sinks
 
 
+def reset_word_reference(*machines):
+    """Eppstein's greedy reset word, one numpy merge at a time, or None.
+
+    No tables are shared between calls and no greedy word is reused: a
+    fresh backward breadth-first search of each machine's pair graph,
+    then, machine after machine, the closest pair of the image (the
+    diagonal masked by ``fill_diagonal``) merged by its shortest word,
+    followed while its distance is positive, and ``np.unique`` after each
+    merge.  Tests compare the program's words with this one symbol for
+    symbol.
+    """
+    word = []
+    for g in machines:
+        n, k = g.n_states, g.n_symbols
+        image = np.arange(n)
+        for s in word:
+            image = g._delta[image, s]
+        image = np.unique(image)
+        if image.size == 1:
+            continue
+        pdT = (g._delta[:, None, :] * n + g._delta[None, :, :]).reshape(-1, k).T
+        dist = np.full(n * n, -1, dtype=np.int64)
+        first = np.full(n * n, -1, dtype=np.int64)
+        level = np.zeros(n * n, dtype=bool)
+        level[:: n + 1] = True
+        dist[level] = depth = 0
+        while level.any():
+            hit = level[pdT]
+            level = hit.any(axis=0) & (dist < 0)
+            depth += 1
+            first[level] = hit[:, level].argmax(axis=0)
+            dist[level] = depth
+        if (dist < 0).any():
+            return None
+        while image.size > 1:
+            d = dist[image[:, None] * n + image]
+            np.fill_diagonal(d, n * n)
+            a, b = divmod(int(np.argmin(d)), image.size)
+            pair = int(image[a]) * n + int(image[b])
+            while dist[pair] > 0:
+                s = int(first[pair])
+                word.append(s)
+                image = g._delta[image, s]
+                pair = int(pdT[s, pair])
+            image = np.unique(image)
+    return tuple(machines[0].alphabet[s] for s in word)
+
+
 @pytest.fixture
 def count_tarjan(monkeypatch):
     """The sizes of the graphs the fallback of ``_sink_components`` runs its

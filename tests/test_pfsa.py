@@ -889,7 +889,7 @@ class TestGenerate:
                 expected.append(p)
                 p = int(jump[p, c])
             got = codes.copy()
-            assert _stitched_starts(jump, got, q) is got
+            assert _stitched_starts((jump * jump.shape[1]).ravel(), jump.shape[1], got, q) is got
             assert got.tolist() == expected, q
 
     @pytest.mark.parametrize("n, seed", [(4, 2), (4, 4), (8, 4), (8, 6)])

@@ -703,6 +703,29 @@ class TestInnerMc:
         angle_mc_estimate(G, M, walk_length=200, repeats=4, seed=1)
         assert calls == [G.machine, M.machine]
 
+    def test_angle_runs_three_greedy_merges(self, monkeypatch):
+        # (p, q) runs p's own greedy word and continues it for q, (p, p)
+        # reads p's word, and (q, q) runs q's own: three merges, not four
+        import procgeom.sync as sync
+
+        p, q = random_process(24, 1), random_process(24, 2)
+        merged = []
+        greedy = sync._greedy_merge
+
+        def counting(g, *args):
+            merged.append(g)
+            return greedy(g, *args)
+
+        monkeypatch.setattr(sync, "_greedy_merge", counting)
+        est = angle_mc_estimate(p, q, walk_length=200, repeats=4, seed=1)
+        assert merged == [p.machine, q.machine, q.machine]
+        # the continuation is needed: p's own word leaves q in several states
+        image = np.arange(q.machine.n_states)
+        for s in q.machine.to_indices(sync.reset_word(p.machine)):
+            image = q.machine._delta[image, s]
+        assert np.unique(image).size > 1
+        assert math.isfinite(est.cos)
+
     def test_walk_symbols_take_memory_independent_of_walk_length(self, G):
         # the (walk_length, 3 * repeats) symbol table alone would be 48 MB here
         neg = scale_process(-1.0, G)

@@ -15,7 +15,7 @@ from procgeom import (
     Pfsa,
 )
 from conftest import (make_feed3, make_g2, make_m2, make_perm2, make_single, make_t3,
-                      make_u3)
+                      make_u3, reset_word_reference)
 
 
 def exhaustive_best(g, max_len):
@@ -204,6 +204,77 @@ class TestResetWord:
         # smaller one first
         assert reset_word(u3) == ("a",)
         assert reset_word(g2) == ("0",)
+
+    @staticmethod
+    def cerny(n):
+        """Cerny's machine: symbol 0 rotates the states, symbol 1 merges
+        state 0 into state 1; its shortest reset word has (n - 1)**2 symbols."""
+        delta = np.stack([(np.arange(n) + 1) % n, np.arange(n)], axis=1)
+        delta[0, 1] = 1
+        return Pfsa(["0", "1"], [f"c{i}" for i in range(n)], delta, np.full((n, 2), 0.5))
+
+    @staticmethod
+    def seeded_machines(seed):
+        """One to three machines on one alphabet of 2 or 3 symbols, each of
+        2 to 60 states.  Each symbol of a machine maps its states at random,
+        or, at random, permutes them; a machine whose symbols all permute
+        has no reset word."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 4))
+        alphabet = [str(s) for s in range(k)]
+        machines = []
+        for _ in range(int(rng.integers(1, 4))):
+            n = int(rng.integers(2, 61))
+            delta = rng.integers(0, n, (n, k))
+            for s in np.flatnonzero(rng.random(k) < 0.5):
+                delta[:, s] = rng.permutation(n)
+            rows = np.maximum(rng.dirichlet([2.0] * k, n), 1e-3)
+            machines.append(Pfsa(alphabet, [f"s{i}" for i in range(n)], delta,
+                                 rows / rows.sum(axis=1, keepdims=True)))
+        return tuple(machines)
+
+    @pytest.mark.parametrize("make", [make_g2, make_m2, make_u3, make_single, make_t3, make_feed3,
+                                      make_perm2, random_machine],
+                             ids=["g2", "m2", "u3", "single", "t3", "feed3", "perm2", "r50"])
+    def test_matches_reference_greedy_on_fixtures(self, make):
+        g = make()
+        assert reset_word(g) == reset_word_reference(g)
+        assert reset_word(g, g) == reset_word_reference(g, g)
+
+    def test_matches_reference_greedy_on_fixture_pairs(self):
+        machines = (random_machine(50, 1), random_machine(50, 2), make_g2(), make_m2(), make_perm2())
+        for pair in itertools.permutations(machines, 2):
+            assert reset_word(*pair) == reset_word_reference(*pair)
+        assert reset_word(*machines[:4]) == reset_word_reference(*machines[:4])
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_matches_reference_greedy_on_cerny_machines(self, n):
+        g = self.cerny(n)
+        word = reset_word(g)
+        assert word == reset_word_reference(g)
+        assert len(word) >= (n - 1) ** 2
+        assert_point_mass(g, word)
+
+    def test_matches_reference_greedy_on_seeded_machines(self):
+        found = {True: 0, False: 0}
+        for seed in range(60):
+            machines = self.seeded_machines(seed)
+            word = reset_word(*machines)
+            assert word == reset_word_reference(*machines), seed
+            found[word is not None] += 1
+        assert min(found.values()) >= 5  # both outcomes are covered
+
+    def test_shared_tables_give_each_call_its_own_word(self):
+        # the Monte Carlo angle's three calls share one dict: a machine that
+        # leads a call reuses its own word, one that follows continues it
+        from procgeom.sync import _reset_word
+
+        for seed in range(40):
+            machines = self.seeded_machines(seed)
+            p, q = machines[0], machines[-1]
+            tables = {}
+            for call in ((p, q), (p, p), (q, q), (q, p), (p,), (q,)):
+                assert _reset_word(call, tables) == reset_word_reference(*call), (seed, call)
 
     def test_rejects_bad_input(self, g2, u3):
         with pytest.raises(AlphabetMismatch):
