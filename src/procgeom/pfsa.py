@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -284,6 +285,10 @@ def matrices(g: Pfsa):
 def _sink_components(delta: np.ndarray) -> list[list[int]]:
     """Sink components of the graph ``v -> delta[v, s]``, sorted.
 
+    ``delta`` becomes successor lists once, and :func:`_predecessors`
+    reverses them once; every search below is :func:`_search` over one of
+    the two.
+
     First a certified check: if every state reaches ``x``, the last state a
     breadth-first search from state 0 finds, the sink is unique and is the
     set reachable from ``x``.  Every sink component is closed and holds a
@@ -297,19 +302,23 @@ def _sink_components(delta: np.ndarray) -> list[list[int]]:
     state that reaches it.  Each state is settled once, so the search costs
     O(states * symbols).
     """
-    x = _reachable(delta, 0)[-1]
-    if _all_reach(delta, x):
-        return [sorted(_reachable(delta, x))]
-    preds, bounds = _predecessors(delta)
     succ = delta.tolist()
+    preds = _predecessors(succ)
+    seen = [False] * len(succ)
+    seen[0] = True
+    x = _search(succ, [0], seen)[-1]
     settled = [False] * len(succ)
+    if _all_reach(preds, x):
+        settled[x] = True
+        _search(succ, [x], settled)
+        return [list(compress(range(len(succ)), settled))]  # sorted, in one linear pass
     sinks = []
-    for v in reversed(_finish_order(preds, bounds)):
+    for v in reversed(_finish_order(preds)):
         if not settled[v]:
             settled[v] = True
-            sink = _search_forward(succ, [v], settled)
+            sink = _search(succ, [v], settled)
             sinks.append(sorted(sink))
-            _search_backward(preds, bounds, sink, settled)
+            _search(preds, sink, settled)
     return sorted(sinks)
 
 
@@ -318,56 +327,46 @@ def sink_sccs(g: Pfsa) -> list[list[int]]:
     return _sink_components(g._delta)
 
 
-def _predecessors(delta: np.ndarray) -> tuple[list[int], list[int]]:
-    """Predecessor index of the graph ``v -> delta[v, s]``: the predecessors
-    of state ``q`` are ``preds[bounds[q]:bounds[q + 1]]``, one run of a
-    stable argsort of the targets, one entry per edge."""
-    n, k = delta.shape
-    flat = delta.ravel()
-    by_target = np.argsort(flat, kind="stable")
-    return (by_target // k).tolist(), np.searchsorted(flat[by_target], np.arange(n + 1)).tolist()
+def _predecessors(succ: list[list[int]]) -> list[list[int]]:
+    """The successor lists ``succ`` reversed: ``preds[q]`` holds one source
+    per edge into ``q``, in (source, symbol) order, so a source appears
+    once for each symbol that sends it to ``q``."""
+    preds = [[] for _ in succ]
+    for p, row in enumerate(succ):
+        for q in row:
+            preds[q].append(p)
+    return preds
 
 
-def _search_forward(succ: list[list[int]], order: list[int], seen: list[bool]) -> list[int]:
-    """Breadth-first search along ``succ`` from the states in ``order``,
-    which ``seen`` already marks; appends each unseen state it reaches,
-    symbols explored in alphabet order, and returns ``order``."""
+def _search(adj: list[list[int]], order: list[int], seen: list[bool]) -> list[int]:
+    """Breadth-first search along the lists ``adj`` (successors, or
+    :func:`_predecessors` to search against the edges) from the states in
+    ``order``, which ``seen`` already marks; appends each unseen state it
+    reaches, in list order, and returns ``order``."""
     for q in order:  # also visits the states appended while it runs
-        for t in succ[q]:
+        for t in adj[q]:
             if not seen[t]:
                 seen[t] = True
                 order.append(t)
     return order
 
 
-def _search_backward(preds: list[int], bounds: list[int], order: list[int],
-                     seen: list[bool]) -> list[int]:
-    """:func:`_search_forward` against the edges, over the index of
-    :func:`_predecessors`, slicing each visited state's run as it goes."""
-    for q in order:  # also visits the states appended while it runs
-        for p in preds[bounds[q]:bounds[q + 1]]:
-            if not seen[p]:
-                seen[p] = True
-                order.append(p)
-    return order
-
-
-def _finish_order(preds: list[int], bounds: list[int]) -> list[int]:
+def _finish_order(preds: list[list[int]]) -> list[int]:
     """States in the order an iterative depth-first search of the reversed
-    graph finishes them, over the index of :func:`_predecessors`."""
-    seen = [False] * (len(bounds) - 1)
+    graph, the lists of :func:`_predecessors`, finishes them."""
+    seen = [False] * len(preds)
     finished = []
     for root in range(len(seen)):
         if seen[root]:
             continue
         seen[root] = True
-        stack = [(root, iter(preds[bounds[root]:bounds[root + 1]]))]
+        stack = [(root, iter(preds[root]))]
         while stack:
             v, rest = stack[-1]
             for p in rest:
                 if not seen[p]:
                     seen[p] = True
-                    stack.append((p, iter(preds[bounds[p]:bounds[p + 1]])))
+                    stack.append((p, iter(preds[p])))
                     break
             else:
                 stack.pop()
@@ -380,16 +379,16 @@ def _reachable(delta: np.ndarray, start: int) -> list[int]:
     breadth-first discovery order with symbols explored in alphabet order."""
     seen = [False] * delta.shape[0]
     seen[start] = True
-    return _search_forward(delta.tolist(), [start], seen)
+    return _search(delta.tolist(), [start], seen)
 
 
-def _all_reach(delta: np.ndarray, target: int) -> bool:
-    """Whether every state reaches ``target`` along ``delta``: one
-    breadth-first search backwards from ``target``, O(states * symbols) on
-    any graph."""
-    seen = [False] * delta.shape[0]
+def _all_reach(preds: list[list[int]], target: int) -> bool:
+    """Whether every state reaches ``target``, given the graph's
+    :func:`_predecessors` lists: one breadth-first search backwards from
+    ``target``, O(states * symbols) on any graph."""
+    seen = [False] * len(preds)
     seen[target] = True
-    return len(_search_backward(*_predecessors(delta), [target], seen)) == delta.shape[0]
+    return len(_search(preds, [target], seen)) == len(preds)
 
 
 def _renumber(delta: np.ndarray, keep) -> np.ndarray:

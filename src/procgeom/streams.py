@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StreamTooShort, UnknownKey
+from .errors import StreamTooShort, UnknownKey, ZeroNorm
 from .pfsa import Pfsa, check_same_alphabet, generate_sequence
-from .simplex import ProbVec, _angle_from, _check_int, _freeze, log_ratios
+from .simplex import ProbVec, _check_int, _freeze, log_ratios
 
 STREAM_ZERO_NORM_TOL = 1e-9
 _COUNT_SLICE = 1 << 16  # windows per ``bincount`` call, unless the table has more bins
@@ -108,7 +108,9 @@ def format_stream(s: SymbolStream) -> str:
         # one UTF-32 code unit per symbol, decoded at once
         text = np.array(s.alphabet, dtype="<U1")[s.indices].tobytes().decode("utf-32-le")
         return text + "\n"
-    return " ".join(s.symbols()) + "\n"
+    # a lone symbol ends with a space, so the line reads back as spaced
+    # (:func:`_split_symbols`) without the alphabet
+    return " ".join(s.symbols()) + (" \n" if len(s) == 1 else "\n")
 
 
 def write_stream(s: SymbolStream, path) -> None:
@@ -275,16 +277,26 @@ def table_norm(t: DerivativeTable) -> float:
 
 
 def table_angle(t1: DerivativeTable, t2: DerivativeTable) -> float:
-    """Angle between two tables; two tables with equal ``probs`` give
-    exactly 0.0, where ``acos`` of their rounded cosine may not.
+    """Angle between two tables, ``acos`` of the clamped cosine; two
+    tables with equal ``probs`` give exactly 0.0, where ``acos`` of their
+    rounded cosine may not.
+
+    The cross inner product runs before that test, so tables over
+    different alphabets or depths raise whatever their ``probs``.  The
+    exact route reads its angle from the cross pair chain instead
+    (:func:`procgeom.process._exact_angle`), which stays exact near 0 and
+    pi, where this rounded cosine does not.
 
     Raises
     ------
     ZeroNorm
         If either table's norm is below ``STREAM_ZERO_NORM_TOL``.
     """
-    theta = _angle_from(table_norm(t1), table_norm(t2), lambda: table_inner(t1, t2), STREAM_ZERO_NORM_TOL)
-    return 0.0 if np.array_equal(t1.probs, t2.probs) else theta
+    norm_1, norm_2 = table_norm(t1), table_norm(t2)
+    if norm_1 < STREAM_ZERO_NORM_TOL or norm_2 < STREAM_ZERO_NORM_TOL:
+        raise ZeroNorm(f"norm below {STREAM_ZERO_NORM_TOL:g}; angle undefined")
+    cos = table_inner(t1, t2) / (norm_1 * norm_2)
+    return 0.0 if np.array_equal(t1.probs, t2.probs) else math.acos(min(1.0, max(-1.0, cos)))
 
 
 def _stream_tables(s1: SymbolStream, s2: SymbolStream, depth: int, smoothing: float):

@@ -242,9 +242,9 @@ def count_tarjan(monkeypatch):
     calls = []
     finish_order = pfsa._finish_order
 
-    def counted(preds, bounds):
-        calls.append(len(bounds) - 1)
-        return finish_order(preds, bounds)
+    def counted(preds):
+        calls.append(len(preds))
+        return finish_order(preds)
 
     monkeypatch.setattr(pfsa, "_finish_order", counted)
     return calls

@@ -282,6 +282,23 @@ class TestEstimate:
             ctx, count, p0, p1 = line.split(",")
             assert abs(float(p0) + float(p1) - 1.0) < 1e-12
 
+    def test_one_symbol_over_a_wide_alphabet_reads_back(self, capsys, tmp_path):
+        # the file holds "ab " or "cd ": without the trailing space, estimate
+        # read two one-character symbols
+        g = Pfsa(["ab", "cd"], ["A", "B"],
+                 {"A": {"ab": "A", "cd": "B"}, "B": {"ab": "A", "cd": "B"}},
+                 {"A": [0.8, 0.2], "B": [0.3, 0.7]})
+        model, stream = tmp_path / "wide.pfsa", tmp_path / "s.txt"
+        model.write_text(format_pfsa(g), encoding="utf-8")
+        for seed in ("1", "2", "3"):
+            run(capsys, "generate", str(model), "--length", "1", "--seed", seed, "-o", str(stream))
+            symbol = stream.read_text(encoding="utf-8")
+            assert symbol in ("ab \n", "cd \n")
+            code, out, _ = run(capsys, "estimate", str(stream), "--depth", "0")
+            assert code == 0
+            assert "length=1" in out.splitlines()[0]
+            assert out.splitlines()[1:] == ["context,count,p_" + symbol[:2], ",1,1"]
+
     def test_stream_too_short(self, capsys, tmp_path):
         stream = tmp_path / "s.txt"
         stream.write_text("01\n")

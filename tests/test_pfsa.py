@@ -38,6 +38,7 @@ from procgeom.pfsa import (
     _STITCH_BLOCKS,
     ROW_SUM_TOL,
     _all_reach,
+    _predecessors,
     _reachable,
     _sampler,
     _sink_components,
@@ -414,6 +415,30 @@ class TestSinkComponents:
             assert _sink_components(delta) == expected
             assert len(expected) == sinks
 
+    def test_predecessor_lists_built_once_per_search(self, monkeypatch, count_tarjan):
+        # sinks {2}, {4} and {5}: the certified check fails and the search
+        # in Kosaraju's order walks the same lists the check walked
+        import procgeom.pfsa as pfsa
+
+        calls = []
+        predecessors = pfsa._predecessors
+
+        def counted(succ):
+            calls.append(len(succ))
+            return predecessors(succ)
+
+        monkeypatch.setattr(pfsa, "_predecessors", counted)
+        delta = np.array([[3, 1, 3], [4, 0, 2], [2, 2, 2], [5, 1, 0],
+                          [4, 4, 4], [5, 5, 5], [0, 0, 0]])
+        assert _sink_components(delta) == sink_components_loop(delta) == [[2], [4], [5]]
+        assert count_tarjan == [7]
+        assert calls == [7]
+        # a single sink that holds the candidate 2 passes the check on one build
+        delta[4] = delta[5] = 2
+        assert _sink_components(delta) == sink_components_loop(delta) == [[2]]
+        assert count_tarjan == [7]
+        assert calls == [7, 7]
+
     def test_transient_candidate_takes_the_tarjan_search(self, count_tarjan):
         # breadth-first order from 0 is 0 3 1 5 4 2, and the last state, 2,
         # only feeds the absorbing state 5; state 6 has no predecessor
@@ -457,7 +482,7 @@ class TestSinkComponents:
             m.setattr(pfsa, "_all_reach", lambda delta, target: False)
             expected = [format_pfsa(as_process(g).machine) for g in machines]
 
-        def no_search(preds, bounds):
+        def no_search(preds):
             raise AssertionError("component search ran")
 
         monkeypatch.setattr(pfsa, "_finish_order", no_search)
@@ -656,11 +681,25 @@ class TestCanonicalize:
         # state 6 has no predecessor; 2, 4 and 5 are absorbing
         delta = np.array([[3, 1, 3], [4, 0, 2], [2, 2, 2], [5, 1, 0],
                           [4, 4, 4], [5, 5, 5], [0, 0, 0]])
-        assert not any(_all_reach(delta, t) for t in range(7))
+        assert not any(_all_reach(_predecessors(delta.tolist()), t) for t in range(7))
         # send 2 and 4 on to 5: every state, 6 included, now reaches 5 and only 5
         delta[2] = delta[4] = 5
-        assert [t for t in range(7) if _all_reach(delta, t)] == [5]
-        assert _all_reach(np.zeros((1, 2), dtype=np.int64), 0)
+        assert [t for t in range(7) if _all_reach(_predecessors(delta.tolist()), t)] == [5]
+        assert _all_reach(_predecessors(np.zeros((1, 2), dtype=np.int64).tolist()), 0)
+
+    def test_predecessors_list_one_source_per_edge(self):
+        # state 1 sends both symbols to 0, and state 2 sends one to 0:
+        # 1 appears twice in 0's list, in (source, symbol) order
+        assert _predecessors([[1, 2], [0, 0], [2, 0]]) == [[1, 1, 2], [0], [0, 2]]
+        assert _predecessors([[0]]) == [[0]]
+        # the runs of a stable argsort of the targets, on any graph
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n, k = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+            flat = rng.integers(0, n, n * k)
+            by_target = np.argsort(flat, kind="stable")
+            expected = [(by_target[flat[by_target] == q] // k).tolist() for q in range(n)]
+            assert _predecessors(flat.reshape(n, k).tolist()) == expected
 
     def test_all_reach_matches_forward_search_on_random_graphs(self):
         rng = np.random.default_rng(4)
@@ -670,7 +709,7 @@ class TestCanonicalize:
             delta = rng.integers(0, n, (n, k))
             t = int(rng.integers(0, n))
             expected = all(t in _reachable(delta, v) for v in range(n))
-            assert _all_reach(delta, t) == expected
+            assert _all_reach(_predecessors(delta.tolist()), t) == expected
             hits += expected
         assert 0 < hits < 200
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -24,6 +25,7 @@ from procgeom import (
     stationary_distribution,
     stream_stats,
     symbolic_derivative,
+    table_angle,
     table_inner,
     table_norm,
     write_stream,
@@ -75,14 +77,31 @@ class TestSymbolStream:
     @pytest.mark.parametrize("alphabet", [("ab", "cd"), ("0", "1")])
     @pytest.mark.parametrize("length", [1, 2, 10])
     def test_round_trip_at_every_length(self, tmp_path, alphabet, length):
-        # one symbol over a wide alphabet has no space to mark it as spaced;
-        # the given alphabet's widest symbol decides the split
+        # with the alphabet given, its widest symbol decides the split
         s = SymbolStream.from_indices(np.arange(length) % 2, alphabet)
         path = tmp_path / "s.txt"
         write_stream(s, path)
         again = read_stream(path, alphabet=list(alphabet))
         assert again.alphabet == alphabet
         np.testing.assert_array_equal(s.indices, again.indices)
+
+    @pytest.mark.parametrize("alphabet", [("ab", "cd"), ("a", "bc")])
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_spaced_streams_read_back_without_the_alphabet(self, tmp_path, alphabet, length):
+        # every stream of one to three symbols; a lone symbol ends with a
+        # space, so "ab" or "bc" is not read as two one-character symbols,
+        # and longer streams keep their bytes
+        path = tmp_path / "s.txt"
+        for indices in itertools.product(range(2), repeat=length):
+            s = SymbolStream.from_indices(indices, alphabet)
+            text = " ".join(s.symbols()) + ("\n" if length > 1 else " \n")
+            assert format_stream(s) == text
+            write_stream(s, path)
+            assert path.read_bytes() == text.encode("utf-8")
+            again = read_stream(path)
+            assert again.symbols() == s.symbols()
+            assert again.alphabet == tuple(sorted(set(s.symbols())))
+            np.testing.assert_array_equal(read_stream(path, alphabet).indices, s.indices)
 
     def test_stats_map_symbols_to_indices(self):
         s = SymbolStream.from_symbols(list("0011"), alphabet=["0", "1"])
@@ -288,6 +307,17 @@ class TestStreamAngles:
             stream_angle(flat, other, depth=0)
         with pytest.raises(AlphabetMismatch, match="alphabets differ"):
             table_inner(estimate_derivatives(flat, 0), estimate_derivatives(other, 0))
+
+    def test_equal_tables_over_different_alphabets_have_no_angle(self):
+        # the same indices give the same probs; the equal-probs 0.0 comes
+        # after the cross inner product, which checks the alphabets
+        a = SymbolStream.from_symbols(list("0010111"), alphabet=["0", "1"])
+        b = SymbolStream.from_symbols(list("aabab" + "bb"), alphabet=["a", "b"])
+        ta, tb = estimate_derivatives(a, 1), estimate_derivatives(b, 1)
+        assert np.array_equal(ta.probs, tb.probs)
+        assert table_angle(ta, ta) == 0.0
+        with pytest.raises(AlphabetMismatch, match="alphabets differ"):
+            table_angle(ta, tb)
 
     def test_exactly_balanced_stream_has_zero_norm(self):
         # the depth-0 table of a perfectly balanced stream is exactly
