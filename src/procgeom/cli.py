@@ -192,13 +192,9 @@ def _cmd_geodesic_chart(args) -> int:
         q0 = from_log_ratios([-0.6, 1.0])
         p1 = q1 = make_pvec([1.0, 1.0, 1.0])
     elif any(e is None for e in endpoints):
-        print("error: geodesic-chart needs all of --p0 --p1 --q0 --q1, or none", file=sys.stderr)
-        return 2
+        raise ValueError("geodesic-chart needs all of --p0 --p1 --q0 --q1, or none")
     else:
-        p0 = _parse_pvec_option(args.p0)
-        p1 = _parse_pvec_option(args.p1)
-        q0 = _parse_pvec_option(args.q0)
-        q1 = _parse_pvec_option(args.q1)
+        p0, p1, q0, q1 = map(_parse_pvec_option, endpoints)
     dim = p0.shape[0]
     lines = []
     try:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DepthExceeded, NotErgodic, ZeroNorm
 from .pfsa import Pfsa, _sampler
-from .process import ProcessHandle, _exact_angle, as_process, inner_exact, scale_process
+from .process import ProcessHandle, angle, as_process, scale_process
 from .simplex import _check_int
 from .streams import (
     SymbolStream,
@@ -159,21 +159,6 @@ def run_noise_experiment(base: Pfsa, config: ExperimentConfig = ExperimentConfig
     labels = tuple(f"{a:g}G" for a in config.scales)
     n = len(models)
 
-    # each norm once; a diagonal cell reads its norm's own pair chain
-    selfs = [inner_exact(m, m) for m in models]
-    model_angles = np.full((n, n), np.nan)
-    undefined = {}
-    for i in range(n):
-        for j in range(i, n):
-            try:
-                model_angles[i, j] = model_angles[j, i] = _exact_angle(
-                    selfs[i].value, selfs[j].value,
-                    lambda: selfs[i] if i == j else inner_exact(models[i], models[j]))
-            except ZeroNorm:
-                undefined[i, j] = "zero norm"
-            except (DepthExceeded, NotErgodic) as err:
-                undefined[i, j] = f"{type(err).__name__}: {err}"
-
     # rebinding ``stream`` frees the one before once the next is sampled;
     # freeing it earlier, by ``del``, made more page faults and slower ops
     seeds = np.random.SeedSequence(config.seed).spawn(n)
@@ -189,15 +174,21 @@ def run_noise_experiment(base: Pfsa, config: ExperimentConfig = ExperimentConfig
         del draw  # frees this model's sampling tables before the next model's are built
         tables.append(per_model)
 
+    # each model keeps its norm, so each norm and each cross pair is solved
+    # once; a diagonal stream cell pairs the model's own two streams
+    model_angles = np.full((n, n), np.nan)
     empirical = np.full((n, n), np.nan)
+    undefined = {}
     for i in range(n):
-        try:
-            empirical[i, i] = table_angle(tables[i][0], tables[i][1])
-        except ZeroNorm:
-            pass
-        for j in range(i + 1, n):
+        for j in range(i, n):
             try:
-                empirical[i, j] = empirical[j, i] = table_angle(tables[i][0], tables[j][0])
+                model_angles[i, j] = model_angles[j, i] = angle(models[i], models[j])
+            except ZeroNorm:
+                undefined[i, j] = "zero norm"
+            except (DepthExceeded, NotErgodic) as err:
+                undefined[i, j] = f"{type(err).__name__}: {err}"
+            try:
+                empirical[i, j] = empirical[j, i] = table_angle(tables[i][0], tables[j][i == j])
             except ZeroNorm:
                 pass
 

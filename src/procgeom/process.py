@@ -47,7 +47,7 @@ from .pfsa import (
     stationary_distribution,
     structurally_equal,
 )
-from .simplex import _check_int, log_ratios, pscale, psum
+from .simplex import _check_int, _freeze, log_ratios, pscale, psum
 from .sync import _pair_delta, _reset_word, joint_epsilon_synchronize
 
 ZERO_NORM_TOL = 1e-12
@@ -58,10 +58,16 @@ _WALK_SUB_STEPS = 256  # pair-state walk steps whose states are filled in at onc
 
 @dataclass(frozen=True)
 class ProcessHandle:
-    """A strictly positive process, stored in normal form with a label."""
+    """A strictly positive process, stored in normal form with a label.
+
+    The handle is immutable, so it keeps its norm record, the estimate of
+    ``inner_exact(p, p)``, once solved, as a machine keeps its stationary
+    vector.
+    """
 
     machine: Pfsa
     label: str
+    _norm: InnerEstimate | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -77,8 +83,8 @@ class InnerEstimate:
     ``(rho, lg, lh)`` of the stationary vector of the uniformly driven pair
     chain on the sink's own states and, row ``t`` for sink state ``(i, j)``,
     the operands' log-ratio rows ``lg[t] = log_ratios(g)[i]`` and
-    ``lh[t] = log_ratios(h)[j]``.  Monte Carlo estimates carry ``None``.
-    ``chain`` is left out of ``repr`` and ``==``.
+    ``lh[t] = log_ratios(h)[j]``, all three read-only.  Monte Carlo
+    estimates carry ``None``.  ``chain`` is left out of ``repr`` and ``==``.
     """
 
     value: float
@@ -279,6 +285,8 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
     linear in the component size, so pair chains of tens of thousands of
     states fit; smaller components, and chains mixing too slowly to
     certify, are solved densely (see :func:`procgeom.pfsa._stationary`).
+    A handle paired with itself keeps its record, so its norm is solved
+    once.
 
     Raises
     ------
@@ -289,12 +297,17 @@ def inner_exact(p: ProcessHandle, q: ProcessHandle) -> InnerEstimate:
     DepthExceeded
         If the disambiguating joint synchronization fails.
     """
+    if p is q and p._norm is not None:
+        return p._norm
     g, h = p.machine, q.machine
     block, i, j = _pair_sink(g, h)
     rho = _stationary(block, 1.0 / g.n_symbols)
     lg, lh = log_ratios(g._morph)[i], log_ratios(h._morph)[j]
-    return InnerEstimate(value=float(rho @ (lg * lh).sum(axis=1)), std_error=0.0, mode="exact",
-                         walks=0, walk_length=0, chain=(rho, lg, lh))
+    est = InnerEstimate(value=float(rho @ (lg * lh).sum(axis=1)), std_error=0.0, mode="exact",
+                        walks=0, walk_length=0, chain=(_freeze(rho), _freeze(lg), _freeze(lh)))
+    if p is q:
+        object.__setattr__(p, "_norm", est)
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +493,7 @@ def _mc_estimates(pairs, eps, walk_length, repeats, seed) -> list[InnerEstimate]
         word = _reset_word((g, h), tables)
         if word is not None:
             gi = hj = 0  # any start: the word leads every state to the same pair
-            for s in g.to_indices(word):
+            for s in word:
                 gi, hj = int(g._delta[gi, s]), int(h._delta[hj, s])
             point.append((i, (gi, hj)))
         else:
@@ -586,40 +599,29 @@ def angle_mc_estimate(
     )
 
 
-def _exact_angle(norm_sq_p: float, norm_sq_q: float, cross) -> float:
-    """Angle from the operands' squared norms and their cross pair chain.
+def angle(p: ProcessHandle, q: ProcessHandle) -> float:
+    """Angle between two processes, in radians, from closed-form inner
+    products (:func:`angle_mc_estimate` is the Monte Carlo route).
 
-    With ``(rho, lg, lh)`` the ``chain`` record of the exact estimate that
-    ``cross()`` returns, ``u = lg / |p|`` and ``v = lh / |q|``, the angle is
+    The squared norms come from each operand's own chain, solved once per
+    handle and kept on it.  With ``(rho, lg, lh)`` the ``chain`` record of
+    ``inner_exact(p, q)``, ``u = lg / |p|`` and ``v = lh / |q|``, the angle is
     ``2 atan2(sqrt(sum_t rho[t] |u[t] - v[t]|^2), sqrt(sum_t rho[t] |u[t] + v[t]|^2))``
     (Kahan, "How futile are mindless assessments of roundoff", 2006).
     Unlike ``acos`` of a rounded cosine it stays exact near 0 and pi: a
-    self pair gives ``u == v`` and so exactly 0.  :func:`angle` and the
-    noise experiment's model matrix both read their angles here.
+    self pair gives ``u == v`` and so exactly 0, and reads its chain from
+    the norm record, so no cross pair chain is solved for it.
 
     Raises
     ------
     ZeroNorm
-        If either squared norm is below ``ZERO_NORM_TOL ** 2``; checked
-        before ``cross`` is called, so no cross pair chain is solved.
+        If either squared norm is below ``ZERO_NORM_TOL ** 2`` (the zero
+        process); checked before the cross pair chain is solved.
     """
+    norm_sq_p, norm_sq_q = inner_exact(p, p).value, inner_exact(q, q).value
     if min(norm_sq_p, norm_sq_q) < ZERO_NORM_TOL**2:
         raise ZeroNorm(f"norm below {ZERO_NORM_TOL:g}; angle undefined")
-    rho, lg, lh = cross().chain
+    rho, lg, lh = inner_exact(p, q).chain
     u, v = lg / math.sqrt(norm_sq_p), lh / math.sqrt(norm_sq_q)
     return 2.0 * math.atan2(math.sqrt(rho @ ((u - v) ** 2).sum(axis=1)),
                             math.sqrt(rho @ ((u + v) ** 2).sum(axis=1)))
-
-
-def angle(p: ProcessHandle, q: ProcessHandle) -> float:
-    """Angle between two processes, in radians, from closed-form inner
-    products (:func:`angle_mc_estimate` is the Monte Carlo route): the
-    squared norms from each operand's own chain, the angle from the cross
-    pair chain's record by :func:`_exact_angle`.
-
-    Raises
-    ------
-    ZeroNorm
-        If either operand has norm below 1e-12 (the zero process).
-    """
-    return _exact_angle(inner_exact(p, p).value, inner_exact(q, q).value, lambda: inner_exact(p, q))

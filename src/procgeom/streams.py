@@ -284,7 +284,7 @@ def table_angle(t1: DerivativeTable, t2: DerivativeTable) -> float:
     The cross inner product runs before that test, so tables over
     different alphabets or depths raise whatever their ``probs``.  The
     exact route reads its angle from the cross pair chain instead
-    (:func:`procgeom.process._exact_angle`), which stays exact near 0 and
+    (:func:`procgeom.process.angle`), which stays exact near 0 and
     pi, where this rounded cosine does not.
 
     Raises

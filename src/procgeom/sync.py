@@ -110,7 +110,8 @@ def reset_word(*machines: Pfsa) -> tuple[str, ...] | None:
     if not machines:
         raise ValueError("need at least one machine")
     check_same_alphabet(*machines)
-    return _reset_word(machines, {})
+    word = _reset_word(machines, {})
+    return None if word is None else tuple(machines[0].alphabet[s] for s in word)
 
 
 def _greedy_merge(g: Pfsa, image: np.ndarray, table, word: list[int]) -> list[int]:
@@ -144,8 +145,8 @@ def _greedy_merge(g: Pfsa, image: np.ndarray, table, word: list[int]) -> list[in
     return word
 
 
-def _reset_word(machines, tables: dict) -> tuple[str, ...] | None:
-    """:func:`reset_word` of machines sharing one alphabet.
+def _reset_word(machines, tables: dict) -> tuple[int, ...] | None:
+    """:func:`reset_word` of machines sharing one alphabet, as symbol indices.
 
     ``tables`` maps a machine to its :func:`_merge_table` and its own
     greedy word, the word :func:`_greedy_merge` builds from all of its
@@ -174,7 +175,7 @@ def _reset_word(machines, tables: dict) -> tuple[str, ...] | None:
                 own = tuple(_greedy_merge(g, image, table, []))
                 tables[g] = table, own
             word = list(own)
-    return tuple(machines[0].alphabet[s] for s in word)
+    return tuple(word)
 
 
 def _belief_key(beliefs) -> bytes:

@@ -256,8 +256,9 @@ class TestGeodesicChart:
         assert "not orthogonal" in out_path.read_text()
 
     def test_partial_endpoints_usage_error(self, capsys):
-        code, _, err = run(capsys, "geodesic-chart", "--p0", "0.5,0.5")
-        assert code == 2 and "all of" in err
+        code, out, err = run(capsys, "geodesic-chart", "--p0", "0.5,0.5")
+        assert (code, out, err) == (
+            2, "", "error: geodesic-chart needs all of --p0 --p1 --q0 --q1, or none\n")
 
     @pytest.mark.parametrize("option, value, message", [
         ("--extend", "nan", "error: --extend must be finite, got nan\n"),

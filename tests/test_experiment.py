@@ -61,11 +61,12 @@ class TestNoiseExperiment:
             "length-at-depth", "empty-streams", "float-length", "float-depth", "bool-depth"])
     def test_bad_config_rejected_before_any_work(self, g2, monkeypatch, bad, error, message):
         import procgeom.experiment as experiment
+        import procgeom.process as process
 
         def no_work(*args, **kwargs):
             raise AssertionError("the experiment ran")
 
-        monkeypatch.setattr(experiment, "inner_exact", no_work)
+        monkeypatch.setattr(process, "inner_exact", no_work)
         monkeypatch.setattr(experiment, "_sampler", no_work)
         with pytest.raises(error, match=message):
             run_noise_experiment(g2, small_config(**bad))
@@ -132,20 +133,22 @@ class TestNoiseExperiment:
             "_sampler": 5, "_block_tables": 4, "_stitched_starts": 8}
 
     def test_each_norm_and_each_pair_solved_once(self, g2, monkeypatch):
-        import procgeom.experiment as experiment
+        import procgeom.process as process
 
-        calls = []
-        solve = experiment.inner_exact
+        solved = []
+        solve = process._stationary
 
-        def counted(p, q):
-            calls.append((p, q))
-            return solve(p, q)
+        def counted(block, weights):
+            # an inner product weights its pair chain uniformly, by 1/k
+            if np.ndim(weights) == 0:
+                solved.append(block)
+            return solve(block, weights)
 
-        monkeypatch.setattr(experiment, "inner_exact", counted)
+        monkeypatch.setattr(process, "_stationary", counted)
         rep = run_noise_experiment(g2, small_config(stream_length=2_000))
         # five norms, and the six cross pairs of the four models of nonzero norm
-        assert len(calls) == 11
-        assert len(set(map(frozenset, calls))) == 11
+        assert len(solved) == 11
+        assert all(m._norm is not None for m in rep.models)
         monkeypatch.undo()
         for i in range(5):
             for j in range(5):
@@ -153,6 +156,26 @@ class TestNoiseExperiment:
                     assert np.isnan(rep.model_angles[i, j])
                 else:
                     assert rep.model_angles[i, j] == angle(rep.models[i], rep.models[j])
+
+    def test_undefined_stream_angles_are_nan_empty_and_na(self, g2, tmp_path, capsys):
+        # two-symbol streams at depth 0: the first stream of every model but
+        # 1G reads one 0 and one 1, a uniform table of zero norm
+        rep = run_noise_experiment(g2, ExperimentConfig(stream_length=2, depth=0, seed=0))
+        undefined = np.isnan(rep.empirical_angles)
+        assert undefined.sum() == 24 and not undefined[0, 0]
+        write_pfsa(g2, tmp_path / "g2.pfsa")
+        assert main(["experiment", str(tmp_path / "g2.pfsa"), "--outdir", str(tmp_path),
+                     "--length", "2", "--depth", "0", "--seed", "0"]) == 0
+        capsys.readouterr()
+        rows = (tmp_path / "stream_angles.csv").read_text().splitlines()[2:]
+        cells = np.array([row.split(",")[1:] for row in rows])
+        assert np.array_equal(cells == "", undefined)
+        summary = (tmp_path / "summary.txt").read_text()
+        assert summary == rep.summary()
+        self_angles = [line.split()[3] for line in summary.splitlines()[3:8]]
+        assert self_angles == ["0.0000"] + ["n/a"] * 4
+        pairs = [line for line in summary.splitlines() if " vs " in line]
+        assert len(pairs) == 10 and all(line.endswith("| n/a") for line in pairs)
 
     def test_near_uniform_single_state_is_not_zero_norm(self):
         # a one-state base scaled by 1e-6 is within 1e-5 of uniform, but its

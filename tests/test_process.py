@@ -840,6 +840,41 @@ class TestOneEntryPerRoute:
         angle(G, M)
         assert sorted(calls) == [("G", "G"), ("G", "M"), ("M", "M")]
 
+    def test_a_handle_keeps_its_norm_record(self, G, M, monkeypatch):
+        # a second angle on the same handles solves the cross chain only
+        import procgeom.process as process
+
+        first = angle(G, M)
+        solved = []
+        solve = process._stationary
+
+        def counted(block, weights):
+            solved.append(block.shape[0])
+            return solve(block, weights)
+
+        monkeypatch.setattr(process, "_stationary", counted)
+        assert angle(G, M) == first
+        assert len(solved) == 1
+        assert inner_exact(G, G) is inner_exact(G, G)
+        assert angle(G, G) == 0.0 and len(solved) == 1
+        for part in inner_exact(G, G).chain + inner_exact(G, M).chain:
+            assert not part.flags.writeable
+
+
+@pytest.mark.parametrize("make, exact", [(make_t3, 0.3442503578052124),
+                                         (make_feed3, 0.08136496522970169)], ids=["t3", "feed3"])
+def test_non_synchronizing_exact_values_match_their_belief_walks(make, exact):
+    # no word merges the states of t3 or feed3, so the pair graph of -p and
+    # p has several sinks and the joint synchronization's start picks one.
+    # Putting every pair of equal delta on the diagonal would give -|p|^2
+    # instead (-0.696 and -0.102), and starting at the two stationary argmax
+    # states picks a different sink for t3; the belief walks pin the value.
+    p = as_process(make(), "p")
+    neg = scale_process(-1.0, p)
+    assert inner_exact(neg, p).value == pytest.approx(exact, abs=1e-12)
+    walked = inner_mc(neg, p, walk_length=20_000, repeats=8, seed=3)
+    assert abs(walked.value - exact) < 0.01
+
 
 @pytest.mark.parametrize("pair", [("t3", "g2"), ("g2", "t3"), ("feed3", "g2")])
 def test_one_sink_of_non_synchronizing_operands_needs_no_joint_search(request, monkeypatch, pair):
