@@ -245,8 +245,9 @@ def _cmd_experiment(args) -> int:
     (outdir / "model_angles.csv").write_text(report.model_angles_csv(), encoding="utf-8")
     (outdir / "stream_angles.csv").write_text(report.empirical_angles_csv(), encoding="utf-8")
     (outdir / "stream_stats.csv").write_text(report.stats_csv(), encoding="utf-8")
-    (outdir / "summary.txt").write_text(report.summary(), encoding="utf-8")
-    sys.stdout.write(report.summary())
+    summary = report.summary()
+    (outdir / "summary.txt").write_text(summary, encoding="utf-8")
+    sys.stdout.write(summary)
     return 0
 
 

@@ -140,7 +140,7 @@ def scale_process(alpha: float, p: ProcessHandle) -> ProcessHandle:
         If a powered entry leaves double precision.
     """
     g = p.machine
-    scaled = Pfsa(g.alphabet, g.states, g._delta.copy(), pscale(alpha, g._morph))
+    scaled = Pfsa(g.alphabet, g.states, g._delta, pscale(alpha, g._morph))
     return _normal_form(scaled, label=f"{alpha:g}*{p.label}")
 
 
@@ -361,12 +361,16 @@ def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> n
     stays a running sum in time order: one ``np.add.reduce`` along the
     steps of a buffer whose first row is the sum carried in.
 
-    The tables and the state, code and term-index buffers are int32
-    whenever a term index ``a * k * n + b * k`` stays below ``2**31``
-    (int64 otherwise), which halves the memory a call touches.  Only the
-    indices of the per-step gathers of ``step`` go to an int64 buffer,
-    which ``take`` reads without first converting it: that measured
-    faster than int32 there.
+    Tables, offsets, codes and states are int32, as every entry stays
+    below ``max(n * k, 2**16)``.  The term indices ``a * n + b`` are
+    int64, formed after the states are divided by ``k`` in int32, so no
+    int32 value passes ``2**31`` even where ``k * n * n`` does; that
+    measured faster than an int64 floor division of ``a * k * n + b * k``.
+    The indices of the per-step gathers of ``step`` are int64 too, which
+    ``take`` reads without first converting them.  A block's code is
+    stored once for each side: adding a code row of shape ``(walks,)``
+    to the ``(2, walks)`` block starts by broadcasting measured slower in
+    the per-block loop.
 
     Symbols come from :func:`_walk_symbols` as in :func:`_batched_pair_walks`,
     and from the same one-hot start the two kernels agree bit for bit: the
@@ -378,9 +382,7 @@ def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> n
     machines = list({id(g): g for pair in pairs for g in pair}.values())
     offsets = np.cumsum([0] + [g.n_states for g in machines]).tolist()
     first, n = dict(zip(map(id, machines), offsets)), offsets[-1]
-    # offsets stay below n * k, or below the jump table's cap, and term indices below k * n * n
-    itype = np.int32 if k * n * n < 2**31 else np.int64
-    delta = np.concatenate([g._delta + first[id(g)] for g in machines], dtype=itype)
+    delta = np.concatenate([g._delta + first[id(g)] for g in machines], dtype=np.int32)
     lr = log_ratios(np.concatenate([g._morph for g in machines]))
     term = np.einsum("as,bs->ab", lr, lr).ravel()
     m, hop = _jump_table(delta)
@@ -392,14 +394,14 @@ def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> n
     # Every state below is held times k, as its row offset in ``step``.
     # x[side, walk] is the walk's current g-state (side 0) or h-state (side 1).
     x = k * np.array([[first[id(pair[side])] + start[side] for pair, start in zip(pairs, starts)
-                       for _ in range(repeats)] for side in (0, 1)], dtype=itype)
+                       for _ in range(repeats)] for side in (0, 1)], dtype=np.int32)
     blocks = _WALK_SUB_STEPS // m + 1  # a sub-block's blocks; the last one runs past its end
     pad = np.zeros((blocks * m, walks), dtype=np.int64)  # a sub-block's symbols, then padding
     by_block = pad.reshape(blocks, m, walks)
-    codes = np.empty((blocks, 2, walks), dtype=itype)
-    states = np.empty((m, blocks, 2, walks), dtype=itype)  # [i, j]: at step j * m + i
+    codes = np.empty((blocks, 2, walks), dtype=np.int32)  # a block's code, once for each side
+    states = np.empty((m, blocks, 2, walks), dtype=np.int32)  # [i, j]: at step j * m + i
     fill = np.empty((blocks, 2, walks), dtype=np.int64)  # indices into ``step``
-    index = np.empty((blocks, m, walks), dtype=itype)  # term index of every step, in time order
+    index = np.empty((blocks, m, walks), dtype=np.int64)  # term index of every step, in time order
     buf = np.zeros((_WALK_SUB_STEPS + 1, walks))  # row 0: the running sums carried in
     # Indices are in range by construction; mode="clip" lets take write to ``out`` unbuffered.
     for block in _walk_symbols(seeds, walk_length, repeats, k):
@@ -417,10 +419,10 @@ def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> n
                 np.add(states[i - 1, :full + 1], by_block[:full + 1, i - 1, None], out=fill[:full + 1])
                 step.take(fill[:full + 1], out=states[i, :full + 1], mode="clip")
             x = states[steps % m, steps // m].copy()
-            at = index[:full + 1]  # (a * k * n + b * k) // k = a * n + b
-            np.multiply(states[:, :full + 1, 0].transpose(1, 0, 2), n, out=at)
+            states[:, :full + 1] //= k  # the plain state indices a and b
+            at = index[:full + 1]  # a * n + b
+            np.multiply(states[:, :full + 1, 0].transpose(1, 0, 2), n, out=at, dtype=np.int64)
             at += states[:, :full + 1, 1].transpose(1, 0, 2)
-            at //= k
             term.take(at.reshape(-1, walks)[:steps], out=buf[1:steps + 1], mode="clip")
             buf[0] = np.add.reduce(buf[:steps + 1], axis=0)
     return (buf[0] / walk_length).reshape(n_pairs, repeats)

@@ -341,6 +341,22 @@ class TestExperiment:
         assert "seed=2" in (outdir / "model_angles.csv").read_text()
         assert "pairwise angles" in out
 
+    def test_summary_built_once_for_its_file_and_stdout(self, capsys, g2_path, tmp_path, monkeypatch):
+        from procgeom.experiment import ExperimentReport
+
+        calls = []
+        summary = ExperimentReport.summary
+
+        def counted(report):
+            calls.append(1)
+            return summary(report)
+
+        monkeypatch.setattr(ExperimentReport, "summary", counted)
+        outdir = tmp_path / "exp"
+        code, out, _ = run(capsys, "experiment", g2_path, "--length", "2000", "--outdir", str(outdir))
+        assert (code, len(calls)) == (0, 1)
+        assert (outdir / "summary.txt").read_text(encoding="utf-8") == out
+
     def test_pair_without_a_defined_angle_leaves_an_empty_cell(self, capsys, tmp_path):
         # T and 0.1 T share a permutation structure and 0.1 T's rows are
         # nearly uniform: the joint search for their start runs out of depth

@@ -78,6 +78,9 @@ def power_iteration_stationary(g, iters=10_000, tol=1e-14):
 
 
 class TestConstruction:
+    def test_repr_names_size_alphabet_and_states(self, g2):
+        assert repr(g2) == "Pfsa(|Q|=2, alphabet=['0', '1'], states=['A', 'B'])"
+
     def test_duplicate_state_names_rejected(self):
         with pytest.raises(InvalidPfsa):
             Pfsa(["0", "1"], ["A", "A"], np.zeros((2, 2), dtype=int), np.full((2, 2), 0.5))

@@ -626,6 +626,25 @@ class TestInnerMc:
                                       np.random.SeedSequence(5).spawn(len(pairs)))
             assert walks.tobytes() == scalar_pair_walks(pairs, starts, walk_length, 3, 5).tobytes()
 
+    def test_pair_state_kernel_matches_scalar_walks_when_k_n_n_passes_2_31(self):
+        # 2 + 2,900 stacked states on 256 symbols: a row offset a * k times n
+        # passes 2**31 once the first component is one of the big machine's
+        # last states, as at the start of the second pair
+        k = 256
+        rng = np.random.default_rng(11)
+
+        def machine(n):
+            rows = np.maximum(rng.dirichlet([2.0] * k, n), 1e-3)
+            return Pfsa([str(s) for s in range(k)], [f"s{i}" for i in range(n)],
+                        rng.integers(0, n, (n, k)), rows / rows.sum(axis=1, keepdims=True))
+
+        small, big = machine(2), machine(2900)
+        n = small.n_states + big.n_states
+        pairs, starts = [(small, big), (big, small)], [(1, 2899), (2899, 0)]
+        assert k * n * n >= 2**31 and (2 + 2899) * k * n >= 2**31
+        walks = _pair_state_walks(pairs, starts, 600, 2, np.random.SeedSequence(4).spawn(2))
+        assert walks.tobytes() == scalar_pair_walks(pairs, starts, 600, 2, 4).tobytes()
+
     def test_pair_state_walks_take_bounded_memory_at_44_states(self):
         # a benchmark-sized pair (44 and 43 states): its 3 * 87-row jump
         # table, the sub-block buffers and one block of symbols
@@ -1243,6 +1262,22 @@ class TestLargePairChains:
         # the dense solve's value, bit for bit
         assert repr(inner_exact(p, p).value) == "0.5737703913841145"
         assert count_dense == [200]
+
+    def test_iteration_at_its_step_cap_falls_back_to_the_dense_solve(self, monkeypatch, count_dense):
+        # 20 steps certify no recipe sink of 266 states, and no projection
+        # runs before step 250, so the loop ends and the iteration gives up
+        import procgeom.pfsa as pfsa
+        import procgeom.process as process
+
+        monkeypatch.setattr(pfsa, "_POWER_STEP_CAP", 20)
+        p, q = random_process(24, 6), random_process(24, 11)
+        block, _, _ = process._pair_sink(p.machine, q.machine)
+        w = np.full(block.shape, 0.5)
+        assert block.shape[0] == 266 > pfsa._POWER_MIN_STATES
+        assert pfsa._power_iterate(block, w) is None
+        dense = pfsa._dense_stationary(pfsa._chain_matrix(block, w))
+        assert pfsa._stationary(block, 0.5).tobytes() == dense.tobytes()
+        assert count_dense == [266, 266]
 
     @staticmethod
     def power_iterate_by_axpy(block, w):

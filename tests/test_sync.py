@@ -71,6 +71,40 @@ class TestCertificatesReplay:
                 assert_replays(machine, r, r.string)
                 assert len(r.string) == best_len
 
+    @pytest.mark.parametrize("partner, max_depth, certified",
+                             [(None, None, True), (make_m2, None, True), (make_g2, 6, False)],
+                             ids=["t3", "t3-m2", "t3-g2-depth6"])
+    def test_truncated_frontier_certifies_or_reports_its_best(self, monkeypatch, partner,
+                                                              max_depth, certified):
+        # a frontier of more than 4 entries is cut to its best 2: the search
+        # still ends in a certificate, or in a best result that replays
+        import heapq
+
+        import procgeom.sync as sync
+
+        cuts = []
+        nsmallest = heapq.nsmallest
+
+        def counted(n, heap):
+            cuts.append((n, len(heap)))
+            return nsmallest(n, heap)
+
+        monkeypatch.setattr(sync, "FRONTIER_CAP", 4)
+        monkeypatch.setattr(heapq, "nsmallest", counted)
+        machines = (make_t3(),) if partner is None else (make_t3(), partner())
+        eps = 1e-6
+        if certified:
+            results, string = sync._frontier_search(machines, eps, max_depth)
+            assert all(r.achieved >= 1.0 - eps for r in results)
+        else:
+            with pytest.raises(DepthExceeded) as exc_info:
+                sync._frontier_search(machines, eps, max_depth)
+            results = exc_info.value.best
+            string = results[0].string
+        assert cuts and all(n == 2 and size > 4 for n, size in cuts)
+        for machine, r in zip(machines, results):
+            assert_replays(machine, r, string)
+
 
 class TestEpsilonSynchronize:
     def test_g2_synchronizes_on_zero(self, g2):
