@@ -38,7 +38,7 @@ _POWER_CHECK_STEPS = 250  # steps between projections of the residual to the cap
 _POWER_TEST_STEPS = 10  # steps between residual tests; divides _POWER_CHECK_STEPS
 _POWER_STEP_WEIGHT = 0.9  # x <- (1 - a) x + a xP; any a < 1 keeps the chain aperiodic
 _POWER_RESIDUAL_EPS = 4 * np.finfo(np.float64).eps
-_JUMP_TABLE_ENTRIES = 1 << 16  # cap on a block-jump table (sampler and pair-state walks)
+_JUMP_TABLE_ENTRIES = 1 << 16  # cap on a block table: the sampler's, and the pair-state walk's visit table
 _STITCH_BLOCKS = 32  # blocks per stitched chunk; 8 to 64 were equally fast
 
 
@@ -728,24 +728,30 @@ def _letters(draws: np.ndarray, cuts: np.ndarray, size: int) -> np.ndarray:
     return count
 
 
-def _jump_table(step: np.ndarray) -> tuple[int, np.ndarray]:
-    """Block length ``m`` and the ``m``-letter jump table of a one-step table.
+def _visit_table(step: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Block length ``m``, and the states every ``m``-letter block visits.
 
     ``step[q, a]`` is the state ``q`` moves to on letter ``a``, for ``n``
-    states and ``width`` letters.  ``m`` is the longest block whose table
-    has at most ``_JUMP_TABLE_ENTRIES`` entries (``n * width ** m``), and
-    at least 1.  ``jump[q, code]`` is the state after the ``m`` letters of
-    ``code`` (base ``width``, first letter most significant), built by
-    ``m - 1`` gathers of ``step``.
+    states and ``width`` letters.  Row ``q * width ** m + code`` of
+    ``visit`` holds the ``m`` states that the letters of ``code`` (base
+    ``width``, first letter most significant) visit from ``q``, ``q``
+    first, and the same entry of ``after`` the state after the block.
+    ``m`` is the longest block whose ``visit`` has at most
+    ``_JUMP_TABLE_ENTRIES`` entries (``n * width ** m * m``), and at least
+    1.  Column ``i`` is the state after each ``i``-letter prefix, found by
+    ``i`` gathers of ``step`` and repeated for the ``width ** (m - i)``
+    codes that share the prefix.
     """
     n, width = step.shape
     m = 1
-    while n * width ** (m + 1) <= _JUMP_TABLE_ENTRIES:
+    while n * width ** (m + 1) * (m + 1) <= _JUMP_TABLE_ENTRIES:
         m += 1
-    jump = step
-    for _ in range(m - 1):
-        jump = np.take(step, jump, axis=0).reshape(n, -1)
-    return m, jump
+    visit = np.empty((n * width ** m, m), dtype=step.dtype)
+    at = np.arange(n, dtype=step.dtype)  # entry q * width ** i + prefix, prefixes in code order
+    for i in range(m):
+        visit[:, i] = np.repeat(at, width ** (m - i))
+        at = np.take(step, at, axis=0).ravel()
+    return m, visit, at
 
 
 def _stitched_starts(offsets: np.ndarray, width: int, codes: np.ndarray, q: int) -> np.ndarray:
@@ -815,9 +821,9 @@ def _block_tables(step: np.ndarray, sym: np.ndarray, k: int):
     ``step[q, a]`` and ``sym[q, a]`` are the state ``q`` moves to and the
     symbol it emits on letter ``a``, for ``n`` states, ``width`` letters and
     ``k`` symbols.  ``jump[q, code]`` is the state after the ``m`` letters of
-    ``code`` (base ``width``, first letter most significant), as
-    :func:`_jump_table` builds it, and ``emit[q, code]`` holds the ``m``
-    symbols emitted on the way, packed in base ``k`` in the same order.
+    ``code`` (base ``width``, first letter most significant), and
+    ``emit[q, code]`` holds the ``m`` symbols emitted on the way, packed in
+    base ``k`` in the same order.
     Both grow by the same ``m - 1`` row gathers, one letter put in front
     each time: letter ``a`` moves ``q`` to ``step[q, a]``, where the rest
     of the block goes on, and puts ``sym[q, a]`` in front of its symbols.

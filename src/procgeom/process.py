@@ -33,11 +33,11 @@ from .errors import MultipleRecurrentClasses, ZeroNorm
 from .pfsa import (
     Pfsa,
     _extend_word,
-    _jump_table,
     _reachable,
     _renumber,
     _sink_components,
     _stationary,
+    _visit_table,
     belief_from_string,
     canonicalize,
     check_same_alphabet,
@@ -351,26 +351,23 @@ def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> n
     components of every walk move through one table.
 
     The walk is tabulated like :func:`~procgeom.pfsa.generate_sequence`:
-    :func:`~procgeom.pfsa._jump_table` gives the state after each block of
-    ``m`` symbols, so Python takes one step per block to find every block's
-    start, and ``m - 1`` vectorised gathers of ``delta`` then fill in the
-    states inside all blocks at once.  This runs over sub-blocks of
-    ``_WALK_SUB_STEPS`` steps in buffers allocated once per call; the last
-    block of a sub-block runs past its end on padding symbols, so the
-    state it ends in is known without a per-step tail.  Each walk's sum
-    stays a running sum in time order: one ``np.add.reduce`` along the
-    steps of a buffer whose first row is the sum carried in.
+    :func:`~procgeom.pfsa._visit_table` gives, for each start and block of
+    ``m`` symbols, the ``m`` states the block visits and the state after
+    it.  Python takes one step per block, an add and a gather, to find
+    every block's start and its row of the visit table, and one gather of
+    those rows then writes every state of every block at once.  This runs
+    over sub-blocks of ``_WALK_SUB_STEPS`` steps in buffers allocated once
+    per call; the last block of a sub-block runs past its end on padding
+    symbols, so the state it ends in is known without a per-step tail.
+    Each walk's sum stays a running sum in time order: one
+    ``np.add.reduce`` along the steps of a buffer whose first row is the
+    sum carried in.
 
-    Tables, offsets, codes and states are int32, as every entry stays
-    below ``max(n * k, 2**16)``.  The term indices ``a * n + b`` are
-    int64, formed after the states are divided by ``k`` in int32, so no
-    int32 value passes ``2**31`` even where ``k * n * n`` does; that
-    measured faster than an int64 floor division of ``a * k * n + b * k``.
-    The indices of the per-step gathers of ``step`` are int64 too, which
-    ``take`` reads without first converting them.  A block's code is
-    stored once for each side: adding a code row of shape ``(walks,)``
-    to the ``(2, walks)`` block starts by broadcasting measured slower in
-    the per-block loop.
+    The tables and states are int32 and the row indices and term indices
+    ``a * n + b`` int64, so no value passes its type's range whatever
+    ``k * n * n`` is, and ``take`` reads its indices without converting
+    them.  A block's code is stored once for each side, so the per-block
+    add has operands of one shape.
 
     Symbols come from :func:`_walk_symbols` as in :func:`_batched_pair_walks`,
     and from the same one-hot start the two kernels agree bit for bit: the
@@ -385,44 +382,40 @@ def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> n
     delta = np.concatenate([g._delta + first[id(g)] for g in machines], dtype=np.int32)
     lr = log_ratios(np.concatenate([g._morph for g in machines]))
     term = np.einsum("as,bs->ab", lr, lr).ravel()
-    m, hop = _jump_table(delta)
-    inner = k ** (m - 1)
-    hop = (hop * (k * inner)).ravel()  # successors as row offsets: q's row starts at q * k * inner
-    step = (delta * k).ravel()  # the same for one symbol: state q's row starts at q * k
+    m, visit, after = _visit_table(delta)
+    span = k ** m  # codes per start: state q's rows start at q * span
+    after = np.multiply(after, span, dtype=np.int64)  # the state after a block, as its row offset
     powers = k ** np.arange(m - 1, -1, -1)  # a block's code, first symbol most significant
 
-    # Every state below is held times k, as its row offset in ``step``.
     # x[side, walk] is the walk's current g-state (side 0) or h-state (side 1).
-    x = k * np.array([[first[id(pair[side])] + start[side] for pair, start in zip(pairs, starts)
-                       for _ in range(repeats)] for side in (0, 1)], dtype=np.int32)
+    x = np.array([[first[id(pair[side])] + start[side] for pair, start in zip(pairs, starts)
+                   for _ in range(repeats)] for side in (0, 1)], dtype=np.int32)
     blocks = _WALK_SUB_STEPS // m + 1  # a sub-block's blocks; the last one runs past its end
     pad = np.zeros((blocks * m, walks), dtype=np.int64)  # a sub-block's symbols, then padding
     by_block = pad.reshape(blocks, m, walks)
-    codes = np.empty((blocks, 2, walks), dtype=np.int32)  # a block's code, once for each side
-    states = np.empty((m, blocks, 2, walks), dtype=np.int32)  # [i, j]: at step j * m + i
-    fill = np.empty((blocks, 2, walks), dtype=np.int64)  # indices into ``step``
+    codes = np.empty((blocks, 2, walks), dtype=np.int64)  # a block's code, once for each side
+    rows = np.empty((blocks, 2, walks), dtype=np.int64)  # a block's row of ``visit``
+    states = np.empty((blocks, 2, walks, m), dtype=np.int32)  # [j, :, :, i]: at step j * m + i
     index = np.empty((blocks, m, walks), dtype=np.int64)  # term index of every step, in time order
     buf = np.zeros((_WALK_SUB_STEPS + 1, walks))  # row 0: the running sums carried in
+    row_of, code_of = list(rows), list(codes)  # per-block views, so the block loop slices nothing
     # Indices are in range by construction; mode="clip" lets take write to ``out`` unbuffered.
     for block in _walk_symbols(seeds, walk_length, repeats, k):
         for t0 in range(0, block.shape[0], _WALK_SUB_STEPS):
             steps = min(_WALK_SUB_STEPS, block.shape[0] - t0)
             full = steps // m  # blocks wholly inside the sub-block
             pad[:steps] = block[t0:t0 + steps]
-            codes[:full] = np.matmul(powers, by_block[:full])[:, None]
-            heads = states[0]  # block starts, first as row offsets in ``hop``
-            np.multiply(x, inner, out=heads[0])
-            for j in range(full):
-                hop.take(heads[j] + codes[j], out=heads[j + 1], mode="clip")
-            heads[:full + 1] //= inner
-            for i in range(1, m):
-                np.add(states[i - 1, :full + 1], by_block[:full + 1, i - 1, None], out=fill[:full + 1])
-                step.take(fill[:full + 1], out=states[i, :full + 1], mode="clip")
-            x = states[steps % m, steps // m].copy()
-            states[:, :full + 1] //= k  # the plain state indices a and b
+            codes[:full + 1] = np.matmul(powers, by_block[:full + 1])[:, None]
+            np.multiply(x, span, out=rows[0])
+            rows[0] += codes[0]
+            for row, nxt, code in zip(row_of[:full], row_of[1:full + 1], code_of[1:full + 1]):
+                after.take(row, out=nxt, mode="clip")
+                np.add(nxt, code, out=nxt)
+            visit.take(rows[:full + 1], axis=0, out=states[:full + 1], mode="clip")
+            x = states[full, :, :, steps % m].copy()
             at = index[:full + 1]  # a * n + b
-            np.multiply(states[:, :full + 1, 0].transpose(1, 0, 2), n, out=at, dtype=np.int64)
-            at += states[:, :full + 1, 1].transpose(1, 0, 2)
+            np.multiply(states[:full + 1, 0].transpose(0, 2, 1), n, out=at, dtype=np.int64)
+            at += states[:full + 1, 1].transpose(0, 2, 1)
             term.take(at.reshape(-1, walks)[:steps], out=buf[1:steps + 1], mode="clip")
             buf[0] = np.add.reduce(buf[:steps + 1], axis=0)
     return (buf[0] / walk_length).reshape(n_pairs, repeats)

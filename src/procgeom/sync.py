@@ -64,8 +64,9 @@ def _merge_table(g: Pfsa):
     ``n * n``, more than any pair's distance, so that the closest pair of a
     set of states is the ``argmin`` of a gather of ``dist``.  ``first``
     holds the smallest symbol that starts a shortest merging word of each
-    pair (-1 on the diagonal).  None means some pair never merges, so no
-    word merges all states.
+    pair (-1 on the diagonal), read off the finished distances: a symbol
+    starts one when it leads the pair one step closer to the diagonal.
+    None means some pair never merges, so no word merges all states.
     """
     n = g.n_states
     pdT = np.ascontiguousarray(_pair_delta(g, g).T)
@@ -75,13 +76,13 @@ def _merge_table(g: Pfsa):
     level[:: n + 1] = True
     dist[level] = depth = 0
     while level.any():
-        hit = level[pdT]
-        level = hit.any(axis=0) & (dist < 0)
+        level = level[pdT].any(axis=0) & (dist < 0)
         depth += 1
-        first[level] = hit[:, level].argmax(axis=0)
         dist[level] = depth
     if (dist < 0).any():
         return None
+    for s in range(g.n_symbols - 1, -1, -1):  # the smallest symbol is written last
+        first[dist.take(pdT[s]) == dist - 1] = s
     dist[:: n + 1] = n * n
     return pdT, dist.reshape(n, n), first
 

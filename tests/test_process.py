@@ -586,6 +586,30 @@ class TestInnerMc:
             assert walks.tobytes() == expected.tobytes(), walk_length
 
     @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    def test_visit_table_matches_a_per_letter_loop(self, monkeypatch, k):
+        # row q * k**m + code: the m states the block of code's letters (first
+        # letter most significant) visits from q, q first, and the state after
+        # it; at the cap, and at a cap of one entry, which leaves blocks of one
+        import procgeom.pfsa as pfsa
+
+        p, q = random_process(9, 1, k).machine, random_process(10, 2, k).machine
+        delta = np.concatenate([p._delta, q._delta + p.n_states]).astype(np.int32)
+        n = delta.shape[0]
+        for entries in (pfsa._JUMP_TABLE_ENTRIES, 1):
+            monkeypatch.setattr(pfsa, "_JUMP_TABLE_ENTRIES", entries)
+            m, visit, after = pfsa._visit_table(delta)
+            assert m == block_length(n, k) and (m > 1) == (entries > 1)
+            assert visit.shape == (n * k ** m, m) and after.shape == (n * k ** m,)
+            assert visit.dtype == after.dtype == np.int32
+            assert m == 1 or visit.size <= entries
+            for row in range(n * k ** m):
+                state, code = divmod(row, k ** m)
+                for i in range(m):
+                    assert visit[row, i] == state
+                    state = delta[state, code // k ** (m - 1 - i) % k]
+                assert after[row] == state
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
     def test_outer_term_table_equals_the_row_pair_table(self, k):
         # the kernel's n x n table of lg_a . lh_b as one "as,bs->ab" einsum
         # holds the bits of the per-row-pair dot products over repeated and
@@ -612,9 +636,9 @@ class TestInnerMc:
         assert np.array_equal(symbols, np.stack(draws, axis=1))
         assert symbols.max() == k - 1
 
-    @pytest.mark.parametrize("entries, m", [(1, 1), (100, 2), (400, 4)])
+    @pytest.mark.parametrize("entries, m", [(1, 1), (200, 2), (2000, 4)])
     def test_pair_state_kernel_matches_scalar_walks_at_short_blocks(self, monkeypatch, entries, m):
-        # a smaller cap on the jump table gives shorter blocks
+        # a smaller cap on the visit table gives shorter blocks
         import procgeom.pfsa as pfsa
 
         monkeypatch.setattr(pfsa, "_JUMP_TABLE_ENTRIES", entries)
@@ -646,8 +670,9 @@ class TestInnerMc:
         assert walks.tobytes() == scalar_pair_walks(pairs, starts, 600, 2, 4).tobytes()
 
     def test_pair_state_walks_take_bounded_memory_at_44_states(self):
-        # a benchmark-sized pair (44 and 43 states): its 3 * 87-row jump
-        # table, the sub-block buffers and one block of symbols
+        # a benchmark-sized pair (44 and 43 states): the visit table of its
+        # 87 stacked states (at most 2**16 entries), the sub-block buffers and
+        # one block of symbols
         p, q = random_process(56, 5), random_process(56, 6)
         assert (p.machine.n_states, q.machine.n_states) == (44, 43)
         tracemalloc.start()
@@ -1063,11 +1088,12 @@ class TestCertifiedSinkRule:
 
 def block_length(n, k):
     # steps per block of the pair-state walk over n stacked states: the
-    # longest block whose jump table fits the cap, and at least one
+    # longest block whose visit table, n * k**m rows of m states, fits the
+    # cap, and at least one
     import procgeom.pfsa as pfsa
 
     m = 1
-    while n * k ** (m + 1) <= pfsa._JUMP_TABLE_ENTRIES:
+    while n * k ** (m + 1) * (m + 1) <= pfsa._JUMP_TABLE_ENTRIES:
         m += 1
     return m
 

@@ -312,6 +312,48 @@ class TestResetWord:
                 names = None if word is None else tuple(p.alphabet[s] for s in word)
                 assert names == reset_word_reference(*call), (seed, call)
 
+    @staticmethod
+    def merging_reference(g, i, j):
+        """Breadth-first search forward from the one pair (i, j): the length
+        of a shortest word that merges it and the smallest first symbol of
+        such a word, or None if no word merges it."""
+        delta = g._delta.tolist()
+        seen, level, depth = {(i, j)}, {(i, j): None}, 0
+        while level:
+            depth += 1
+            nxt = {}  # each pair first reached at this depth: the smallest first symbol that reaches it
+            for (a, b), start in level.items():
+                for s in range(g.n_symbols):
+                    pair, word_start = (delta[a][s], delta[b][s]), s if start is None else start
+                    if pair not in seen:
+                        nxt[pair] = min(nxt.get(pair, word_start), word_start)
+            merged = [start for (a, b), start in nxt.items() if a == b]
+            if merged:
+                return depth, min(merged)
+            seen.update(nxt)
+            level = nxt
+        return None
+
+    def test_merge_table_matches_per_pair_searches(self):
+        # every pair of a machine of up to 10 states and 40 seeded pairs of
+        # each larger one; a machine without a table has a pair that never merges
+        from procgeom.sync import _merge_table
+
+        rng = np.random.default_rng(0)
+        machines = [m for seed in range(60) for m in self.seeded_machines(seed)] + [self.cerny(8)]
+        for g in machines:
+            n, table = g.n_states, _merge_table(g)
+            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+            if table is None:
+                assert any(self.merging_reference(g, i, j) is None for i, j in pairs)
+                continue
+            _, dist, first = table
+            assert (np.diag(dist) == n * n).all() and (first[:: n + 1] == -1).all()
+            if len(pairs) > 100:
+                pairs = [pairs[t] for t in rng.choice(len(pairs), 40, replace=False)]
+            for i, j in pairs:
+                assert (dist[i, j], first[i * n + j]) == self.merging_reference(g, i, j), (n, i, j)
+
     def test_rejects_bad_input(self, g2, u3):
         with pytest.raises(AlphabetMismatch):
             reset_word(g2, u3)
