@@ -16,17 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pfsa
 from .errors import DepthExceeded, NotErgodic, ZeroNorm
 from .pfsa import Pfsa, _sampler
 from .process import ProcessHandle, angle, as_process, scale_process
 from .simplex import _check_int
 from .streams import (
-    SymbolStream,
     _check_depth,
     _check_length,
     _check_smoothing,
-    estimate_derivatives,
-    stream_stats,
+    _count_stats,
+    _estimate_pieces,
     table_angle,
 )
 
@@ -61,7 +61,8 @@ class ExperimentReport:
     recurrent classes reachable from it).  ``zero_norm`` flags the models
     whose own norm is zero; ``empirical_angles`` holds stream-level angles
     with the self-angle diagnostics on the diagonal.  Both matrices are
-    symmetric.
+    symmetric.  ``stream_means`` and ``stream_stds`` hold the mean and
+    std of each stream's symbol indices, taken from its symbol counts.
     """
 
     config: ExperimentConfig
@@ -127,11 +128,14 @@ def run_noise_experiment(base: Pfsa, config: ExperimentConfig = ExperimentConfig
 
     Streams are sampled one at a time, in the seed order of
     ``SeedSequence(config.seed).spawn(n_models)`` and then two children per
-    model; each is reduced to its mean, std and context table before the
-    next is sampled, so peak memory holds about two streams of
-    ``8 * config.stream_length`` bytes, not all of them.  Each model's
-    sampling tables are built once, serve both of its streams, and are
-    freed before the next model's are built.
+    model.  No stream is ever held: each is sampled and counted in one
+    pass, in pieces of at most ``pfsa._STREAM_CHUNK`` symbols written over
+    one buffer, so memory does not grow with ``config.stream_length``.  The pass counts the
+    stream's windows, and its symbol counts give the mean and std: the
+    mean equals :func:`~procgeom.streams.stream_stats`' bit for bit, the
+    std may differ from it in its last bits.  Each model's sampling tables
+    are built once, serve both of its streams, and are freed before the
+    next model's are built.
 
     Raises
     ------
@@ -159,19 +163,22 @@ def run_noise_experiment(base: Pfsa, config: ExperimentConfig = ExperimentConfig
     labels = tuple(f"{a:g}G" for a in config.scales)
     n = len(models)
 
-    # rebinding ``stream`` frees the one before once the next is sampled;
-    # freeing it earlier, by ``del``, made more page faults and slower ops
     seeds = np.random.SeedSequence(config.seed).spawn(n)
     means = np.empty((n, 2))
     stds = np.empty((n, 2))
     tables = []
     for i, m in enumerate(models):
-        draw, per_model = _sampler(m.machine), []
+        pieces, per_model = _sampler(m.machine), []
         for s, seed in enumerate(seeds[i].spawn(2)):
-            stream = SymbolStream(draw(config.stream_length, seed), m.machine.alphabet)
-            means[i, s], stds[i, s] = stream_stats(stream)
-            per_model.append(estimate_derivatives(stream, config.depth, config.smoothing))
-        del draw  # frees this model's sampling tables before the next model's are built
+            # one buffer holds a stream's pieces; rebinding frees the one
+            # before only once the next is allocated, which made about half
+            # the page faults of one buffer kept for every stream
+            buffer = np.empty(min(config.stream_length, pfsa._STREAM_CHUNK), dtype=np.int64)
+            table, counts = _estimate_pieces(pieces(config.stream_length, seed, buffer),
+                                             m.machine.alphabet, config.depth, config.smoothing)
+            means[i, s], stds[i, s] = _count_stats(counts)
+            per_model.append(table)
+        del pieces  # frees this model's sampling tables before the next model's are built
         tables.append(per_model)
 
     # each model keeps its norm, so each norm and each cross pair is solved

@@ -40,15 +40,19 @@ _POWER_STEP_WEIGHT = 0.9  # x <- (1 - a) x + a xP; any a < 1 keeps the chain ape
 _POWER_RESIDUAL_EPS = 4 * np.finfo(np.float64).eps
 _JUMP_TABLE_ENTRIES = 1 << 16  # cap on a block table: the sampler's, and the pair-state walk's visit table
 _STITCH_BLOCKS = 32  # blocks per stitched chunk; 8 to 64 were equally fast
+_STREAM_CHUNK = 1 << 20  # symbols per sampled piece, rounded down to whole stitched chunks
 
 
 def _check_names(names, kind: str) -> tuple[str, ...]:
     out = tuple(str(n) for n in names)
     if len(set(out)) != len(out):
         raise InvalidPfsa(f"duplicate {kind} names")
-    for n in out:
-        if not n or n.split() != [n]:
-            raise InvalidPfsa(f"{kind} name {n!r} is empty or contains whitespace")
+    # one split of the joined names gives them back exactly when none is
+    # empty or holds whitespace; the loop only names the first bad one
+    if " ".join(out).split() != list(out):
+        for n in out:
+            if not n or n.split() != [n]:
+                raise InvalidPfsa(f"{kind} name {n!r} is empty or contains whitespace")
     return out
 
 
@@ -849,11 +853,23 @@ def _block_tables(step: np.ndarray, sym: np.ndarray, k: int):
 
 
 def _sampler(g: Pfsa):
-    """Build the sampling tables of ``g`` once; returns ``draw(length,
-    seed)``, which samples from them as :func:`generate_sequence` does.
+    """Build the sampling tables of ``g`` once; returns ``pieces(length,
+    seed, out)``, which samples as :func:`generate_sequence` does, writes
+    the stream into the int64 array ``out`` in pieces of at most
+    ``_STREAM_CHUNK`` symbols, and yields each piece once it is written.
 
-    The tables live as long as ``draw``, so a caller that samples several
-    streams of one machine builds them once and frees them with ``draw``;
+    A piece holds a whole number of stitched chunks (at least one), and the
+    state and the generator carry over from one piece to the next;
+    ``Generator.random`` in pieces returns the doubles of one call, so the
+    pieces joined are the one-call stream.  If ``out`` holds ``length``
+    symbols, each piece goes to its place in it; otherwise each goes over
+    the one before, from the start of ``out``, which must hold
+    ``min(length, _STREAM_CHUNK)`` symbols, so a caller that counts the
+    pieces holds one piece at a time.  A zero ``length`` yields one empty
+    piece.
+
+    The tables live as long as ``pieces``, so a caller that samples several
+    streams of one machine builds them once and frees them with ``pieces``;
     the block walk keeps its jump table only as the flat offsets that
     :func:`_stitched_starts` reads.
     ``length`` is not checked here.
@@ -863,10 +879,12 @@ def _sampler(g: Pfsa):
     cum = np.cumsum(g._morph, axis=1)[:, :-1]
     cuts = np.unique(cum)
     letters = cuts.size + 1
+    chunk = 1  # symbols per stitched chunk, or 1 where nothing is stitched
     if n == 1 and k <= 256:
-        def fill(q, length, rng):
+        def fill(q, out, rng):
             # the symbol is the number of the row's thresholds at or below the draw
-            return _letters(rng.random(length), cum[0], length).astype(np.int64)
+            out[:] = _letters(rng.random(out.size), cum[0], out.size)
+            return q
     elif n > 1 and n * letters ** 2 <= _JUMP_TABLE_ENTRIES and 2 * k ** 2 <= _JUMP_TABLE_ENTRIES:
         # sym[q, a] counts the thresholds of row q at or below cuts[a - 1]
         rank = np.searchsorted(cuts, cum) + 1 + letters * np.arange(n)[:, None]
@@ -874,9 +892,10 @@ def _sampler(g: Pfsa):
         m, jump, emit, digits = _block_tables(g._delta[np.arange(n)[:, None], sym], sym, k)
         emit, span = emit.ravel(), jump.shape[1]
         offsets = (jump * span).ravel()  # a block's end as its row offset, for the stitched walk
-        chunk = _STITCH_BLOCKS * m  # symbols per stitched chunk
+        chunk = _STITCH_BLOCKS * m
 
-        def fill(q, length, rng):
+        def fill(q, out, rng):
+            length = out.size
             size = -(-length // chunk) * chunk
             by_block = _letters(rng.random(length), cuts, size).reshape(-1, m)
             codes = by_block[:, 0].astype(np.int64)  # in base ``letters`` by Horner's rule
@@ -884,31 +903,41 @@ def _sampler(g: Pfsa):
                 codes *= letters
                 codes += by_block[:, i]
             del by_block
-            # each block's cell of ``emit``
+            # each block's cell of ``emit``, whose offset is where the block ends
             codes += _stitched_starts(offsets, span, codes.copy(), q) * span
+            if codes.size:  # the state after the last block, past the padding only in a stream's last piece
+                q = int(offsets[codes[-1]]) // span
             codes = emit[codes]  # each block's symbols, packed
-            out = np.empty(size, dtype=np.int64)
+            whole, tail = divmod(length, m)
             # every code is in range; "clip" writes straight into ``out``, where
             # "raise" would fill a buffered copy of it first
-            np.take(digits, codes, axis=0, out=out.reshape(-1, m), mode="clip")
-            return out[:length]
+            np.take(digits, codes[:whole], axis=0, out=out[:length - tail].reshape(whole, m), mode="clip")
+            if tail:
+                out[length - tail:] = digits[codes[whole], :tail]
+            return q
     else:
         cum_rows, delta_rows = cum.tolist(), g._delta.tolist()
 
-        def fill(q, length, rng):
-            out = []
-            for x in memoryview(rng.random(length)):
+        def fill(q, out, rng):
+            symbols = []
+            for x in memoryview(rng.random(out.size)):
                 s = bisect_right(cum_rows[q], x)
-                out.append(s)
+                symbols.append(s)
                 q = delta_rows[q][s]
-            return np.array(out, dtype=np.int64)
+            out[:] = symbols
+            return q
+    piece = max(_STREAM_CHUNK // chunk, 1) * chunk
 
-    def draw(length, seed):
+    def pieces(length, seed, out):
         rng = np.random.default_rng(seed)
         q = int(rng.choice(n, p=pi))
-        return _freeze(fill(q, length, rng))
+        for start in range(0, max(length, 1), piece):
+            begin = start if out.size >= length else 0  # its place, or over the piece before
+            at = out[begin:begin + min(piece, length - start)]
+            q = fill(q, at, rng)
+            yield at
 
-    return draw
+    return pieces
 
 
 def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
@@ -918,8 +947,10 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
     chain emits from the current row and follows the transition map.
     Deterministic for a fixed seed.
 
-    The draws are one ``rng.choice`` for the start state, then one
-    ``rng.random(length)``.  From state ``q`` a draw ``u`` emits the symbol
+    The draws are one ``rng.choice`` for the start state, then the doubles
+    of one ``rng.random(length)``, drawn in pieces of at most
+    ``_STREAM_CHUNK`` symbols with the state carried from piece to piece
+    (:func:`_sampler`).  From state ``q`` a draw ``u`` emits the symbol
     ``bisect_right(cum[q], u)``, where ``cum[q]`` is the running sum of
     ``q``'s row without its last entry, so a draw above a sum that rounds
     below one still emits the last symbol.  Small machines tabulate that
@@ -942,14 +973,15 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
       ``_JUMP_TABLE_ENTRIES`` entries (``n * L ** m``, and ``m * k ** m``
       for the table that unpacks ``emit``), so ``m >= 2`` needs
       ``L <= 256`` and a letter fits a byte.
-    * The letters are padded with 0 to whole chunks of ``_STITCH_BLOCKS``
-      blocks, and a block's code is its ``m`` letters in base ``L``, folded
-      by Horner's rule.  Each block's start state comes from the codes by
+    * A piece's letters are padded with 0 to whole chunks of
+      ``_STITCH_BLOCKS`` blocks (only a stream's last piece needs it), and
+      a block's code is its ``m`` letters in base ``L``, folded by Horner's
+      rule.  Each block's start state comes from the codes by
       stitching chunks walked from every state at once
       (:func:`_stitched_starts`), so Python takes one step per chunk.  One
       gather of ``emit`` at every block's start and code, and one lookup
-      of its digits, then write the symbols of all blocks at once, and the
-      first ``length`` are returned.
+      of its digits, then write the symbols of all whole blocks at once,
+      and the digits of a last partial block after them.
     * A one-state machine of at most 256 symbols needs no table or walk:
       every symbol is the number of the row's thresholds at or below its
       draw, counted in a byte the same way.
@@ -971,7 +1003,10 @@ def generate_sequence(g: Pfsa, length: int, seed) -> np.ndarray:
     _check_int(length, "length")
     if length < 0:
         raise ValueError("length must be >= 0")
-    return _sampler(g)(length, seed)
+    out = np.empty(length, dtype=np.int64)
+    for _ in _sampler(g)(length, seed, out):
+        pass
+    return _freeze(out)
 
 
 # ---------------------------------------------------------------------------

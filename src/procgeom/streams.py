@@ -73,7 +73,16 @@ def stream_from_model(g: Pfsa, length: int, seed) -> SymbolStream:
 
 
 def stream_stats(s: SymbolStream) -> tuple[float, float]:
-    """Mean and (population) standard deviation of the symbol indices."""
+    """Mean and (population) standard deviation of the symbol indices,
+    equal bit for bit to those of the stream's float64 copy
+    (``x.mean()`` and ``x.std()``), without making that copy.
+
+    That contract needs the whole stream in memory: the squared deviations
+    are summed in numpy's pairwise order over all of it.  The noise
+    experiment never holds a stream, so it takes its statistics from the
+    symbol counts instead (``_count_stats``): the same mean, and a std that
+    may differ in its last bits.
+    """
     n = len(s)
     if n == 0:
         raise StreamTooShort("cannot compute stats of an empty stream")
@@ -206,6 +215,72 @@ def _check_length(n: int, depth: int) -> None:
         raise StreamTooShort(f"stream length {n} <= depth {depth}")
 
 
+def _estimate_pieces(pieces, alphabet, depth: int, smoothing: float):
+    """The derivative table of the stream that ``pieces`` yields in order,
+    and the count of each symbol in it, in one pass over the pieces.
+
+    The last ``depth`` symbols of each piece go in front of the next, so a
+    window that spans pieces is counted, and the counts are those of the
+    joined stream however it is cut.  A symbol is counted as the first of
+    its window, or among the ``depth`` symbols left at the end.
+    """
+    k = len(alphabet)
+    # window codes in base k, first symbol most significant, by Horner's
+    # rule, in the narrowest unsigned type that holds the largest code; past
+    # 32 bits in int64, which ``bincount`` takes without a cast
+    bins = k ** (depth + 1)
+    codes = np.min_scalar_type(bins - 1)
+    codes = codes if codes.itemsize < 8 else np.dtype(np.int64)
+    # counted in slices: ``bincount`` casts narrow codes to intp, 8 bytes a
+    # window, so a slice of at least as many windows as bins bounds that
+    # copy by the table's own size or ``_COUNT_SLICE``, whatever the length
+    size = max(_COUNT_SLICE, bins)
+    joint = np.zeros(bins, dtype=np.int64)
+    tail = np.empty(0, dtype=codes)
+    for piece in pieces:
+        indices = piece.astype(codes, copy=False)
+        if tail.size:
+            indices = np.concatenate((tail, indices))
+        n = indices.size - depth
+        if n > 0:
+            window = indices[:n].copy()
+            for i in range(1, depth + 1):
+                window *= k
+                window += indices[i:n + i]
+            for start in range(0, n, size):
+                joint += np.bincount(window[start:start + size], minlength=bins)
+            del window
+        # of this piece only its tail is kept while the next is sampled
+        tail = indices[max(n, 0):].copy()
+        del indices
+    symbols = joint.reshape(k, -1).sum(axis=1) + np.bincount(tail, minlength=k)
+    joint = joint.reshape(k ** depth, k)
+    counts = joint.sum(axis=1)
+    probs = (joint + smoothing) / (counts[:, None] + smoothing * k)
+    table = DerivativeTable(
+        alphabet=alphabet,
+        depth=depth,
+        smoothing=smoothing,
+        counts=_freeze(counts),
+        probs=_freeze(probs),
+    )
+    return table, symbols
+
+
+def _count_stats(counts: np.ndarray) -> tuple[float, float]:
+    """Mean and (population) standard deviation of a stream's symbol
+    indices from ``counts[i]``, the number of times index ``i`` occurs.
+
+    The mean is the exact integer sum over the length, so it has the bits
+    of :func:`stream_stats`; the variance is one correctly rounded sum of
+    ``k`` products, where :func:`stream_stats` sums one square per symbol,
+    so the std may differ from it in its last bits.
+    """
+    n, values = int(counts.sum()), np.arange(counts.size)
+    mean = int(values @ counts) / n
+    return mean, math.sqrt(math.fsum((counts * (values - mean) ** 2).tolist()) / n)
+
+
 def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) -> DerivativeTable:
     """Sliding-window estimates of next-symbol distributions per context.
 
@@ -223,42 +298,27 @@ def estimate_derivatives(s: SymbolStream, depth: int, smoothing: float = 0.5) ->
     StreamTooShort
         If the stream has no window of length ``depth + 1``.
     """
-    k = len(s.alphabet)
-    _check_depth(depth, k)
+    _check_depth(depth, len(s.alphabet))
     _check_smoothing(smoothing)
-    n = len(s)
-    _check_length(n, depth)
-    # window codes in base k, first symbol most significant, by Horner's
-    # rule, in the narrowest unsigned type that holds the largest code; past
-    # 32 bits in int64, which ``bincount`` takes without a cast
-    codes = np.min_scalar_type(k ** (depth + 1) - 1)
-    indices = s.indices.astype(codes if codes.itemsize < 8 else np.int64, copy=False)
-    joint_codes = indices[: n - depth].copy()
-    for i in range(1, depth + 1):
-        joint_codes *= k
-        joint_codes += indices[i : n - depth + i]
-    # counted in slices: ``bincount`` casts narrow codes to intp, 8 bytes a
-    # window, so a slice of at least as many windows as bins bounds that
-    # copy by the table's own size or ``_COUNT_SLICE``, whatever the length
-    bins = k ** (depth + 1)
-    size = max(_COUNT_SLICE, bins)
-    joint = np.zeros(bins, dtype=np.int64)
-    for start in range(0, joint_codes.size, size):
-        joint += np.bincount(joint_codes[start:start + size], minlength=bins)
-    joint = joint.reshape(k**depth, k)
-    counts = joint.sum(axis=1)
-    probs = (joint + smoothing) / (counts[:, None] + smoothing * k)
-    return DerivativeTable(
-        alphabet=s.alphabet,
-        depth=depth,
-        smoothing=smoothing,
-        counts=_freeze(counts),
-        probs=_freeze(probs),
-    )
+    _check_length(len(s), depth)
+    return _estimate_pieces((s.indices,), s.alphabet, depth, smoothing)[0]
 
 
 # ---------------------------------------------------------------------------
 # stream-level inner product and angle
+
+def _charts(t1: DerivativeTable, t2: DerivativeTable) -> tuple[np.ndarray, np.ndarray]:
+    """Both tables' log-ratio charts, once their alphabets and depths are
+    checked to agree."""
+    check_same_alphabet(t1, t2)
+    if t1.depth != t2.depth:
+        raise ValueError(f"depths differ: {t1.depth} vs {t2.depth}")
+    return log_ratios(t1.probs), log_ratios(t2.probs)
+
+
+def _chart_inner(lr1: np.ndarray, lr2: np.ndarray) -> float:
+    return float((lr1 * lr2).sum() / lr1.shape[0])
+
 
 def table_inner(t1: DerivativeTable, t2: DerivativeTable) -> float:
     """Uniform average over contexts of the log-ratio inner products:
@@ -266,10 +326,7 @@ def table_inner(t1: DerivativeTable, t2: DerivativeTable) -> float:
     ``k ** d`` contexts, with ``delta(x, s) = x[1:] s`` and ``t.probs[x]``
     the row of state ``x``.
     """
-    check_same_alphabet(t1, t2)
-    if t1.depth != t2.depth:
-        raise ValueError(f"depths differ: {t1.depth} vs {t2.depth}")
-    return float((log_ratios(t1.probs) * log_ratios(t2.probs)).sum() / t1.probs.shape[0])
+    return _chart_inner(*_charts(t1, t2))
 
 
 def table_norm(t: DerivativeTable) -> float:
@@ -281,21 +338,26 @@ def table_angle(t1: DerivativeTable, t2: DerivativeTable) -> float:
     tables with equal ``probs`` give exactly 0.0, where ``acos`` of their
     rounded cosine may not.
 
-    The cross inner product runs before that test, so tables over
-    different alphabets or depths raise whatever their ``probs``.  The
-    exact route reads its angle from the cross pair chain instead
+    Each table is charted once, and both norms and the cross inner product
+    are taken from the two charts, with the bits of :func:`table_norm` and
+    :func:`table_inner`.  Tables over different alphabets or depths raise
+    before any norm is taken, whatever their ``probs``.  The exact route
+    reads its angle from the cross pair chain instead
     (:func:`procgeom.process.angle`), which stays exact near 0 and
     pi, where this rounded cosine does not.
 
     Raises
     ------
+    AlphabetMismatch, ValueError
+        If the tables' alphabets or depths differ.
     ZeroNorm
         If either table's norm is below ``STREAM_ZERO_NORM_TOL``.
     """
-    norm_1, norm_2 = table_norm(t1), table_norm(t2)
+    lr1, lr2 = _charts(t1, t2)
+    norm_1, norm_2 = math.sqrt(_chart_inner(lr1, lr1)), math.sqrt(_chart_inner(lr2, lr2))
     if norm_1 < STREAM_ZERO_NORM_TOL or norm_2 < STREAM_ZERO_NORM_TOL:
         raise ZeroNorm(f"norm below {STREAM_ZERO_NORM_TOL:g}; angle undefined")
-    cos = table_inner(t1, t2) / (norm_1 * norm_2)
+    cos = _chart_inner(lr1, lr2) / (norm_1 * norm_2)
     return 0.0 if np.array_equal(t1.probs, t2.probs) else math.acos(min(1.0, max(-1.0, cos)))
 
 

@@ -91,6 +91,26 @@ class TestNoiseExperiment:
         assert five < 4 * stream_bytes, five / stream_bytes
         assert abs(five - two) <= 0.05 * two, (two / stream_bytes, five / stream_bytes)
 
+    def test_peak_memory_does_not_grow_with_the_stream_length(self, g2, monkeypatch):
+        # streams are sampled and counted in pieces, so eight times the
+        # symbols leave the peak where it was
+        import tracemalloc
+
+        import procgeom.pfsa as pfsa
+
+        monkeypatch.setattr(pfsa, "_STREAM_CHUNK", 4_096)
+        run_noise_experiment(g2, small_config(stream_length=2_000))  # first-call imports and caches
+        peaks = []
+        for length in (1 << 17, 1 << 20):
+            tracemalloc.start()
+            try:
+                run_noise_experiment(g2, small_config(stream_length=length))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        short, long = peaks
+        assert abs(long - short) <= 0.1 * short, (short, long)
+
     def test_each_model_solves_its_stationary_vector_once(self, g2, monkeypatch):
         import procgeom.pfsa as pfsa
 
@@ -218,18 +238,19 @@ class TestNoiseExperiment:
 
 
 # sha256 of the four output files of ``experiment BASE --length 20000``; the
-# streams are the per-symbol loop's, whatever route the sampler takes
+# streams are the per-symbol loop's, whatever route the sampler takes, and
+# each std in stream_stats.csv is the one of the stream's symbol counts
 PINNED_OUTPUTS = {
     "g2": {
         "model_angles.csv": "d75f4fe9a787b0bca451350bc1184e7cb8cb3f48602b76a601d6127a67a7a0e5",
         "stream_angles.csv": "3c09cfec2af677d3aa538689e9c1f37861cfd86546354b283bd5848149dcd165",
-        "stream_stats.csv": "02217684d5d2030bfdc69a3f0f78499100e672c2589eecc8a03b040104ab58a3",
+        "stream_stats.csv": "53028de0bcba78694ede7739d7d80316aa369f368da93865cc38ba91e08e4c5a",
         "summary.txt": "fa04b2d604147af6dc2bba00aa25c4556ca1816a079badc16f30fc964857f885",
     },
     "r6": {
         "model_angles.csv": "2c4eebb4ed476486101935f31f4f36faa2461720983a8e5512dec2d29ee9e3ff",
         "stream_angles.csv": "e072cd70f79361b0e150f6c519c36099e492857254c7d18f2d1c521a976916ba",
-        "stream_stats.csv": "64ef1240302df9eb4a8eeeecbed0c2a9f69d206e78f0537b0fc390e7e8b14c30",
+        "stream_stats.csv": "26d018c5c9162409e021ab23fe56ff4c1f3dab87ff5a7a864d5c961bbb767df2",
         "summary.txt": "65d29063a73856b7c4457ca0a1fe759cac801ae1f892797ec87870518692702b",
     },
 }

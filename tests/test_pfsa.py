@@ -104,6 +104,12 @@ class TestConstruction:
         with pytest.raises(InvalidPfsa):
             Pfsa([name, "1"], ["A"], [[0, 0]], [[0.5, 0.5]])
 
+    @pytest.mark.parametrize("names, first", [(["A", "a b", ""], "'a b'"), (["", "A", " x"], "''"),
+                                              (["A", "B\tC", "D E"], "'B\\tC'")])
+    def test_the_first_of_several_bad_names_is_reported(self, names, first):
+        with pytest.raises(InvalidPfsa, match=f"^state name {re.escape(first)} is empty or contains"):
+            Pfsa(["0", "1"], names, [[0, 0]] * 3, [[0.5, 0.5]] * 3)
+
     GOOD_DELTA = {"A": {"a": "A", "b": "B", "c": "A"}, "B": {"a": "B", "b": "A", "c": "B"}}
     GOOD_MORPH = {"A": [0.5, 0.3, 0.2], "B": [0.2, 0.3, 0.5]}
 
@@ -1028,9 +1034,31 @@ class TestGenerate:
     def test_streams_of_one_table_build_equal_separate_calls(self):
         # one state, stitched blocks, and the per-symbol loop of 200 states
         for g in (make_single(), make_g2(), self.random_machine(7, 3, 1), self.random_machine(200, 2, 5)):
-            draw = _sampler(g)
+            pieces = _sampler(g)
             for seed in (3, 4):
-                assert np.array_equal(draw(10_001, seed), generate_sequence(g, 10_001, seed))
+                assert np.array_equal(np.concatenate(list(pieces(10_001, seed, np.empty(10_001, np.int64)))),
+                                      generate_sequence(g, 10_001, seed))
+
+    @pytest.mark.parametrize("name", ["zero", "g2", "k4", "n200"])
+    def test_streams_in_several_pieces_equal_the_one_piece_stream(self, name, monkeypatch):
+        # one state, stitched blocks, and the per-symbol loop, with pieces
+        # of a few stitched chunks: lengths one below, at and one above one,
+        # two and three pieces, against the one-piece stream of the default
+        import procgeom.pfsa as pfsa
+
+        g = self.block_cases()[name]
+        chunk = _STITCH_BLOCKS * self.block_length(g) if name in ("g2", "k4") else 1
+        piece = 3 * chunk if chunk > 1 else 1000
+        lengths = [0, 1, *(j * piece + d for j in (1, 2, 3) for d in (-1, 0, 1))]
+        whole = {length: generate_sequence(g, length, 6) for length in lengths}
+        # a constant between whole stitched chunks rounds down to them
+        monkeypatch.setattr(pfsa, "_STREAM_CHUNK", piece + chunk // 2)
+        for length in lengths:
+            out = generate_sequence(g, length, 6)
+            assert np.array_equal(out, whole[length]), length
+            sizes = [p.size for p in _sampler(g)(length, 6, np.empty(length, dtype=np.int64))]
+            assert sizes == [piece] * (length // piece) + [length % piece] * (length % piece > 0 or not length)
+        assert np.array_equal(whole[lengths[-1]], self.sample_by_index(g, lengths[-1], 6))
 
     def test_draw_above_a_sum_rounding_below_one_emits_last_symbol(self):
         # ten rows of 0.1 add up to 1 - 2**-53; a draw in [that sum, 1) lies

@@ -30,6 +30,8 @@ from procgeom import (
     table_norm,
     write_stream,
 )
+from procgeom.pfsa import _sampler
+from procgeom.streams import _count_stats, _estimate_pieces
 from conftest import make_g2, make_single, make_t3
 
 
@@ -118,6 +120,22 @@ class TestSymbolStream:
             s = SymbolStream.from_indices(rng.integers(0, k, length), [str(j) for j in range(k)])
             x = s.indices.astype(np.float64)
             assert stream_stats(s) == (float(x.mean()), float(x.std())), k
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 127, 128, 129, 1_000, 8_191, 8_192,
+                                        8_193, 65_537, 100_000, 1_000_003])
+    def test_stats_from_the_counted_symbols_keep_the_mean_bits(self, length):
+        # the experiment's statistics: the symbols counted as the first of
+        # each depth-2 window plus the last two, the mean bit for bit and
+        # the std within 4 ulp of the float copy's
+        rng = np.random.default_rng(length)
+        for k in range(1, 8):
+            s = SymbolStream.from_indices(rng.integers(0, k, length), [str(j) for j in range(k)])
+            _, counts = _estimate_pieces((s.indices,), s.alphabet, 2, 0.5)
+            assert np.array_equal(counts, np.bincount(s.indices, minlength=k)), k
+            mean, std = _count_stats(counts)
+            ref_mean, ref_std = stream_stats(s)
+            assert mean == ref_mean, k
+            assert abs(std - ref_std) <= 4 * np.spacing(ref_std), (k, (std - ref_std) / np.spacing(ref_std))
 
     def test_stats_of_empty_stream_rejected(self):
         with pytest.raises(StreamTooShort):
@@ -224,6 +242,32 @@ class TestEstimateDerivatives:
         table = estimate_derivatives(s, depth, 0.5)
         np.testing.assert_array_equal(table.counts, joint.sum(axis=1))
         np.testing.assert_array_equal(table.probs, (joint + 0.5) / (joint.sum(axis=1)[:, None] + 0.5 * k))
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_counts_over_pieces_equal_the_joined_stream(self, k, monkeypatch):
+        # the sampler's pieces of a few stitched chunks, each written over
+        # the one before in one buffer, and hand cuts that leave empty
+        # pieces and pieces shorter than the depth
+        import procgeom.pfsa as pfsa
+
+        rng = np.random.default_rng(k)
+        rows = np.maximum(rng.dirichlet([2.0] * k, 4), 1e-3)
+        delta = rng.integers(0, 4, (4, k))
+        delta[:, 0] = [1, 2, 3, 0]
+        g = Pfsa([str(j) for j in range(k)], list("abcd"), delta, rows / rows.sum(axis=1, keepdims=True))
+        monkeypatch.setattr(pfsa, "_STREAM_CHUNK", 1000)
+        pieces = _sampler(g)
+        joined = np.concatenate(list(pieces(4_321, k, np.empty(4_321, dtype=np.int64))))
+        buffer = np.empty(1000, dtype=np.int64)  # room for one piece
+        assert sum(1 for _ in pieces(4_321, k, buffer)) == 5
+        cut = np.split(joined, [0, 1, 2, 2, 4, 7, 8, 8, 9, 600, 601, 603, 4_320])
+        for depth in range(5):
+            whole = estimate_derivatives(SymbolStream.from_indices(joined, g.alphabet), depth, 0.5)
+            for stream in (pieces(4_321, k, buffer), iter(cut)):
+                table, counts = _estimate_pieces(stream, g.alphabet, depth, 0.5)
+                assert np.array_equal(table.counts, whole.counts), depth
+                assert np.array_equal(table.probs, whole.probs), depth
+                assert np.array_equal(counts, np.bincount(joined, minlength=k)), depth
 
     def test_estimation_takes_no_cast_per_window(self):
         # the byte-wide window codes and their byte-wide source take 2 bytes
