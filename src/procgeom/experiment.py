@@ -130,7 +130,10 @@ def run_noise_experiment(base: Pfsa, config: ExperimentConfig = ExperimentConfig
     ``SeedSequence(config.seed).spawn(n_models)`` and then two children per
     model.  No stream is ever held: each is sampled and counted in one
     pass, in pieces of at most ``pfsa._STREAM_CHUNK`` symbols written over
-    one buffer, so memory does not grow with ``config.stream_length``.  The pass counts the
+    one buffer, so memory does not grow with ``config.stream_length``.
+    The buffer takes the narrowest unsigned type of the base's symbols, one
+    byte a symbol up to 256 symbols, from the sampler to the window
+    counter; the float64 draws of a piece are its largest transient.  The pass counts the
     stream's windows, and its symbol counts give the mean and std: the
     mean equals :func:`~procgeom.streams.stream_stats`' bit for bit, the
     std may differ from it in its last bits.  Each model's sampling tables
@@ -167,13 +170,14 @@ def run_noise_experiment(base: Pfsa, config: ExperimentConfig = ExperimentConfig
     means = np.empty((n, 2))
     stds = np.empty((n, 2))
     tables = []
+    symbol = np.min_scalar_type(base.n_symbols - 1)  # one byte a symbol up to 256 symbols
     for i, m in enumerate(models):
         pieces, per_model = _sampler(m.machine), []
         for s, seed in enumerate(seeds[i].spawn(2)):
             # one buffer holds a stream's pieces; rebinding frees the one
             # before only once the next is allocated, which made about half
             # the page faults of one buffer kept for every stream
-            buffer = np.empty(min(config.stream_length, pfsa._STREAM_CHUNK), dtype=np.int64)
+            buffer = np.empty(min(config.stream_length, pfsa._STREAM_CHUNK), dtype=symbol)
             table, counts = _estimate_pieces(pieces(config.stream_length, seed, buffer),
                                              m.machine.alphabet, config.depth, config.smoothing)
             means[i, s], stds[i, s] = _count_stats(counts)

@@ -832,6 +832,11 @@ def _block_tables(step: np.ndarray, sym: np.ndarray, k: int):
     each time: letter ``a`` moves ``q`` to ``step[q, a]``, where the rest
     of the block goes on, and puts ``sym[q, a]`` in front of its symbols.
     Row ``e`` of ``digits`` holds the ``m`` symbols that ``e`` packs.
+    ``emit`` comes in the narrowest unsigned type that holds ``k ** m - 1``
+    and ``digits`` in the one that holds ``k - 1``, so the packed symbols
+    of a piece take a byte or two each, and a symbol one byte up to 256
+    symbols; ``jump`` keeps the dtype of ``step``, and is fresh, so the
+    caller may change it in place.
 
     ``m`` is the longest block whose tables each hold at most
     ``_JUMP_TABLE_ENTRIES`` entries: ``n * width ** m`` for ``jump`` and
@@ -842,21 +847,25 @@ def _block_tables(step: np.ndarray, sym: np.ndarray, k: int):
     m = 2
     while n * width ** (m + 1) <= _JUMP_TABLE_ENTRIES and (m + 1) * k ** (m + 1) <= _JUMP_TABLE_ENTRIES:
         m += 1
-    jump, emit = step, sym
+    packed = np.min_scalar_type(k ** m - 1)
+    jump, emit = step, sym.astype(packed)
     for j in range(1, m):
         emit = np.take(emit, step, axis=0)
-        emit += (sym * k ** j)[:, :, None]
+        emit += (sym * k ** j).astype(packed)[:, :, None]
         emit = emit.reshape(n, -1)
         jump = np.take(jump, step, axis=0).reshape(n, -1)
-    digits = np.ascontiguousarray(np.indices((k,) * m).reshape(m, -1).T)
+    digits = np.ascontiguousarray(np.indices((k,) * m, dtype=np.min_scalar_type(k - 1)).reshape(m, -1).T)
     return m, jump, emit, digits
 
 
 def _sampler(g: Pfsa):
     """Build the sampling tables of ``g`` once; returns ``pieces(length,
     seed, out)``, which samples as :func:`generate_sequence` does, writes
-    the stream into the int64 array ``out`` in pieces of at most
+    the stream into the integer array ``out`` in pieces of at most
     ``_STREAM_CHUNK`` symbols, and yields each piece once it is written.
+    ``out`` takes any integer dtype that holds ``g.n_symbols - 1``: the
+    block walk's digit table is cast to it once per call of ``pieces``, so
+    an ``np.uint8`` buffer receives one byte a symbol with no wider copy.
 
     A piece holds a whole number of stitched chunks (at least one), and the
     state and the generator carry over from one piece to the next;
@@ -870,8 +879,8 @@ def _sampler(g: Pfsa):
 
     The tables live as long as ``pieces``, so a caller that samples several
     streams of one machine builds them once and frees them with ``pieces``;
-    the block walk keeps its jump table only as the flat offsets that
-    :func:`_stitched_starts` reads.
+    the block walk turns its jump table, in place, into the flat offsets
+    that :func:`_stitched_starts` reads, and keeps only those.
     ``length`` is not checked here.
     """
     pi = stationary_distribution(g)
@@ -880,8 +889,9 @@ def _sampler(g: Pfsa):
     cuts = np.unique(cum)
     letters = cuts.size + 1
     chunk = 1  # symbols per stitched chunk, or 1 where nothing is stitched
+    digits = np.zeros((1, 1), dtype=np.uint8)  # unpacks a block's symbols; only the block walk reads it
     if n == 1 and k <= 256:
-        def fill(q, out, rng):
+        def fill(q, out, rng, digits):
             # the symbol is the number of the row's thresholds at or below the draw
             out[:] = _letters(rng.random(out.size), cum[0], out.size)
             return q
@@ -891,10 +901,11 @@ def _sampler(g: Pfsa):
         sym = np.bincount(rank.ravel(), minlength=n * letters).reshape(n, letters).cumsum(axis=1)
         m, jump, emit, digits = _block_tables(g._delta[np.arange(n)[:, None], sym], sym, k)
         emit, span = emit.ravel(), jump.shape[1]
-        offsets = (jump * span).ravel()  # a block's end as its row offset, for the stitched walk
+        jump *= span  # a block's end as its row offset, for the stitched walk
+        offsets = jump.ravel()
         chunk = _STITCH_BLOCKS * m
 
-        def fill(q, out, rng):
+        def fill(q, out, rng, digits):
             length = out.size
             size = -(-length // chunk) * chunk
             by_block = _letters(rng.random(length), cuts, size).reshape(-1, m)
@@ -918,7 +929,7 @@ def _sampler(g: Pfsa):
     else:
         cum_rows, delta_rows = cum.tolist(), g._delta.tolist()
 
-        def fill(q, out, rng):
+        def fill(q, out, rng, digits):
             symbols = []
             for x in memoryview(rng.random(out.size)):
                 s = bisect_right(cum_rows[q], x)
@@ -931,10 +942,11 @@ def _sampler(g: Pfsa):
     def pieces(length, seed, out):
         rng = np.random.default_rng(seed)
         q = int(rng.choice(n, p=pi))
+        unpack = digits.astype(out.dtype, copy=False)  # in the dtype of ``out``, once per stream
         for start in range(0, max(length, 1), piece):
             begin = start if out.size >= length else 0  # its place, or over the piece before
             at = out[begin:begin + min(piece, length - start)]
-            q = fill(q, at, rng)
+            q = fill(q, at, rng, unpack)
             yield at
 
     return pieces

@@ -68,8 +68,10 @@ def _merge_table(g: Pfsa):
     starts one when it leads the pair one step closer to the diagonal.
     None means some pair never merges, so no word merges all states.
     """
-    n = g.n_states
-    pdT = np.ascontiguousarray(_pair_delta(g, g).T)
+    n, k = g.n_states, g.n_symbols
+    # built transposed in one pass, so the peak holds one pair table
+    dT = np.ascontiguousarray(g._delta.T)
+    pdT = (dT[:, :, None] * n + dT[:, None, :]).reshape(k, -1)
     dist = np.full(n * n, -1, dtype=np.int64)
     first = np.full(n * n, -1, dtype=np.int64)
     level = np.zeros(n * n, dtype=bool)

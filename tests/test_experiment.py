@@ -111,6 +111,27 @@ class TestNoiseExperiment:
         short, long = peaks
         assert abs(long - short) <= 0.1 * short, (short, long)
 
+    def test_peak_memory_per_symbol_on_a_six_state_base(self):
+        # symbols go from the sampler to the window counter one byte each,
+        # which leaves the float64 draws as the largest transient: about 11
+        # bytes a symbol at 10**6, where int64 symbols took about 18
+        import tracemalloc
+
+        rng = np.random.default_rng(1)
+        rows = np.maximum(rng.dirichlet([2.0, 2.0], 8), 1e-3)
+        base = Pfsa(["0", "1"], [f"s{i}" for i in range(8)], rng.integers(0, 8, (8, 2)),
+                    rows / rows.sum(axis=1, keepdims=True))
+        assert as_process(base).machine.n_states == 6
+        length = 1_000_000
+        run_noise_experiment(base, small_config(stream_length=2_000))  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            run_noise_experiment(base, small_config(stream_length=length))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * length, peak / length
+
     def test_each_model_solves_its_stationary_vector_once(self, g2, monkeypatch):
         import procgeom.pfsa as pfsa
 

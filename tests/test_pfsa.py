@@ -1005,6 +1005,11 @@ class TestGenerate:
         assert len(built) == 4 and built[0][0] == m
         # no table the sampler builds holds more than the cap
         assert all(t.size <= _JUMP_TABLE_ENTRIES for t in built[0][1:])
+        # packed symbols and digits in the narrowest unsigned types: k ** m
+        # packings need two bytes at the digit cap, four only from 2 ** 16 on
+        k = g.n_symbols
+        assert built[0][2].dtype == np.min_scalar_type(k ** m - 1) == (np.uint16 if name[0] == "k" else np.uint8)
+        assert built[0][3].dtype == np.min_scalar_type(k - 1) == np.uint8
 
     @pytest.mark.parametrize("n, k, tabled", [(1, 256, 0), (1, 257, 0), (2, 181, 1), (2, 182, 0)])
     def test_wide_alphabets_with_tied_thresholds_match_reference_loop(self, n, k, tabled, monkeypatch):
@@ -1058,6 +1063,13 @@ class TestGenerate:
             assert np.array_equal(out, whole[length]), length
             sizes = [p.size for p in _sampler(g)(length, 6, np.empty(length, dtype=np.int64))]
             assert sizes == [piece] * (length // piece) + [length % piece] * (length % piece > 0 or not length)
+            # one byte a symbol, as the experiment samples: into a buffer of
+            # one piece, written over, as into one of the whole stream
+            for dtype in (np.uint8, np.int64):
+                for size in (length, min(length, pfsa._STREAM_CHUNK)):
+                    got = [p.copy() for p in _sampler(g)(length, 6, np.empty(size, dtype=dtype))]
+                    assert all(p.dtype == dtype for p in got)
+                    assert np.array_equal(np.concatenate(got), whole[length]), (length, dtype, size)
         assert np.array_equal(whole[lengths[-1]], self.sample_by_index(g, lengths[-1], 6))
 
     def test_draw_above_a_sum_rounding_below_one_emits_last_symbol(self):

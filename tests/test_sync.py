@@ -354,6 +354,27 @@ class TestResetWord:
             for i, j in pairs:
                 assert (dist[i, j], first[i * n + j]) == self.merging_reference(g, i, j), (n, i, j)
 
+    def test_merge_table_holds_one_pair_table_at_its_peak(self):
+        # the transposed pair table is built in one pass: a table built by
+        # pair rows and then transposed held two copies at once
+        import tracemalloc
+
+        from procgeom.sync import _merge_table
+
+        rng = np.random.default_rng(3)
+        n, k = 300, 16
+        g = Pfsa([f"x{s}" for s in range(k)], [f"s{i}" for i in range(n)],
+                 rng.integers(0, n, (n, k)), rng.dirichlet(np.ones(k), n))
+        tracemalloc.start()
+        try:
+            table = _merge_table(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pdT = table[0]
+        assert pdT.shape == (k, n * n) and pdT.flags.c_contiguous
+        assert peak < 1.5 * pdT.nbytes, peak / pdT.nbytes
+
     def test_rejects_bad_input(self, g2, u3):
         with pytest.raises(AlphabetMismatch):
             reset_word(g2, u3)
