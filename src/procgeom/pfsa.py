@@ -864,8 +864,10 @@ def _sampler(g: Pfsa):
     the stream into the integer array ``out`` in pieces of at most
     ``_STREAM_CHUNK`` symbols, and yields each piece once it is written.
     ``out`` takes any integer dtype that holds ``g.n_symbols - 1``: the
-    block walk's digit table is cast to it once per call of ``pieces``, so
-    an ``np.uint8`` buffer receives one byte a symbol with no wider copy.
+    block walk's fill casts its digit table to the dtype of each piece it
+    writes, which copies nothing for the experiment's one-byte buffer, so
+    an ``np.uint8`` buffer receives one byte a symbol with no wider copy
+    (an int64 ``out`` casts at most ``_JUMP_TABLE_ENTRIES`` digits a piece).
 
     A piece holds a whole number of stitched chunks (at least one), and the
     state and the generator carry over from one piece to the next;
@@ -889,9 +891,8 @@ def _sampler(g: Pfsa):
     cuts = np.unique(cum)
     letters = cuts.size + 1
     chunk = 1  # symbols per stitched chunk, or 1 where nothing is stitched
-    digits = np.zeros((1, 1), dtype=np.uint8)  # unpacks a block's symbols; only the block walk reads it
     if n == 1 and k <= 256:
-        def fill(q, out, rng, digits):
+        def fill(q, out, rng):
             # the symbol is the number of the row's thresholds at or below the draw
             out[:] = _letters(rng.random(out.size), cum[0], out.size)
             return q
@@ -905,7 +906,7 @@ def _sampler(g: Pfsa):
         offsets = jump.ravel()
         chunk = _STITCH_BLOCKS * m
 
-        def fill(q, out, rng, digits):
+        def fill(q, out, rng):
             length = out.size
             size = -(-length // chunk) * chunk
             by_block = _letters(rng.random(length), cuts, size).reshape(-1, m)
@@ -920,16 +921,17 @@ def _sampler(g: Pfsa):
                 q = int(offsets[codes[-1]]) // span
             codes = emit[codes]  # each block's symbols, packed
             whole, tail = divmod(length, m)
+            unpack = digits.astype(out.dtype, copy=False)  # a block's symbols, in the dtype of ``out``
             # every code is in range; "clip" writes straight into ``out``, where
             # "raise" would fill a buffered copy of it first
-            np.take(digits, codes[:whole], axis=0, out=out[:length - tail].reshape(whole, m), mode="clip")
+            np.take(unpack, codes[:whole], axis=0, out=out[:length - tail].reshape(whole, m), mode="clip")
             if tail:
-                out[length - tail:] = digits[codes[whole], :tail]
+                out[length - tail:] = unpack[codes[whole], :tail]
             return q
     else:
         cum_rows, delta_rows = cum.tolist(), g._delta.tolist()
 
-        def fill(q, out, rng, digits):
+        def fill(q, out, rng):
             symbols = []
             for x in memoryview(rng.random(out.size)):
                 s = bisect_right(cum_rows[q], x)
@@ -942,11 +944,10 @@ def _sampler(g: Pfsa):
     def pieces(length, seed, out):
         rng = np.random.default_rng(seed)
         q = int(rng.choice(n, p=pi))
-        unpack = digits.astype(out.dtype, copy=False)  # in the dtype of ``out``, once per stream
         for start in range(0, max(length, 1), piece):
             begin = start if out.size >= length else 0  # its place, or over the piece before
             at = out[begin:begin + min(piece, length - start)]
-            q = fill(q, at, rng, unpack)
+            q = fill(q, at, rng)
             yield at
 
     return pieces

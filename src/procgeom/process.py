@@ -476,6 +476,8 @@ def _mc_estimates(pairs, eps, walk_length, repeats, seed) -> list[InnerEstimate]
     reads the symbols of the ``i``-th sequence spawned from ``seed``, so
     each estimate depends only on its pair and that sequence.
     """
+    _check_int(walk_length, "walk_length")
+    _check_int(repeats, "repeats")
     check_same_alphabet(pairs[0][0].machine, pairs[0][1].machine)
     if walk_length < 1 or repeats < 2:
         raise ValueError("need walk_length >= 1 and repeats >= 2")
@@ -539,6 +541,8 @@ def inner_mc(
     DepthExceeded
         Propagated from the synchronization search, which runs only for
         operands without a reset word.
+    TypeError
+        If ``walk_length`` or ``repeats`` is not an int (``bool`` included).
     """
     return _mc_estimates([(p, q)], eps, walk_length, repeats, seed)[0]
 
@@ -572,6 +576,8 @@ def angle_mc_estimate(
     DepthExceeded
         Propagated from the synchronization search, which runs only for
         pairs without a reset word.
+    TypeError
+        If ``walk_length`` or ``repeats`` is not an int (``bool`` included).
     """
     ip, n1, n2 = _mc_estimates([(p, q), (p, p), (q, q)], eps, walk_length, repeats, seed)
     if n1.value <= ZERO_NORM_TOL**2 or n2.value <= ZERO_NORM_TOL**2:

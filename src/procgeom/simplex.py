@@ -163,14 +163,29 @@ def log_ratios(a: ProbVec) -> np.ndarray:
 
 
 def from_log_ratios(t) -> ProbVec:
-    """Inverse of :func:`log_ratios`: rebuild the probability vector."""
+    """Inverse of :func:`log_ratios`: rebuild the probability vector.
+
+    Raises
+    ------
+    ValueError
+        If a coordinate is not finite.
+    Overflow
+        If the vector has a zero or non-finite entry at working precision
+        (the running sum of the ratios overflows, or an entry underflows).
+    """
     t = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("log ratios must be finite")
     # entry i is exp(sum of ratios from i to the end), up to normalization;
     # shift by the max exponent for stability.
-    e = np.concatenate([np.cumsum(t[::-1])[::-1], [0.0]])
-    e -= e.max()
-    w = np.exp(e)
-    return _freeze(w / w.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.concatenate([np.cumsum(t[::-1])[::-1], [0.0]])
+        e -= e.max()
+        w = np.exp(e)
+        result = w / w.sum()
+    if not np.all(result > 0.0):  # false for a zero entry and for NaN
+        raise Overflow("log ratios overflowed, or an entry underflowed to zero at working precision")
+    return _freeze(result)
 
 
 def log_inner(a: ProbVec, b: ProbVec) -> float:

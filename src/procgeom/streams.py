@@ -48,7 +48,11 @@ class SymbolStream:
     @staticmethod
     def from_indices(indices, alphabet) -> "SymbolStream":
         alphabet = tuple(alphabet)
-        idx = np.asarray(indices, dtype=np.int64).copy()
+        raw = np.asarray(indices)
+        # an index is an integer: no flag, and no float with a fraction
+        if raw.dtype == bool or (raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.floor(raw)))):
+            raise ValueError("stream holds a non-integer index")
+        idx = raw.astype(np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= len(alphabet)):
             raise ValueError("stream index out of alphabet range")
         return SymbolStream(indices=_freeze(idx), alphabet=alphabet)

@@ -49,9 +49,16 @@ class SyncResult:
 
 
 def _pair_delta(g: Pfsa, h: Pfsa) -> np.ndarray:
-    """Transition table of the pair states: pair (i, j) is row ``i * nh + j``."""
-    nh = h.n_states
-    return (g._delta[:, None, :] * nh + h._delta[None, :, :]).reshape(-1, g.n_symbols)
+    """Transition table of the pair states: pair (i, j) is row ``i * nh + j``.
+
+    The one builder of a pair table.  It is built symbol-major in one pass,
+    from contiguous copies of the operands' transposed tables, so the
+    ``(n_g * n_h, k)`` table returned is the transposed view of one
+    C-contiguous ``(k, n_g * n_h)`` array: ``_pair_delta(g, h).T[s]`` holds
+    every pair's successor on symbol ``s``, as :func:`_merge_table` reads it.
+    """
+    gT, hT = np.ascontiguousarray(g._delta.T), np.ascontiguousarray(h._delta.T)
+    return (gT[:, :, None] * h.n_states + hT[:, None, :]).reshape(g.n_symbols, -1).T
 
 
 def _merge_table(g: Pfsa):
@@ -59,7 +66,8 @@ def _merge_table(g: Pfsa):
 
     Backward breadth-first search from the diagonal of the pair graph:
     pair (i, j) is column ``i * n + j`` of the transposed pair table
-    ``pdT`` (``pdT[s]`` holds every pair's successor on symbol ``s``), and
+    ``pdT = _pair_delta(g, g).T`` (``pdT[s]`` holds every pair's successor
+    on symbol ``s``; C-contiguous, so the peak holds one pair table), and
     is ``dist[i, j]`` symbols from the diagonal; the diagonal itself holds
     ``n * n``, more than any pair's distance, so that the closest pair of a
     set of states is the ``argmin`` of a gather of ``dist``.  ``first``
@@ -68,10 +76,7 @@ def _merge_table(g: Pfsa):
     starts one when it leads the pair one step closer to the diagonal.
     None means some pair never merges, so no word merges all states.
     """
-    n, k = g.n_states, g.n_symbols
-    # built transposed in one pass, so the peak holds one pair table
-    dT = np.ascontiguousarray(g._delta.T)
-    pdT = (dT[:, :, None] * n + dT[:, None, :]).reshape(k, -1)
+    n, pdT = g.n_states, _pair_delta(g, g).T
     dist = np.full(n * n, -1, dtype=np.int64)
     first = np.full(n * n, -1, dtype=np.int64)
     level = np.zeros(n * n, dtype=bool)
@@ -151,15 +156,14 @@ def _greedy_merge(g: Pfsa, image: np.ndarray, table, word: list[int]) -> list[in
 def _reset_word(machines, tables: dict) -> tuple[int, ...] | None:
     """:func:`reset_word` of machines sharing one alphabet, as symbol indices.
 
-    ``tables`` maps a machine to its :func:`_merge_table` and its own
-    greedy word, the word :func:`_greedy_merge` builds from all of its
-    states (None until a call needs it).  Callers share the dict, so a
-    machine's table is built once, and a machine that leads a call reads
-    its own word from an earlier call; only the machines after it continue
-    that word.
+    ``tables`` maps a machine to its :func:`_merge_table` and holds nothing
+    else.  Callers share the dict, so a machine's table is built once; each
+    call runs its own greedy merges.  A machine that appears twice in
+    ``machines`` is processed once: the word that merges it the first time
+    keeps it merged.
     """
     word: list[int] = []
-    for g in machines:
+    for g in dict.fromkeys(machines):
         image = np.arange(g.n_states)
         for s in word:
             image = g._delta[image, s]
@@ -167,17 +171,10 @@ def _reset_word(machines, tables: dict) -> tuple[int, ...] | None:
         if image.size == 1:
             continue
         if g not in tables:
-            tables[g] = _merge_table(g), None
-        table, own = tables[g]
-        if table is None:
+            tables[g] = _merge_table(g)
+        if tables[g] is None:
             return None
-        if word:
-            _greedy_merge(g, image, table, word)
-        else:  # no symbol yet: g's own word, kept for later calls
-            if own is None:
-                own = tuple(_greedy_merge(g, image, table, []))
-                tables[g] = table, own
-            word = list(own)
+        _greedy_merge(g, image, tables[g], word)
     return tuple(word)
 
 

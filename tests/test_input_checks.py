@@ -74,6 +74,12 @@ CHECKS = [
                  ValueError, "smoothing must be > 0", id="smooth-zero"),
     pytest.param(lambda: SymbolStream.from_indices([0, 2], ("0", "1")),
                  ValueError, "stream index out of alphabet range", id="stream-index-range"),
+    pytest.param(lambda: SymbolStream.from_indices([0, 1.5, 1], ("0", "1")),
+                 ValueError, "stream holds a non-integer index", id="stream-index-fraction"),
+    pytest.param(lambda: SymbolStream.from_indices([True, False], ("0", "1")),
+                 ValueError, "stream holds a non-integer index", id="stream-index-bool"),
+    pytest.param(lambda: SymbolStream.from_indices(np.array([0.0, np.nan]), ("0", "1")),
+                 ValueError, "stream holds a non-integer index", id="stream-index-nan"),
     pytest.param(lambda: table(2).estimate(("0",)),
                  UnknownKey, "context length 1 != depth 2", id="context-length"),
     pytest.param(lambda: table(2).estimate(("0", "x")),

@@ -529,6 +529,21 @@ class TestInnerMc:
             with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
                 call(G, G, eps=eps, walk_length=10, repeats=2)
 
+    @pytest.mark.parametrize("name, value", [("walk_length", 300.0), ("walk_length", True),
+                                             ("repeats", 2.0), ("repeats", True)])
+    def test_counts_that_are_not_ints_rejected_by_name_before_any_work(self, G, monkeypatch, name, value):
+        import procgeom.process as process
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the count checks")
+
+        monkeypatch.setattr(process, "_reset_word", no_work)
+        monkeypatch.setattr(process, "joint_epsilon_synchronize", no_work)
+        counts = {"walk_length": 10, "repeats": 2, name: value}
+        for call in (inner_mc, angle_mc_estimate):
+            with pytest.raises(TypeError, match=re.escape(f"{name} must be an int, got {value!r}")):
+                call(G, G, **counts)
+
     def test_batched_kernel_matches_per_walk_loop(self, g2, t3):
         # g2 is padded to the 3 states of t3; both pairs share one batch
         pairs = [(g2, t3), (t3, t3)]
@@ -747,9 +762,10 @@ class TestInnerMc:
         angle_mc_estimate(G, M, walk_length=200, repeats=4, seed=1)
         assert calls == [G.machine, M.machine]
 
-    def test_angle_runs_three_greedy_merges(self, monkeypatch):
-        # (p, q) runs p's own greedy word and continues it for q, (p, p)
-        # reads p's word, and (q, q) runs q's own: three merges, not four
+    def test_angle_runs_four_greedy_merges(self, monkeypatch):
+        # the three calls share merge tables only: (p, q) runs p's greedy
+        # word and continues it for q, and (p, p) and (q, q) each run one
+        # merge, since a machine repeated within a call is processed once
         import procgeom.sync as sync
 
         p, q = random_process(24, 1), random_process(24, 2)
@@ -762,7 +778,7 @@ class TestInnerMc:
 
         monkeypatch.setattr(sync, "_greedy_merge", counting)
         est = angle_mc_estimate(p, q, walk_length=200, repeats=4, seed=1)
-        assert merged == [p.machine, q.machine, q.machine]
+        assert merged == [p.machine, q.machine, p.machine, q.machine]
         # the continuation is needed: p's own word leaves q in several states
         image = np.arange(q.machine.n_states)
         for s in q.machine.to_indices(sync.reset_word(p.machine)):

@@ -228,6 +228,21 @@ class TestChart:
             a = random_pvec(rng, dim)
             np.testing.assert_allclose(from_log_ratios(log_ratios(a)), a, atol=1e-14)
 
+    @pytest.mark.parametrize("t", [[math.inf], [0.0, -math.inf], [math.nan]])
+    def test_non_finite_coordinate_rejected(self, t):
+        with pytest.raises(ValueError, match="log ratios must be finite"):
+            from_log_ratios(t)
+
+    @pytest.mark.parametrize("t", [[1e308, 1e308], [800.0], [-800.0], [0.0, 760.0]])
+    def test_zero_or_non_finite_entry_signalled(self, t):
+        # the running sum overflows, or an entry underflows to zero
+        with pytest.raises(Overflow, match="underflowed to zero at working precision"):
+            from_log_ratios(t)
+
+    def test_extreme_finite_ratios_keep_positive_entries(self):
+        a = from_log_ratios([700.0])
+        assert (a > 0.0).all() and a.sum() == pytest.approx(1.0)
+
     def test_chart_linearizes_the_algebra(self):
         rng = np.random.default_rng(4)
         a, b = random_pvec(rng, 4), random_pvec(rng, 4)

@@ -64,6 +64,13 @@ class TestSymbolStream:
         again = read_stream(path, alphabet=wide.alphabet)
         np.testing.assert_array_equal(wide.indices, again.indices)
 
+    def test_integer_indices_keep_their_values(self):
+        # integer arrays and lists, integral floats and the empty list
+        for indices in (np.array([0, 1, 1], dtype=np.uint8), [0, 1, 1], np.array([0.0, 1.0, 1.0]), [0, 1.0, 1]):
+            s = SymbolStream.from_indices(indices, ("0", "1"))
+            assert s.indices.dtype == np.int64 and s.indices.tolist() == [0, 1, 1]
+        assert SymbolStream.from_indices([], ("0", "1")).indices.dtype == np.int64
+
     def test_round_trip_compact_non_ascii(self, tmp_path):
         # one-character symbols outside ASCII, one of them outside the BMP
         alphabet = ("α", "β", "😀")

@@ -312,6 +312,57 @@ class TestResetWord:
                 names = None if word is None else tuple(p.alphabet[s] for s in word)
                 assert names == reset_word_reference(*call), (seed, call)
 
+    def test_a_repeated_machine_runs_one_greedy_merge(self, monkeypatch):
+        import procgeom.sync as sync
+
+        merged = []
+        greedy = sync._greedy_merge
+
+        def counting(g, *args):
+            merged.append(g)
+            return greedy(g, *args)
+
+        monkeypatch.setattr(sync, "_greedy_merge", counting)
+        for seed in range(40):
+            p = self.seeded_machines(seed)[0]
+            merged.clear()
+            word = sync._reset_word((p, p), {})
+            names = None if word is None else tuple(p.alphabet[s] for s in word)
+            assert names == reset_word_reference(p, p), seed
+            assert merged == ([] if word is None else [p]), seed
+
+    def test_merge_table_reads_one_pair_table(self, monkeypatch):
+        # _merge_table builds no table of its own: it transposes _pair_delta(g, g)
+        import procgeom.sync as sync
+
+        calls = []
+        pair_delta = sync._pair_delta
+
+        def counting(g, h):
+            calls.append((g, h))
+            return pair_delta(g, h)
+
+        monkeypatch.setattr(sync, "_pair_delta", counting)
+        for g in [self.cerny(8)] + [m for seed in range(10) for m in self.seeded_machines(seed)]:
+            calls.clear()
+            table = sync._merge_table(g)
+            assert calls == [(g, g)]
+            if table is not None:
+                assert np.array_equal(table[0], pair_delta(g, g).T)
+
+    def test_pair_delta_is_the_row_view_of_one_symbol_major_table(self):
+        from procgeom.sync import _pair_delta
+
+        for seed in range(30):
+            machines = self.seeded_machines(seed)
+            for g, h in itertools.product(machines, repeat=2):
+                delta = _pair_delta(g, h)
+                nh, k = h.n_states, g.n_symbols
+                rows = (g._delta[:, None, :] * nh + h._delta[None, :, :]).reshape(-1, k)
+                assert delta.shape == (g.n_states * nh, k) and delta.dtype == np.int64
+                assert np.array_equal(delta, rows), seed
+                assert delta.T.flags.c_contiguous and not delta.flags.owndata, seed
+
     @staticmethod
     def merging_reference(g, i, j):
         """Breadth-first search forward from the one pair (i, j): the length
