@@ -317,26 +317,27 @@ def _walk_symbols(seeds, walk_length: int, repeats: int, k: int):
     """Uniform symbols of every walk, in blocks of rows of ``len(seeds) * repeats``.
 
     Row ``t`` of a block holds step ``t`` of every walk: column
-    ``pi * repeats + r`` is walk ``r`` of pair ``pi``, drawn from
-    ``seeds[pi].spawn(repeats)[r]``: ``seeds`` is the list of the pairs' own
-    spawned sequences, so that a pair reads the same symbols whichever
-    pairs share its batch.  Blocks hold ``_WALK_BLOCK_STEPS`` steps (the
-    last one the rest), so memory does not grow with ``walk_length``; a
-    generator's ``integers(0, k, size=a)`` followed by ``size=b`` returns
-    the values of one call with ``size=a + b``, so the symbols do not
-    depend on the block size; a block stores them in the smallest type
-    that holds ``k - 1``, one byte for ``k <= 256``.  Each generator fills
-    one contiguous row of the block's transpose, so a block is a
-    transposed view.
+    ``pi * repeats + r`` is walk ``r`` of pair ``pi``.  ``seeds`` is the
+    list of the pairs' own spawned sequences, and each pair draws from one
+    generator seeded by its sequence: ``integers(0, k, size=(steps,
+    repeats))`` per block, so walk ``r`` reads draw ``t * repeats + r`` at
+    step ``t``.  A pair thus reads the same symbols whichever pairs share
+    its batch.  Blocks hold ``_WALK_BLOCK_STEPS`` steps (the last one the
+    rest), so memory does not grow with ``walk_length``; int64 draws of
+    ``size=a`` followed by ``size=b`` return the values of one call with
+    ``size=a + b``, so the symbols do not depend on the block size.  (Draws
+    in a narrow dtype keep a per-call byte buffer and would.)  A block is
+    C-contiguous and stores the symbols in the smallest type that holds
+    ``k - 1``, one byte for ``k <= 256``.
     """
-    rngs = [np.random.default_rng(walk_seq)
-            for pair_seq in seeds for walk_seq in pair_seq.spawn(repeats)]
+    rngs = [np.random.default_rng(pair_seq) for pair_seq in seeds]
     dtype = np.min_scalar_type(k - 1)
     for start in range(0, walk_length, _WALK_BLOCK_STEPS):
-        walks = np.empty((len(rngs), min(_WALK_BLOCK_STEPS, walk_length - start)), dtype=dtype)
-        for row, rng in zip(walks, rngs):
-            row[:] = rng.integers(0, k, size=walks.shape[1])
-        yield walks.T
+        steps = min(_WALK_BLOCK_STEPS, walk_length - start)
+        walks = np.empty((steps, len(rngs), repeats), dtype=dtype)
+        for pi, rng in enumerate(rngs):
+            walks[:, pi] = rng.integers(0, k, size=(steps, repeats))
+        yield walks.reshape(steps, -1)
 
 
 def _pair_state_walks(pairs, starts, walk_length: int, repeats: int, seeds) -> np.ndarray:
@@ -432,9 +433,8 @@ def _batched_pair_walks(pairs, starts, walk_length: int, repeats: int, seeds) ->
     ``2 * rows`` rows offset by ``row * qmax``, one ``np.bincount`` moves
     every belief of both sides, and each row is divided by its sum at every
     step, so no belief underflows.  Both sides of a row read the same
-    symbol, drawn from that walk's spawned generator by
-    :func:`_walk_symbols`, making the result reproducible regardless of
-    batching.
+    symbol, drawn from its pair's generator by :func:`_walk_symbols`,
+    making the result reproducible regardless of batching.
     """
     n_pairs = len(pairs)
     rows = n_pairs * repeats
@@ -473,7 +473,8 @@ def _mc_estimates(pairs, eps, walk_length, repeats, seed) -> list[InnerEstimate]
     pair states (:func:`_pair_state_walks`).  Any other pair starts at the
     beliefs after its own jointly epsilon-synchronizing string and walks
     the full belief recursion (:func:`_batched_pair_walks`).  Pair ``i``
-    reads the symbols of the ``i``-th sequence spawned from ``seed``, so
+    draws the symbols of all its walks from one generator seeded by the
+    ``i``-th sequence spawned from ``seed`` (:func:`_walk_symbols`), so
     each estimate depends only on its pair and that sequence.
     """
     _check_int(walk_length, "walk_length")
@@ -566,7 +567,8 @@ def angle_mc_estimate(
     """Monte Carlo angle with a cosine-level standard error.
 
     Estimates ``<p,q>``, ``<p,p>`` and ``<q,q>`` as :func:`inner_mc` does,
-    each pair with its own kernel and independently spawned sub-seed, forms
+    each pair with its own kernel and its own generator (three in all, each
+    seeded by a sequence spawned from ``seed``), forms
     the cosine, and propagates the three standard errors to the cosine,
     where the sampling distribution is regular.  The angle itself is
     ``arccos`` of the clamped cosine.

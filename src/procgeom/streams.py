@@ -49,8 +49,13 @@ class SymbolStream:
     def from_indices(indices, alphabet) -> "SymbolStream":
         alphabet = tuple(alphabet)
         raw = np.asarray(indices)
-        # an index is an integer: no flag, and no float with a fraction
-        if raw.dtype == bool or (raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.floor(raw)))):
+        if raw.ndim != 1:
+            raise ValueError(f"stream must be one-dimensional, got {raw.ndim} dimensions")
+        # an index is an integer: no string, complex or object, no flag (numpy
+        # promotes one in a list of ints), and no float with a fraction
+        if (raw.dtype.kind not in "iuf"
+                or (not isinstance(indices, np.ndarray) and any(isinstance(i, (bool, np.bool_)) for i in indices))
+                or (raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.floor(raw))))):
             raise ValueError("stream holds a non-integer index")
         idx = raw.astype(np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= len(alphabet)):

@@ -399,7 +399,7 @@ class TestExperiment:
         assert code == 0
         assert out == (
             "# seed=42 eps=1e-06 walk_length=100000 repeats=20\n"
-            "3.1415926535897931 cos=-1.0002046381853353 cos_std_error=0.0002937947701571369\n"
+            "3.1295797705539474 cos=-0.99992784618829567 cos_std_error=0.00034219416308241192\n"
         )
 
 

@@ -80,6 +80,20 @@ CHECKS = [
                  ValueError, "stream holds a non-integer index", id="stream-index-bool"),
     pytest.param(lambda: SymbolStream.from_indices(np.array([0.0, np.nan]), ("0", "1")),
                  ValueError, "stream holds a non-integer index", id="stream-index-nan"),
+    pytest.param(lambda: SymbolStream.from_indices([0, True], ("0", "1")),
+                 ValueError, "stream holds a non-integer index", id="stream-index-bool-among-ints"),
+    pytest.param(lambda: SymbolStream.from_indices([1, np.True_], ("0", "1")),
+                 ValueError, "stream holds a non-integer index", id="stream-index-numpy-bool-among-ints"),
+    pytest.param(lambda: SymbolStream.from_indices(["0", "1"], ("0", "1")),
+                 ValueError, "stream holds a non-integer index", id="stream-index-string"),
+    pytest.param(lambda: SymbolStream.from_indices([0, 1 + 0j], ("0", "1")),
+                 ValueError, "stream holds a non-integer index", id="stream-index-complex"),
+    pytest.param(lambda: SymbolStream.from_indices(np.array([0, 1], dtype=object), ("0", "1")),
+                 ValueError, "stream holds a non-integer index", id="stream-index-object"),
+    pytest.param(lambda: SymbolStream.from_indices([[0, 1], [1, 0]], ("0", "1")),
+                 ValueError, "stream must be one-dimensional, got 2 dimensions", id="stream-2d"),
+    pytest.param(lambda: SymbolStream.from_indices(1, ("0", "1")),
+                 ValueError, "stream must be one-dimensional, got 0 dimensions", id="stream-0d"),
     pytest.param(lambda: table(2).estimate(("0",)),
                  UnknownKey, "context length 1 != depth 2", id="context-length"),
     pytest.param(lambda: table(2).estimate(("0", "x")),

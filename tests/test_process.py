@@ -26,6 +26,7 @@ from procgeom import (
     process_norm,
     pscale,
     psum,
+    reset_word,
     scale_process,
     structurally_equal,
     sum_processes,
@@ -557,8 +558,8 @@ class TestInnerMc:
         assert means.shape == (2, repeats)
         pair_seqs = np.random.SeedSequence(7).spawn(len(pairs))
         for pi, ((g, h), (bg, bh)) in enumerate(zip(pairs, starts)):
-            for r, walk_seq in enumerate(pair_seqs[pi].spawn(repeats)):
-                symbols = np.random.default_rng(walk_seq).integers(0, 2, size=walk_length)
+            draws = np.random.default_rng(pair_seqs[pi]).integers(0, 2, size=(walk_length, repeats))
+            for r, symbols in enumerate(draws.T):
                 b_g, b_h, total = bg, bh, 0.0
                 for s in symbols:
                     total += float(np.diff(np.log(b_g @ g._morph)) @ np.diff(np.log(b_h @ h._morph)))
@@ -639,17 +640,96 @@ class TestInnerMc:
     @pytest.mark.parametrize("k, itemsize", [(2, 1), (300, 2)])
     def test_walk_symbols_are_stored_in_the_narrowest_type(self, k, itemsize):
         # one byte a symbol on two symbols; 300 symbols need two bytes, and
-        # either way a block holds the int64 draws of each walk's generator
+        # either way a C-contiguous block holds the int64 draws of each
+        # pair's generator in that pair's columns
         seeds = np.random.SeedSequence(9).spawn(2)
         blocks = list(_walk_symbols(seeds, 5000, 3, k))
         assert [b.shape for b in blocks] == [(4096, 6), (904, 6)]
-        assert all(b.itemsize == itemsize for b in blocks)
+        assert all(b.itemsize == itemsize and b.flags.c_contiguous for b in blocks)
         symbols = np.concatenate(blocks)
-        draws = [np.random.default_rng(walk_seq).integers(0, k, size=5000)
-                 for pair_seq in np.random.SeedSequence(9).spawn(2)
-                 for walk_seq in pair_seq.spawn(3)]
-        assert np.array_equal(symbols, np.stack(draws, axis=1))
+        draws = [np.random.default_rng(pair_seq).integers(0, k, size=(5000, 3))
+                 for pair_seq in np.random.SeedSequence(9).spawn(2)]
+        assert np.array_equal(symbols, np.concatenate(draws, axis=1))
         assert symbols.max() == k - 1
+
+    def test_a_pair_reads_the_same_walks_alone_and_in_a_batch(self, g2, m2, t3):
+        p, q = random_process(9, 1).machine, random_process(10, 2).machine
+        z = zero_process(["0", "1"]).machine
+
+        def seeds():
+            return np.random.SeedSequence(6).spawn(3)
+
+        pairs, starts = [(p, q), (q, q), (p, z)], [(3, 1), (2, 5), (0, 0)]
+        batch = _pair_state_walks(pairs, starts, 300, 4, seeds())
+        for i in range(3):
+            assert _pair_state_walks([pairs[i]], [starts[i]], 300, 4, [seeds()[i]]).tobytes() == batch[i].tobytes()
+        pairs = [(t3, t3), (g2, m2), (m2, t3)]
+        starts = [(np.array([0.1, 0.6, 0.3]), np.array([0.2, 0.2, 0.6])),
+                  (np.array([0.3, 0.7]), np.array([0.5, 0.5])),
+                  (np.array([0.9, 0.1]), np.array([0.5, 0.3, 0.2]))]
+        batch = _batched_pair_walks(pairs, starts, 300, 4, seeds())
+        for i in range(3):
+            assert _batched_pair_walks([pairs[i]], [starts[i]], 300, 4, [seeds()[i]]).tobytes() == batch[i].tobytes()
+
+    @pytest.mark.parametrize("block_steps", [7, 4096])
+    def test_walks_do_not_depend_on_the_symbol_block_size(self, monkeypatch, g2, t3, block_steps):
+        # 4,100 steps: 586 blocks of 7, or one of 4,096 and one of 4
+        import procgeom.process as process
+
+        monkeypatch.setattr(process, "_WALK_BLOCK_STEPS", block_steps)
+        p, q = random_process(9, 1).machine, random_process(10, 2).machine
+        pairs, starts = [(p, q), (q, q)], [(3, 1), (2, 5)]
+        seeds = np.random.SeedSequence(8).spawn(2)
+        symbols = np.concatenate(list(_walk_symbols(seeds, 4100, 2, 2)))
+        draws = [np.random.default_rng(pair_seq).integers(0, 2, size=(4100, 2)) for pair_seq in seeds]
+        assert np.array_equal(symbols, np.concatenate(draws, axis=1))
+        walks = _pair_state_walks(pairs, starts, 4100, 2, seeds)
+        assert walks.tobytes() == scalar_pair_walks(pairs, starts, 4100, 2, 8).tobytes()
+        beliefs = [(np.array([0.3, 0.7]), np.array([0.5, 0.3, 0.2]))]
+        monkeypatch.setattr(process, "_WALK_BLOCK_STEPS", 4096)
+        whole = _batched_pair_walks([(g2, t3)], beliefs, 4100, 2, seeds[:1])
+        monkeypatch.setattr(process, "_WALK_BLOCK_STEPS", block_steps)
+        assert _batched_pair_walks([(g2, t3)], beliefs, 4100, 2, seeds[:1]).tobytes() == whole.tobytes()
+
+    def test_an_angle_builds_one_generator_per_pair(self, G, monkeypatch):
+        # <G, T> and <T, T> walk beliefs, <G, G> pair states; two blocks of symbols
+        built = []
+        make = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        est = angle_mc_estimate(G, as_process(make_t3(), "T"), walk_length=5000, repeats=20, seed=1)
+        assert len(built) == 3 and math.isfinite(est.cos)
+
+    def test_estimates_cover_the_exact_values(self):
+        # 24 angles at 2,000 x 20 give 72 inner products.  The operands are,
+        # per size, the first 16 machines of one sink and more than one
+        # state that have a reset word, paired in order: the walks of a pair
+        # without one start from beliefs and carry a start bias that the
+        # exact value does not (ROADMAP item 4).  For unbiased estimates
+        # over 20 walks |t_19| > 3 has probability 0.0074, so 0.53 of 72 are
+        # expected beyond 3 standard errors; 4 or more has probability 0.002.
+        z = []
+        for n in (8, 24, 56):
+            machines = []
+            for s in itertools.count(1):
+                try:
+                    p = random_process(n, s)
+                except NotErgodic:
+                    continue
+                if p.machine.n_states > 1 and reset_word(p.machine) is not None:
+                    machines.append(p)
+                if len(machines) == 16:
+                    break
+            for i, (p, q) in enumerate(zip(machines[::2], machines[1::2])):
+                est = angle_mc_estimate(p, q, walk_length=2000, repeats=20, seed=i + 1)
+                for e, (a, b) in zip((est.inner, est.norm_sq_a, est.norm_sq_b), ((p, q), (p, p), (q, q))):
+                    z.append(abs(e.value - inner_exact(a, b).value) / e.std_error)
+        assert len(z) == 72
+        assert sum(x > 3.0 for x in z) <= 3 and max(z) <= 5.0
 
     @pytest.mark.parametrize("entries, m", [(1, 1), (200, 2), (2000, 4)])
     def test_pair_state_kernel_matches_scalar_walks_at_short_blocks(self, monkeypatch, entries, m):
@@ -697,7 +777,7 @@ class TestInnerMc:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        assert repr(est.cos) == "0.05722234332737016"
+        assert repr(est.cos) == "0.05761303951526455"
 
     def test_synchronizing_operands_need_no_epsilon_search(self, G, M, u3, monkeypatch):
         import procgeom.process as process
@@ -737,15 +817,15 @@ class TestInnerMc:
         # state A, where the epsilon search's string "0" also left a point mass.
         T = as_process(make_t3(), "T")
         assert repr(inner_mc(T, T, walk_length=3000, repeats=6, seed=11)) == (
-            "InnerEstimate(value=0.6480835330930492, std_error=0.01506296067338405, "
+            "InnerEstimate(value=0.662296709422509, std_error=0.010594852662196477, "
             "mode='monte-carlo', walks=6, walk_length=3000)")
         assert repr(angle_mc_estimate(G, T, walk_length=3000, repeats=6, seed=13)) == (
-            "AngleEstimate(angle=1.595690229441552, cos=-0.02489133157456945, "
-            "cos_std_error=0.004970995870880318, inner=InnerEstimate(value=-0.023493946686386602, "
-            "std_error=0.00469029223288618, mode='monte-carlo', walks=6, walk_length=3000), "
-            "norm_sq_a=InnerEstimate(value=1.3193277939930135, std_error=0.003393558517707658, "
+            "AngleEstimate(angle=1.582538112500611, cos=-0.011741515901825064, "
+            "cos_std_error=0.005112048936284434, inner=InnerEstimate(value=-0.01088347666658279, "
+            "std_error=0.004738004875364233, mode='monte-carlo', walks=6, walk_length=3000), "
+            "norm_sq_a=InnerEstimate(value=1.3228057226794427, std_error=0.004825244807504645, "
             "mode='monte-carlo', walks=6, walk_length=3000), "
-            "norm_sq_b=InnerEstimate(value=0.6752475016193192, std_error=0.006903968325793979, "
+            "norm_sq_b=InnerEstimate(value=0.6495175566791074, std_error=0.007595555687729501, "
             "mode='monte-carlo', walks=6, walk_length=3000))")
 
     def test_angle_builds_one_merge_table_per_operand(self, G, M, monkeypatch):
@@ -796,7 +876,7 @@ class TestInnerMc:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        assert repr(est.cos) == "-1.0002046381853353"
+        assert repr(est.cos) == "-0.9999278461882957"
 
     def test_cerny_self_angle_at_cli_defaults(self):
         # Cerny machine, n = 8: symbol 0 rotates, symbol 1 merges state 0
@@ -1116,7 +1196,9 @@ def block_length(n, k):
 
 def scalar_pair_walks(pairs, starts, walk_length, repeats, seed):
     # one walk at a time in Python ints and floats: the two states move
-    # componentwise and each step's term joins a running sum in time order
+    # componentwise and each step's term joins a running sum in time order;
+    # each pair draws a (walk_length, repeats) table from one generator,
+    # and walk r reads its column r
     pair_seqs = np.random.SeedSequence(seed).spawn(len(pairs))
     out = np.empty((len(pairs), repeats))
     for pi, ((g, h), (i0, j0)) in enumerate(zip(pairs, starts)):
@@ -1124,10 +1206,10 @@ def scalar_pair_walks(pairs, starts, walk_length, repeats, seed):
         term = np.einsum("rs,rs->r", np.repeat(lg, h.n_states, axis=0),
                          np.tile(lh, (g.n_states, 1))).tolist()
         dg, dh = g._delta.tolist(), h._delta.tolist()
-        for r, walk_seq in enumerate(pair_seqs[pi].spawn(repeats)):
-            symbols = np.random.default_rng(walk_seq).integers(0, g.n_symbols, size=walk_length)
+        draws = np.random.default_rng(pair_seqs[pi]).integers(0, g.n_symbols, size=(walk_length, repeats))
+        for r, symbols in enumerate(draws.T.tolist()):
             i, j, acc = i0, j0, 0.0
-            for s in symbols.tolist():
+            for s in symbols:
                 acc += term[i * h.n_states + j]
                 i, j = dg[i][s], dh[j][s]
             out[pi, r] = acc / walk_length
